@@ -1,13 +1,22 @@
-"""Exact rational linear algebra for lattice polytopes.
+"""Exact linear algebra for lattice polytopes.
 
-Points are tuples of integers or Fractions.  Normalized volumes are taken
-relative to the lattice spanned by the polytope's vertex differences; that
-lattice's basis comes from a Hermite normal form and is computed once per
-polytope.
+Points are tuples of integers or Fractions.  Every elimination goes through
+one fraction-free Gauss–Jordan kernel (Bareiss 1968): rows with Fraction
+entries are first scaled to integers, and each step divides exactly by the
+previous pivot, so entries stay integral (they are minors of the input).
+The kernel gives the rank, the determinant (the last pivot) and, for the
+unimodular simplices of a triangulation, the integer inverse.
+
+Normalized volumes are taken relative to the lattice spanned by the
+polytope's vertex differences.  That lattice's basis is its Hermite normal
+form, computed once per polytope.  Because the basis is in row echelon
+form, coordinates in it follow by forward substitution on the pivot columns,
+with no elimination.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -18,65 +27,51 @@ SAMPLE_SEED = 0xA5C
 SAMPLE_COUNT = 200
 
 
-def _as_fraction_rows(rows):
-    return [[Fraction(x) for x in row] for row in rows]
+def _bareiss(m):
+    """Fraction-free Gauss–Jordan elimination of the integer rows ``m``, in place.
+
+    Returns ``(pivots, last, sign)``: the pivot columns, the last pivot and
+    the sign of the row permutation.  Afterwards row k has the entry
+    ``last`` in column ``pivots[k]`` and zeros in the other pivot columns,
+    and the rows past ``len(pivots)`` are zero.  For a square matrix of full
+    rank, ``sign * last`` is its determinant.
+    """
+    pivots, last, sign = [], 1, 1
+    for col in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        p = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if p is None:
+            continue
+        if p != r:
+            m[r], m[p] = m[p], m[r]
+            sign = -sign
+        top = m[r]
+        pivot = top[col]
+        for i, row in enumerate(m):
+            if i != r:
+                f = row[col]
+                # exact: every entry is a minor of the input (Sylvester's identity)
+                m[i] = [(pivot * a - f * b) // last for a, b in zip(row, top)]
+        last = pivot
+        pivots.append(col)
+        if len(pivots) == len(m):
+            break
+    return pivots, last, sign
+
+
+def _integer_rows(rows):
+    """Each row scaled by the lcm of its denominators, and the product of the scales."""
+    out, scale = [], 1
+    for row in rows:
+        den = math.lcm(*(x.denominator for x in row))
+        out.append([int(x * den) for x in row])
+        scale *= den
+    return out, scale
 
 
 def matrix_rank(rows):
-    """Rank over the rationals, by Gaussian elimination with exact fractions."""
-    m = _as_fraction_rows(rows)
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
-
-
-def solve_linear(matrix, rhs):
-    """Solve matrix @ x = rhs exactly; None if inconsistent.
-
-    ``matrix`` is given row-wise and must have full column rank.
-    """
-    rows = [list(map(Fraction, row)) + [Fraction(b)] for row, b in zip(matrix, rhs)]
-    ncols = len(matrix[0]) if matrix else 0
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    if rank < ncols:
-        raise InputError("coefficient matrix does not have full column rank")
-    for r in range(rank, len(rows)):
-        if rows[r][-1] != 0:
-            return None
-    x = [Fraction(0)] * ncols
-    for r, col in enumerate(pivots):
-        x[col] = rows[r][-1]
-    return tuple(x)
+    """Rank over the rationals, by exact fraction-free elimination."""
+    return len(_bareiss(_integer_rows(rows)[0])[0])
 
 
 def hermite_row_basis(rows):
@@ -139,39 +134,37 @@ def lattice_basis(points):
 
 
 def coordinates_in_basis(basis, vector):
-    """Express ``vector`` in the given row basis; exact, raises if outside span."""
-    if not basis:
-        if any(vector):
-            raise InputError("vector lies outside the lattice span")
-        return ()
-    columns = [[row[i] for row in basis] for i in range(len(basis[0]))]
-    coords = solve_linear(columns, vector)
-    if coords is None:
+    """Express ``vector`` in the given row basis; exact, raises if outside span.
+
+    ``basis`` must be in row echelon form, as `lattice_basis` returns it, so
+    each coordinate is read off the next row's pivot column (forward
+    substitution).  A vector in the span but off the lattice gets Fraction
+    coordinates.
+    """
+    residual = list(vector)
+    coords = []
+    for row in basis:
+        col = next(i for i, x in enumerate(row) if x)
+        q, r = divmod(residual[col], row[col])
+        c = Fraction(residual[col], row[col]) if r else q
+        if c:
+            residual = [a - c * b for a, b in zip(residual, row)]
+        coords.append(c)
+    if any(residual):
         raise InputError("vector lies outside the lattice span")
-    return coords
+    return tuple(coords)
 
 
 def determinant(rows):
-    """Exact determinant of a square matrix, fraction Gaussian elimination."""
+    """Exact determinant of a square matrix, by fraction-free elimination."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise InputError("determinant needs a square matrix")
-    m = _as_fraction_rows(rows)
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                factor = m[r][col] * inv
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return det
+    m, scale = _integer_rows(rows)
+    pivots, last, sign = _bareiss(m)
+    if len(pivots) < n:
+        return Fraction(0)
+    return Fraction(sign * last, scale)
 
 
 def simplex_normalized_volume(simplex, basis):
@@ -225,25 +218,20 @@ class TriangulationReport:
         }
 
 
-def _inverse_integer_matrix(rows):
-    """Exact inverse of a square matrix via Gauss-Jordan on [M | I]."""
-    n = len(rows)
-    aug = [
-        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(rows)
-    ]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise InputError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+def _volume_and_inverse(m):
+    """|det m| of a square integer matrix, and its inverse when that is 1.
+
+    One elimination of [m | I], which ends as [last * I | last * m^-1] when
+    m is nonsingular, with |last| = |det m|.
+    """
+    d = len(m)
+    aug = [row + [int(i == j) for j in range(d)] for i, row in enumerate(m)]
+    pivots, last, _ = _bareiss(aug)
+    if pivots != list(range(d)):
+        return 0, None
+    if abs(last) != 1:
+        return abs(last), None
+    return 1, [[last * x for x in row[d:]] for row in aug]
 
 
 def triangulation_checks(polytope_vertices, simplices, expected_volume):
@@ -275,38 +263,31 @@ def triangulation_checks(polytope_vertices, simplices, expected_volume):
             failures=failures,
         )
 
-    coords = {}  # vertex -> lattice coordinates relative to vertices[0]
     base = vertices[0]
-    for p in vertex_set:
-        coords[p] = coordinates_in_basis(basis, [x - b for x, b in zip(p, base)])
+    # vertex -> integer lattice coordinates relative to vertices[0]
+    coords = {p: coordinates_in_basis(basis, [x - b for x, b in zip(p, base)]) for p in vertex_set}
 
     inverses = []
     total = 0
     for idx, simplex in enumerate(simplices):
-        vol = simplex_normalized_volume(simplex, basis)
+        vol, inv = 0, None
+        if len(set(simplex)) == len(simplex) == d + 1:
+            origin = coords[simplex[0]]
+            # columns are the edge vectors, so the inverse maps a point to its
+            # barycentric weights lam_1..lam_d
+            m = [[coords[p][i] - origin[i] for p in simplex[1:]] for i in range(d)]
+            vol, inv = _volume_and_inverse(m)
         total += vol
         if vol != 1:
             failures.append(f"simplex {idx}: normalized volume {vol}, expected 1")
-            inverses.append(None)
-            continue
-        m = [
-            [a - b for a, b in zip(coords[p], coords[simplex[0]])]
-            for p in simplex[1:]
-        ]
-        # rows are edge vectors; invert the transpose to map points to
-        # barycentric weights lam_1..lam_d
-        mt = [[m[j][i] for j in range(d)] for i in range(d)]
-        inv = _inverse_integer_matrix(mt)
-        # unimodular, so the inverse is integral; keep plain ints for speed
-        inverses.append([[int(x) for x in row] for row in inv])
+        inverses.append(inv)
     if total != expected_volume:
         failures.append(f"volume total {total} != expected {expected_volume}")
-    int_coords = {p: [int(x) for x in c] for p, c in coords.items()}
 
     def contains(idx, num, den):
         # barycentric signs of the point num/den, all in integer arithmetic
         simplex = simplices[idx]
-        rel = [a - den * b for a, b in zip(num, int_coords[simplex[0]])]
+        rel = [a - den * b for a, b in zip(num, coords[simplex[0]])]
         lam = [sum(r * x for r, x in zip(row, rel)) for row in inverses[idx]]
         return all(x >= 0 for x in lam) and sum(lam) <= den
 
@@ -319,7 +300,7 @@ def triangulation_checks(polytope_vertices, simplices, expected_volume):
             den = sum(weights)
             num = [
                 sum(w * c for w, c in zip(weights, col))
-                for col in zip(*(int_coords[p] for p in simplices[idx]))
+                for col in zip(*(coords[p] for p in simplices[idx]))
             ]
             containing = [j for j in range(len(simplices)) if contains(j, num, den)]
             samples += 1

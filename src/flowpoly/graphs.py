@@ -216,21 +216,6 @@ def route_flow_vector(g, route):
     return tuple(vec)
 
 
-def route_prefix(g, route, v):
-    """Initial segment of ``route`` ending at vertex v."""
-    verts = route_vertices(g, route)
-    if v not in verts:
-        raise ContractError(f"route does not pass through vertex {v}")
-    return route[: verts.index(v)]
-
-
-def route_suffix(g, route, v):
-    verts = route_vertices(g, route)
-    if v not in verts:
-        raise ContractError(f"route does not pass through vertex {v}")
-    return route[verts.index(v):]
-
-
 # ---------------------------------------------------------------------------
 # the coherence relation
 
@@ -321,8 +306,13 @@ def graph_from_json(data):
     if block is None:
         return g, id_order_framing(g)
     in_orders, out_orders = {}, {}
-    for key, spec in block.items():
-        v = int(key)
-        in_orders[v] = tuple(spec["in"])
-        out_orders[v] = tuple(spec["out"])
-    return g, Framing.validate(g, Framing(in_orders, out_orders))
+    try:
+        for key, spec in block.items():
+            v = int(key)
+            if v not in g.inner_vertices():
+                raise InputError(f"framing names vertex {v}, which is not an inner vertex")
+            in_orders[v] = tuple(spec["in"])
+            out_orders[v] = tuple(spec["out"])
+        return g, Framing.validate(g, Framing(in_orders, out_orders))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed framing JSON: {exc}") from exc

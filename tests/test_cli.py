@@ -4,7 +4,7 @@ import pytest
 from click.testing import CliRunner
 
 from flowpoly.cli import main
-from flowpoly.graphs import complete_graph, graph_to_json, random_framing
+from flowpoly.graphs import complete_graph, graph_to_json, path_graph, random_framing
 from flowpoly.posets import poset_to_json, skew_star, zigzag
 
 
@@ -124,6 +124,40 @@ def test_degenerate_graph_exits_2(runner, tmp_path):
     path.write_text(json.dumps({"n": 3, "edges": [[1, 2], [1, 3]]}))
     result = runner.invoke(main, ["graph", "volume", str(path)])
     assert result.exit_code == 2
+
+
+# id-order framing of K4: edges 0..5 are 12, 13, 14, 23, 24, 34
+K4_FRAMING = {"2": {"in": [0], "out": [3, 4]}, "3": {"in": [1, 3], "out": [5]}}
+
+
+@pytest.mark.parametrize(
+    "framing",
+    [
+        {**K4_FRAMING, "2": {"out": [3, 4]}},
+        {**K4_FRAMING, "x": K4_FRAMING["2"]},
+        {**K4_FRAMING, "9": {"in": [], "out": []}},
+        {**K4_FRAMING, "3": {"in": [1, "3"], "out": [5]}},
+    ],
+    ids=["no-in-order", "vertex-not-a-number", "not-an-inner-vertex", "mixed-edge-ids"],
+)
+def test_malformed_framing_exits_2(runner, tmp_path, framing):
+    path = tmp_path / "k4.json"
+    path.write_text(json.dumps({**graph_to_json(complete_graph(4)), "framing": framing}))
+    result = runner.invoke(main, ["graph", "volume", str(path)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert result.stderr.startswith("input error: ")
+
+
+def test_triangulate_single_point_polytope(runner, tmp_path):
+    # path_graph(4) has one route, so its flow polytope is a point
+    path = tmp_path / "path4.json"
+    path.write_text(json.dumps(graph_to_json(path_graph(4))))
+    result = runner.invoke(main, ["triangulate", str(path), "--method", "dkk"])
+    assert result.exit_code == 0
+    checks = json.loads(result.stdout)["checks"]
+    assert checks["passed"] and checks["dimension"] == 0
+    assert checks["volume_total"] == 1 and checks["sample_count"] == 200
 
 
 def test_nonplanar_framing_request_exits(runner, tmp_path):

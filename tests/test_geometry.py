@@ -1,9 +1,13 @@
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from flowpoly.errors import InputError
 from flowpoly.geometry import (
+    _volume_and_inverse,
     affine_dimension,
     coordinates_in_basis,
     determinant,
@@ -11,7 +15,6 @@ from flowpoly.geometry import (
     lattice_basis,
     matrix_rank,
     simplex_normalized_volume,
-    solve_linear,
     triangulation_checks,
 )
 from flowpoly.graphs import complete_graph, enumerate_routes, route_flow_vector
@@ -28,13 +31,6 @@ def test_matrix_rank_basic():
     # exactness: this matrix fools floating point eliminations at scale
     rows = [[Fraction(1, (i + j + 1)) for j in range(6)] for i in range(6)]
     assert matrix_rank(rows) == 6
-
-
-def test_solve_linear():
-    assert solve_linear([[2, 0], [0, 3]], [4, 9]) == (Fraction(2), Fraction(3))
-    assert solve_linear([[1], [1]], [1, 2]) is None
-    with pytest.raises(InputError):
-        solve_linear([[1, 1]], [1])
 
 
 def test_determinant():
@@ -87,40 +83,67 @@ def test_coordinates_in_basis_detects_outside_vectors():
         coordinates_in_basis(basis, [0, 0, 1])
 
 
+SQUARE = [(0, 0), (1, 0), (0, 1), (1, 1)]
+DIAGONAL_CUT = [((0, 0), (1, 0), (1, 1)), ((0, 0), (0, 1), (1, 1))]
+
+
 def test_triangulation_checks_unit_square():
-    square = [(0, 0), (1, 0), (0, 1), (1, 1)]
-    diagonal_cut = [
-        ((0, 0), (1, 0), (1, 1)),
-        ((0, 0), (0, 1), (1, 1)),
-    ]
-    report = triangulation_checks(square, diagonal_cut, 2)
+    report = triangulation_checks(SQUARE, DIAGONAL_CUT, 2)
     assert report.passed and report.volume_total == 2
     assert report.sample_count == 200
 
 
-def test_triangulation_checks_catch_missing_simplex():
-    square = [(0, 0), (1, 0), (0, 1), (1, 1)]
-    report = triangulation_checks(square, [((0, 0), (1, 0), (1, 1))], 2)
+def test_triangulation_checks_single_point():
+    # one 0-simplex of volume 1: its edge matrix is the empty 0x0 matrix
+    report = triangulation_checks([(1, 2)], [((1, 2),)], 1)
+    assert report.passed and report.dimension == 0 and report.volume_total == 1
+    assert report.sample_count == 200
+
+
+DOUBLED_TRIANGLE = [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (0, 2)]
+
+
+@pytest.mark.parametrize(
+    "vertices, simplices, volume, failures",
+    [
+        (SQUARE, DIAGONAL_CUT[:1], 2, ["volume total 1 != expected 2"]),
+        (
+            SQUARE,
+            DIAGONAL_CUT + [((0, 0), (1, 0), (0, 1))],
+            3,
+            ["sample from simplex 0 lies in simplices [0, 2]"],
+        ),
+        (
+            SQUARE,
+            [((0, 0), (2, 0), (1, 1))],
+            2,
+            ["simplex 0: 1 vertices are not polytope vertices"],
+        ),
+        (
+            SQUARE,
+            [DIAGONAL_CUT[0], ((0, 0), (0, 0), (1, 1))],
+            2,
+            ["simplex 1: normalized volume 0, expected 1", "volume total 1 != expected 2"],
+        ),
+        (
+            SQUARE,
+            [DIAGONAL_CUT[0], ((0, 0), (1, 1))],
+            2,
+            ["simplex 1: normalized volume 0, expected 1", "volume total 1 != expected 2"],
+        ),
+        (
+            DOUBLED_TRIANGLE,
+            [((0, 0), (2, 0), (0, 2))],
+            4,
+            ["simplex 0: normalized volume 4, expected 1"],
+        ),
+    ],
+    ids=["missing", "overlap", "foreign-vertex", "repeated-vertex", "two-vertices", "volume-4"],
+)
+def test_triangulation_checks_catch_broken_squares(vertices, simplices, volume, failures):
+    report = triangulation_checks(vertices, simplices, volume)
     assert not report.passed
-    assert any("volume" in f for f in report.failures)
-
-
-def test_triangulation_checks_catch_overlap():
-    square = [(0, 0), (1, 0), (0, 1), (1, 1)]
-    overlapping = [
-        ((0, 0), (1, 0), (1, 1)),
-        ((0, 0), (0, 1), (1, 1)),
-        ((0, 0), (1, 0), (0, 1)),
-    ]
-    report = triangulation_checks(square, overlapping, 3)
-    assert not report.passed
-
-
-def test_triangulation_checks_catch_foreign_vertex():
-    square = [(0, 0), (1, 0), (0, 1), (1, 1)]
-    report = triangulation_checks(square, [((0, 0), (2, 0), (1, 1))], 2)
-    assert not report.passed
-    assert "not polytope vertices" in report.failures[0]
+    assert report.failures == failures
 
 
 def test_dkk_simplices_are_unimodular():
@@ -137,3 +160,105 @@ def test_canonical_simplices_are_unimodular():
     basis = lattice_basis(verts)
     for s in canonical_triangulation(p):
         assert simplex_normalized_volume(s.vertices, basis) == 1
+
+
+# ---------------------------------------------------------------------------
+# the elimination kernel against independent oracles
+
+
+def leibniz_determinant(m):
+    n = len(m)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(m[i][perm[i]] for i in range(n))
+    return total
+
+
+def rank_by_minors(m):
+    rows, cols = len(m), len(m[0])
+    for k in range(min(rows, cols), 0, -1):
+        for rs in itertools.combinations(range(rows), k):
+            for cs in itertools.combinations(range(cols), k):
+                if leibniz_determinant([[m[i][j] for j in cs] for i in rs]):
+                    return k
+    return 0
+
+
+entries = st.one_of(st.just(0), st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
+
+
+@st.composite
+def matrices(draw, shapes):
+    """An r x c matrix, or a product (r x k)(k x c) of two, so that rank <= k is common."""
+    r, c = draw(shapes)
+    if draw(st.booleans()):
+        return [[draw(entries) for _ in range(c)] for _ in range(r)]
+    k = draw(st.integers(0, 4))
+    a = [[draw(entries) for _ in range(k)] for _ in range(r)]
+    b = [[draw(entries) for _ in range(c)] for _ in range(k)]
+    return [[sum((x * y[j] for x, y in zip(row, b)), 0) for j in range(c)] for row in a]
+
+
+@st.composite
+def unimodular_matrices(draw):
+    """Products of elementary integer matrices: row additions, swaps, sign flips."""
+    n = draw(st.integers(1, 16))
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 3 * n))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        op = draw(st.sampled_from(["add", "swap", "negate"]))
+        if op == "add" and i != j:
+            k = draw(st.integers(-2, 2))
+            m[i] = [a + k * b for a, b in zip(m[i], m[j])]
+        elif op == "swap":
+            m[i], m[j] = m[j], m[i]
+        elif op == "negate":
+            m[i] = [-a for a in m[i]]
+    return m
+
+
+KERNEL_SETTINGS = settings(max_examples=60, deadline=2000)
+
+
+@seed(0xA5C)
+@KERNEL_SETTINGS
+@given(matrices(st.integers(0, 4).map(lambda n: (n, n))))
+def test_determinant_matches_leibniz(m):
+    assert determinant(m) == leibniz_determinant(m)
+
+
+@seed(0xA5C)
+@KERNEL_SETTINGS
+@given(matrices(st.tuples(st.integers(1, 4), st.integers(1, 5))))
+def test_matrix_rank_matches_largest_nonzero_minor(m):
+    assert matrix_rank(m) == rank_by_minors(m)
+
+
+@seed(0xA5C)
+@KERNEL_SETTINGS
+@given(unimodular_matrices())
+def test_unimodular_inverse(m):
+    vol, inv = _volume_and_inverse([list(row) for row in m])
+    assert vol == 1
+    n = len(m)
+    product = [[sum(a * b for a, b in zip(row, col)) for col in zip(*inv)] for row in m]
+    assert product == [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+@seed(0xA5C)
+@KERNEL_SETTINGS
+@given(st.data())
+def test_coordinates_in_basis_reconstructs_vector(data):
+    cols = data.draw(st.integers(1, 5))
+    # generators with a zero last column span a lattice off the last axis
+    row = st.lists(st.integers(-4, 4), min_size=cols - 1, max_size=cols - 1)
+    gens = data.draw(st.lists(row.map(lambda r: r + [0]), max_size=4))
+    basis = hermite_row_basis(gens)
+    coeffs = data.draw(st.lists(entries, min_size=len(basis), max_size=len(basis)))
+    v = [sum((c * row[i] for c, row in zip(coeffs, basis)), 0) for i in range(cols)]
+    coords = coordinates_in_basis(basis, v)
+    assert coords == tuple(coeffs)  # the Hermite basis is linearly independent
+    assert [sum((c * row[i] for c, row in zip(coords, basis)), 0) for i in range(cols)] == v
+    with pytest.raises(InputError):
+        coordinates_in_basis(basis, v[:-1] + [data.draw(st.integers(1, 3))])
