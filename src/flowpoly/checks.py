@@ -228,4 +228,5 @@ PROPERTIES = {
     "bij-flow": verify_bij_flow,
     "maps-roundtrip": verify_maps_roundtrip,
     "asm-family": verify_asm_family,
+    "vertex-bij": verify_vertex_bijections,
 }

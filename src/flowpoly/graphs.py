@@ -31,16 +31,24 @@ class DirectedMultigraph:
                 raise InputError(
                     f"edge {eid} = ({tail},{head}) is not forward-directed inside [1,{self.n}]"
                 )
+        # adjacency, built once; not a field, so eq, hash and repr ignore it
+        ins = {v: [] for v in range(1, self.n + 1)}
+        outs = {v: [] for v in range(1, self.n + 1)}
+        for eid, (tail, head) in enumerate(self.edges):
+            outs[tail].append(eid)
+            ins[head].append(eid)
+        object.__setattr__(self, "_in", {v: tuple(es) for v, es in ins.items()})
+        object.__setattr__(self, "_out", {v: tuple(es) for v, es in outs.items()})
 
     @property
     def edge_count(self):
         return len(self.edges)
 
     def in_edge_ids(self, v):
-        return tuple(e for e, (_, h) in enumerate(self.edges) if h == v)
+        return self._in.get(v, ())
 
     def out_edge_ids(self, v):
-        return tuple(e for e, (t, _) in enumerate(self.edges) if t == v)
+        return self._out.get(v, ())
 
     def inner_vertices(self):
         return tuple(range(2, self.n))

@@ -412,15 +412,25 @@ def poset_from_json(data):
     block = data.get("embedding")
     if block is None:
         return poset, None
+    if not isinstance(block, dict):
+        raise InputError("malformed poset JSON: embedding is not an object")
+    unknown = set(block) - {str(e) for e in poset.elements} - {"__bottom__", "__top__"}
+    if unknown:
+        raise InputError(
+            f"embedding names unknown elements: {', '.join(sorted(map(str, unknown)))}"
+        )
     up, down = {}, {}
-    for e in poset.elements:
-        spec = block.get(str(e), {})
-        up[e] = tuple(spec.get("up", ()))
-        down[e] = tuple(spec.get("down", ()))
-    emb = HasseEmbedding(
-        up=up,
-        down=down,
-        bottom=tuple(block.get("__bottom__", poset.minimal_elements())),
-        top=tuple(block.get("__top__", poset.maximal_elements())),
-    )
+    try:
+        for e in poset.elements:
+            spec = block.get(str(e), {})
+            up[e] = tuple(spec.get("up", ()))
+            down[e] = tuple(spec.get("down", ()))
+        emb = HasseEmbedding(
+            up=up,
+            down=down,
+            bottom=tuple(block.get("__bottom__", poset.minimal_elements())),
+            top=tuple(block.get("__top__", poset.maximal_elements())),
+        )
+    except (AttributeError, TypeError) as exc:
+        raise InputError(f"malformed poset embedding: {exc}") from exc
     return poset, emb

@@ -5,12 +5,15 @@
 * reduction ("ps"): repeatedly eliminate inner vertices, branching over
   noncrossing bipartite trees; leaves are parallel-edge graphs whose edge
   provenances are routes;
-* clique ("dkk"): maximal sets of pairwise coherent routes.
+* clique ("dkk"): maximal sets of pairwise coherent routes, found by
+  Bron-Kerbosch with pivoting on bitmasks (one int per route set).
 
 The reduction also produces, per leaf, an integer flow with netflow
-(0, d_2, ..., d_{n-1}, -sum d_i); matching a flow back to its leaf gives
-the flow <-> clique bijection, and composing it across two framings gives
-the framing-change bijection on cliques.
+(0, d_2, ..., d_{n-1}, -sum d_i).  A flow is sent to its leaf by replaying
+the reduction along it; a leaf's flow is read off its routes (the prefixes
+ending in each edge) and confirmed by one replay.  That is the flow <->
+clique bijection; composing it across two framings gives the
+framing-change bijection on cliques.
 """
 
 from __future__ import annotations
@@ -105,6 +108,11 @@ def noncrossing_trees(left, right):
 # the vertex-reduction subdivision
 
 
+def _validate_framed(g, framing):
+    require_pruned(g)
+    Framing.validate(g, framing)
+
+
 @dataclass
 class FramedGraphState:
     """Mutable state while reducing a framed graph vertex by vertex.
@@ -124,8 +132,7 @@ class FramedGraphState:
 
     @classmethod
     def initial(cls, g, framing):
-        require_pruned(g)
-        Framing.validate(g, framing)
+        """The unreduced state of g under framing; both must be validated first."""
         edges = {e: (t, h, (e,)) for e, (t, h) in enumerate(g.edges)}
         return cls(
             edges=edges,
@@ -229,6 +236,7 @@ def ps_triangulation(g, framing):
         for tree in noncrossing_trees(state.in_size(v), len(state.out_orders[v])):
             descend(reduce_at_vertex(state, v, tree), v + 1)
 
+    _validate_framed(g, framing)
     state = FramedGraphState.initial(g, framing)
     if g.n == 2:
         leaves.append(_leaf_from_state(g, state))
@@ -245,6 +253,12 @@ def flow_to_clique(g, framing, flow):
     """
     if len(flow) != g.edge_count or any(int(x) != x or x < 0 for x in flow):
         raise InputError("flow must be a nonnegative integer vector over the edges")
+    _validate_framed(g, framing)
+    return _replay(g, framing, flow)
+
+
+def _replay(g, framing, flow):
+    """Leaf routes of the reduction along flow, for an already validated g, framing."""
     state = FramedGraphState.initial(g, framing)
     for v in range(2, g.n):
         outs = state.out_orders[v]
@@ -259,20 +273,58 @@ def flow_to_clique(g, framing, flow):
     return leaf.routes
 
 
+def _routes_flow(g, routes):
+    """The flow a replay would need to yield routes; None if there is none.
+
+    Reducing vertex v along composition b gives out-edge j exactly b_j + 1
+    distinct prefixes, and later reductions only extend them, so an edge
+    out of an inner vertex carries one less than the number of distinct
+    route prefixes ending in it; edges out of vertex 1 carry 0.
+    """
+    flow = [0] * g.edge_count
+    prefixes = set()
+    for route in routes:
+        if not isinstance(route, tuple):
+            return None
+        v = 1
+        for j, e in enumerate(route):
+            if not isinstance(e, int) or not 0 <= e < g.edge_count or g.edges[e][0] != v:
+                return None
+            if v != 1 and route[: j + 1] not in prefixes:
+                prefixes.add(route[: j + 1])
+                flow[e] += 1
+            v = g.edges[e][1]
+        if v != g.n:
+            return None
+    flow = tuple(x - 1 if g.edges[e][0] != 1 else 0 for e, x in enumerate(flow))
+    return flow if min(flow, default=0) >= 0 else None
+
+
 def clique_to_flow(g, framing, clique):
-    """Inverse of flow_to_clique, by lookup over the reduction's leaves."""
+    """Inverse of flow_to_clique: the flow read off the routes, confirmed by one replay.
+
+    Raises InputError unless replaying the reduction along that flow gives
+    back exactly the sorted clique.
+    """
     target = tuple(sorted(clique))
-    for leaf in ps_triangulation(g, framing):
-        if leaf.routes == target:
-            return leaf.flow
+    _validate_framed(g, framing)
+    flow = _routes_flow(g, target)
+    if flow is not None:
+        try:
+            if _replay(g, framing, flow) == target:
+                return flow
+        except InputError:
+            pass
     raise InputError("route set is not a leaf of the reduction for this framing")
 
 
 def framing_change_bijection(g, f1, f2):
     """Map each f1-clique to the f2-clique with the same reduction flow."""
     mapping = {}
-    for leaf in ps_triangulation(g, f1):
-        mapping[leaf.routes] = flow_to_clique(g, f2, leaf.flow)
+    leaves = ps_triangulation(g, f1)
+    Framing.validate(g, f2)
+    for leaf in leaves:
+        mapping[leaf.routes] = _replay(g, f2, leaf.flow)
     if len(set(mapping.values())) != len(mapping):
         raise InternalCheckError("framing change map is not injective")
     return mapping
@@ -285,42 +337,74 @@ def framing_change_bijection(g, f1, f2):
 def dkk_maximal_cliques(g, framing):
     """Maximal sets of pairwise coherent routes, each of size #E - #V + 2.
 
-    Bron-Kerbosch with pivoting on the coherence graph; the uniform clique
-    size is asserted rather than trusted.
+    Bron-Kerbosch with pivoting on the coherence graph, with every vertex
+    set held as an int: route i is bit k-1-i of k routes.  The pivot
+    maximizes its neighbours left in P.  All cliques have one size, so
+    sorting their masks in descending order sorts them lexicographically;
+    the masks are decoded into route tuples only at the end.  The uniform
+    clique size is asserted rather than trusted.
     """
-    require_pruned(g)
-    Framing.validate(g, framing)
+    _validate_framed(g, framing)
     routes = enumerate_routes(g)
     k = len(routes)
-    adj = [set() for _ in range(k)]
+    adj = [0] * k  # indexed by bit
     for a in range(k):
         for b in range(a + 1, k):
             if coherent(g, framing, routes[a], routes[b]):
-                adj[a].add(b)
-                adj[b].add(a)
+                adj[k - 1 - a] |= 1 << (k - 1 - b)
+                adj[k - 1 - b] |= 1 << (k - 1 - a)
     cliques = []
 
     def expand(r, p, x):
-        if not p and not x:
-            cliques.append(sorted(r))
-            return
-        pivot = max(p | x, key=lambda u: len(adj[u] & p))
-        for v in sorted(p - adj[pivot]):
-            expand(r | {v}, p & adj[v], x & adj[v])
-            p = p - {v}
-            x = x | {v}
+        # p is nonempty; a child whose P is empty is a leaf, handled inline
+        most, pivot_adj, rest = -1, 0, p | x
+        while rest:
+            u = rest.bit_length() - 1
+            rest ^= 1 << u
+            size = (adj[u] & p).bit_count()
+            if size > most:
+                most, pivot_adj = size, adj[u]
+        candidates = p & ~pivot_adj
+        while candidates:
+            v = candidates.bit_length() - 1
+            bit = 1 << v
+            candidates ^= bit
+            p_v, x_v = p & adj[v], x & adj[v]
+            if p_v:
+                expand(r | bit, p_v, x_v)
+            elif not x_v:
+                cliques.append(r | bit)
+            p ^= bit
+            x |= bit
 
-    expand(set(), set(range(k)), set())
+    if k:
+        expand(0, (1 << k) - 1, 0)
+    else:  # no routes: the empty set is the one maximal clique
+        cliques.append(0)
     expected = g.edge_count - g.n + 2
     for c in cliques:
-        if len(c) != expected:
+        if c.bit_count() != expected:
             raise InternalCheckError(
                 "coherence relation violates top-dimensionality: clique of size "
-                f"{len(c)}, expected {expected}"
+                f"{c.bit_count()}, expected {expected}"
             )
-    result = [tuple(routes[i] for i in c) for c in cliques]
-    result.sort()
-    return result
+    cliques.sort(reverse=True)
+
+    def decode(mask):
+        found = []
+        while mask:
+            b = mask.bit_length() - 1
+            mask ^= 1 << b
+            found.append(routes[k - 1 - b])
+        return tuple(found)
+
+    # consecutive cliques share most of their routes, so decode each
+    # distinct high and low half of the masks once and join the halves
+    low = (1 << (k // 2)) - 1
+    high = ((1 << k) - 1) ^ low
+    highs = {m: decode(m) for m in {c & high for c in cliques}}
+    lows = {m: decode(m) for m in {c & low for c in cliques}}
+    return [highs[c & high] + lows[c & low] for c in cliques]
 
 
 def dkk_triangulation(g, framing):

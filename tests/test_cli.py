@@ -4,6 +4,7 @@ import pytest
 from click.testing import CliRunner
 
 from flowpoly.cli import main
+from flowpoly.fixtures import planar_fixtures
 from flowpoly.graphs import complete_graph, graph_to_json, path_graph, random_framing
 from flowpoly.posets import poset_to_json, skew_star, zigzag
 
@@ -109,6 +110,16 @@ def test_verify_asm_family_single_n(runner):
     assert result.exit_code == 0
 
 
+def test_verify_vertex_bijections(runner):
+    result = runner.invoke(main, ["verify", "vertex-bij"])
+    assert result.exit_code == 0
+    lines = result.output.strip().splitlines()
+    n = len(planar_fixtures())
+    assert len(lines) == n + 1
+    assert all(line.startswith("PASS") for line in lines[:-1])
+    assert lines[-1] == f"{n}/{n} fixtures passed"
+
+
 def test_malformed_graph_file_exits_2(runner, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -144,6 +155,30 @@ def test_malformed_framing_exits_2(runner, tmp_path, framing):
     path = tmp_path / "k4.json"
     path.write_text(json.dumps({**graph_to_json(complete_graph(4)), "framing": framing}))
     result = runner.invoke(main, ["graph", "volume", str(path)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert result.stderr.startswith("input error: ")
+
+
+SKEW3 = poset_to_json(*skew_star(3))
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {**SKEW3, "embedding": [1, 2]},
+        {**SKEW3, "embedding": {**SKEW3["embedding"], "zz": {"up": [1]}}},
+        {**SKEW3, "embedding": {**SKEW3["embedding"], SKEW3["elements"][0]: [1, 2]}},
+    ],
+    ids=["list-embedding", "unknown-element-key", "spec-not-an-object"],
+)
+@pytest.mark.parametrize(
+    "command", [["poset", "stats"], ["triangulate", "--method", "canonical"]], ids=["stats", "canonical"]
+)
+def test_malformed_embedding_exits_2(runner, tmp_path, data, command):
+    path = tmp_path / "skew3.json"
+    path.write_text(json.dumps(data))
+    result = runner.invoke(main, command + [str(path)])
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)  # no traceback
     assert result.stderr.startswith("input error: ")

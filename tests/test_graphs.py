@@ -33,6 +33,19 @@ def test_edges_must_point_forward():
         DirectedMultigraph(2, ((1, 1),))
 
 
+@pytest.mark.parametrize(
+    "g", [complete_graph(5), parallel_edges(3), path_graph(4), DirectedMultigraph(4, ((1, 3), (1, 3)))]
+)
+def test_stored_adjacency_matches_an_edge_scan(g):
+    for v in range(0, g.n + 2):
+        assert g.in_edge_ids(v) == tuple(e for e, (_, h) in enumerate(g.edges) if h == v)
+        assert g.out_edge_ids(v) == tuple(e for e, (t, _) in enumerate(g.edges) if t == v)
+    # the stored adjacency is not a field: equality, hash and repr ignore it
+    twin = DirectedMultigraph(g.n, [list(e) for e in g.edges])
+    assert twin == g and hash(twin) == hash(g)
+    assert repr(g) == f"DirectedMultigraph(n={g.n}, edges={g.edges!r})"
+
+
 def test_dimension_formula():
     assert complete_graph(7).dimension() == 15
     assert path_graph(5).dimension() == 0

@@ -1,16 +1,20 @@
+from collections import Counter
+from itertools import combinations
 from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flowpoly.errors import ContractError, InputError
-from flowpoly.fixtures import TRIANGLE, wedge_framing, wedge_graph
+from flowpoly import triangulations
+from flowpoly.errors import ContractError, InputError, InternalCheckError
+from flowpoly.fixtures import TRIANGLE, planar_fixtures, wedge_framing, wedge_graph
 from flowpoly.graphs import (
     DirectedMultigraph,
     Framing,
     all_framings,
     coherent,
     complete_graph,
+    enumerate_routes,
     id_order_framing,
     parallel_edges,
     random_framing,
@@ -18,7 +22,7 @@ from flowpoly.graphs import (
 )
 from flowpoly.kostant import enumerate_integer_flows, flow_polytope_volume, indegree_shift_netflow
 from flowpoly.planar import poset_to_flow_graph
-from flowpoly.posets import antichain, chain, linear_extensions, skew_star, zigzag
+from flowpoly.posets import antichain, chain, linear_extensions, skew_star, staircase_star, zigzag
 from flowpoly.triangulations import (
     FramedGraphState,
     NoncrossingTree,
@@ -143,6 +147,44 @@ def test_dkk_matches_reduction_on_seeded_framings(seed):
     assert dkk == ps
 
 
+def _brute_force_cliques(g, fr):
+    """Every pairwise-coherent route set of size #E - #V + 2 that no route extends."""
+    routes = enumerate_routes(g)
+    ok = {(p, q) for p in routes for q in routes if p == q or coherent(g, fr, p, q)}
+    found = []
+    for clique in combinations(routes, g.edge_count - g.n + 2):
+        if all((p, q) in ok for p, q in combinations(clique, 2)) and not any(
+            r not in clique and all((r, p) in ok for p in clique) for r in routes
+        ):
+            found.append(clique)
+    return found
+
+
+ORACLE_GRAPHS = [
+    ("k4", complete_graph(4), None),
+    ("k5", complete_graph(5), None),
+    ("parallel3", parallel_edges(3), None),
+] + [(name, pg.graph, pg.framing) for name, pg in planar_fixtures().items()]
+
+
+@pytest.mark.parametrize("name,g,planar", ORACLE_GRAPHS, ids=[n for n, _, _ in ORACLE_GRAPHS])
+def test_dkk_cliques_match_brute_force(name, g, planar):
+    framings = [random_framing(g, seed) for seed in (3, 17, 2024)]
+    for fr in framings + ([planar] if planar is not None else []):
+        assert dkk_maximal_cliques(g, fr) == _brute_force_cliques(g, fr)
+
+
+def test_dkk_rejects_cliques_of_mixed_sizes(monkeypatch):
+    # K5 has 8 routes and cliques of size 7; without the pairs (r0, r1) and
+    # (r0, r2) the maximal cliques are {r1..r7} (size 7) and {r0, r3..r7} (size 6)
+    g = complete_graph(5)
+    r = enumerate_routes(g)
+    missing = {frozenset((r[0], r[1])), frozenset((r[0], r[2]))}
+    monkeypatch.setattr(triangulations, "coherent", lambda g, fr, p, q: {p, q} not in missing)
+    with pytest.raises(InternalCheckError, match="clique of size 6, expected 7"):
+        dkk_maximal_cliques(g, id_order_framing(g))
+
+
 def test_triangle_has_single_clique():
     cliques = dkk_maximal_cliques(TRIANGLE, id_order_framing(TRIANGLE))
     assert cliques == [((0, 1), (2,))]
@@ -154,6 +196,74 @@ def test_flow_clique_roundtrip():
     for leaf in ps_triangulation(g, fr):
         assert flow_to_clique(g, fr, leaf.flow) == leaf.routes
         assert clique_to_flow(g, fr, leaf.routes) == leaf.flow
+
+
+STAIRCASE4 = poset_to_flow_graph(*staircase_star(4))
+ROUNDTRIP_CASES = [
+    (f"k{n}-f{seed}", complete_graph(n), random_framing(complete_graph(n), seed))
+    for n in (5, 6)
+    for seed in (1, 8, 33)
+] + [("staircase4", STAIRCASE4.graph, STAIRCASE4.framing)]
+
+
+@pytest.mark.parametrize("name,g,fr", ROUNDTRIP_CASES, ids=[c[0] for c in ROUNDTRIP_CASES])
+def test_flow_clique_roundtrip_on_every_leaf(name, g, fr):
+    leaves = ps_triangulation(g, fr)
+    assert len(leaves) == flow_polytope_volume(g)
+    for leaf in leaves:
+        assert flow_to_clique(g, fr, leaf.flow) == leaf.routes
+        assert clique_to_flow(g, fr, leaf.routes) == leaf.flow
+        assert clique_to_flow(g, fr, reversed(leaf.routes)) == leaf.flow
+
+
+def _k6_leaves():
+    g = complete_graph(6)
+    fr = random_framing(g, 1)
+    return g, fr, [leaf.routes for leaf in ps_triangulation(g, fr)]
+
+
+def _prefix_counts(routes):
+    """Number of distinct route prefixes ending in each edge."""
+    return Counter(pre[-1] for pre in {r[:j] for r in routes for j in range(1, len(r) + 1)})
+
+
+def _crossed(g, cliques):
+    """Two routes of a leaf made to swap their tails where they meet, such
+    that the distinct-prefix count of every edge stays that of the leaf:
+    only the confirming replay tells this route set from the leaf."""
+    for clique in cliques:
+        for p, q in combinations(clique, 2):
+            for i in range(1, len(p)):
+                for j in range(1, len(q)):
+                    if g.edges[p[i]][0] != g.edges[q[j]][0] or p[:i] == q[:j] or p[i:] == q[j:]:
+                        continue
+                    rest = tuple(r for r in clique if r not in (p, q))
+                    crossed = rest + (p[:i] + q[j:], q[:j] + p[i:])
+                    if len(set(crossed)) == len(crossed) and _prefix_counts(crossed) == _prefix_counts(clique):
+                        return crossed
+    raise AssertionError("no leaf has a tail swap that keeps the prefix counts")
+
+
+@pytest.mark.parametrize(
+    "make_clique",
+    [
+        _crossed,
+        lambda g, cliques: cliques[0] + cliques[0][:1],
+        lambda g, cliques: cliques[0][1:],
+        lambda g, cliques: cliques[0][:-1] + (next(r for r in cliques[1] if r not in cliques[0]),),
+        lambda g, cliques: cliques[0][:-1] + ((g.edge_count,),),
+        lambda g, cliques: cliques[0][1:] + (tuple(reversed(cliques[0][0])),),
+        lambda g, cliques: (),
+    ],
+    ids=["crossed-tails", "repeated-route", "dropped-route", "swapped-route", "edge-out-of-range",
+         "not-a-path", "empty"],
+)
+def test_clique_to_flow_rejects_non_leaves(make_clique):
+    g, fr, cliques = _k6_leaves()
+    with pytest.raises(
+        InputError, match="^route set is not a leaf of the reduction for this framing$"
+    ):
+        clique_to_flow(g, fr, make_clique(g, cliques))
 
 
 def test_flow_to_clique_rejects_unrealizable_flow():
