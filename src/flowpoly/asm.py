@@ -242,13 +242,6 @@ def euler_zigzag(k):
     return count
 
 
-def fibonacci(k):
-    a, b = 0, 1
-    for _ in range(k):
-        a, b = b, a + b
-    return a
-
-
 def catalan(n):
     return comb(2 * n, n) // (n + 1)
 

@@ -176,7 +176,10 @@ def prune_inner_vertices(g):
 
 
 def require_pruned(g):
-    """Raise ContractError unless every inner vertex has in- and out-edges."""
+    """Raise ContractError unless g has two or more vertices and every inner
+    vertex has in- and out-edges."""
+    if g.n < 2:
+        raise ContractError("flow polytopes need at least two vertices")
     for v in g.inner_vertices():
         if not g.in_edge_ids(v) or not g.out_edge_ids(v):
             raise ContractError(f"graph is not pruned: vertex {v} lacks in- or out-edges")
@@ -291,16 +294,17 @@ def coherent(g, framing, p, q):
 # JSON interface
 
 
+def _framing_to_json(g, framing):
+    return {
+        str(v): {"in": list(framing.in_orders[v]), "out": list(framing.out_orders[v])}
+        for v in g.inner_vertices()
+    }
+
+
 def graph_to_json(g, framing=None):
     data = {"n": g.n, "edges": [list(e) for e in g.edges]}
     if framing is not None:
-        data["framing"] = {
-            str(v): {
-                "in": list(framing.in_orders[v]),
-                "out": list(framing.out_orders[v]),
-            }
-            for v in g.inner_vertices()
-        }
+        data["framing"] = _framing_to_json(g, framing)
     return data
 
 

@@ -15,22 +15,17 @@ from .errors import ContractError, InputError
 from .graphs import require_pruned
 
 
-def _compositions_colex(total, parts):
-    """Weak compositions of ``total`` into ``parts`` parts, colex order."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for last in range(total + 1):
-        for rest in _compositions_colex(total - last, parts - 1):
-            yield rest + (last,)
-
-
 def compositions_colex(total, parts):
-    return list(_compositions_colex(total, parts))
+    """Weak compositions of ``total`` into ``parts`` parts as a list, colex order."""
+    if parts == 0:
+        return [()] if total == 0 else []
+    if parts == 1:
+        return [(total,)]
+    return [
+        rest + (last,)
+        for last in range(total + 1)
+        for rest in compositions_colex(total - last, parts - 1)
+    ]
 
 
 def _check_netflow(g, netflow):
@@ -63,7 +58,7 @@ def enumerate_integer_flows(g, netflow):
         outs = out_ids[v]
         if supply < 0 or (supply > 0 and not outs):
             return
-        for comp in _compositions_colex(supply, len(outs)):
+        for comp in compositions_colex(supply, len(outs)):
             for e, val in zip(outs, comp):
                 assignment[e] = val
                 inflow[g.edges[e][1]] += val
@@ -142,8 +137,6 @@ def indegree_shift_netflow(g):
 def flow_polytope_volume(g):
     """Normalized volume of the flow polytope, as a Kostant value."""
     require_pruned(g)
-    if g.n < 2:
-        raise ContractError("flow polytopes need at least two vertices")
     return kostant_value(g, indegree_shift_netflow(g))
 
 

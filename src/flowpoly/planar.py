@@ -55,15 +55,6 @@ class PlanarGraphData:
                 if label not in self.regions and label not in (BOTTOM, TOP):
                     raise InternalCheckError(f"edge {e} borders unknown label {label!r}")
 
-    def to_json(self):
-        def lab(x):
-            return str(x) if not isinstance(x, (int, str)) else x
-
-        return {
-            "regions": {str(lab(r)): list(es) for r, es in self.regions.items()},
-            "edge_sides": [[lab(a), lab(b)] for a, b in self.edge_sides],
-        }
-
 
 # ---------------------------------------------------------------------------
 # rotation systems and face tracing
@@ -185,8 +176,6 @@ def arc_diagram(g, framing):
     when two arcs are forced to cross.
     """
     require_pruned(g)
-    if g.n < 2:
-        raise InputError("arc diagrams need at least two vertices")
     in_orders, out_orders = _full_orders(g, framing)
     pair = _crossing_pair(g, in_orders, out_orders)
     if pair is not None:

@@ -69,20 +69,7 @@ class Poset:
     def from_relations(cls, elements, relations):
         """Build a poset from an arbitrary strict-order relation set."""
         elements = tuple(elements)
-        below = {e: set() for e in elements}
-        for a, b in relations:
-            below[b].add(a)
-        # transitive closure
-        changed = True
-        while changed:
-            changed = False
-            for b in elements:
-                extra = set()
-                for a in below[b]:
-                    extra |= below[a] - below[b]
-                if extra:
-                    below[b] |= extra
-                    changed = True
+        below = _transitive_below(elements, relations)
         for e in elements:
             if e in below[e]:
                 raise InputError("relation set contains a cycle")
@@ -368,11 +355,7 @@ def all_staircase_partitions(n):
             extend(prefix + [part], row + 1)
 
     extend([], 1)
-    seen = []
-    for lam in results:
-        if lam not in seen:
-            seen.append(lam)
-    return seen
+    return results
 
 
 # ---------------------------------------------------------------------------

@@ -2,18 +2,22 @@
 
 * canonical: one simplex of the order polytope per linear extension,
   vertices the indicator vectors of the extension's suffix filters;
-* reduction ("ps"): repeatedly eliminate inner vertices, branching over
-  noncrossing bipartite trees; leaves are parallel-edge graphs whose edge
-  provenances are routes;
+* reduction ("ps"): reduce the inner vertices in the order 2, ..., n-1,
+  each along a noncrossing bipartite tree, i.e. a composition b.  When v is
+  reduced every edge into v already holds its final block of route
+  prefixes; the prefixes arriving at v are those blocks in framing
+  in-order, and out-edge j (framing out-order) takes b_j + 1 consecutive
+  ones, each extended by itself, and flow b_j.  A leaf's routes are the
+  prefixes arriving at n.  One dict of blocks and one flow list serve the
+  whole depth-first walk;
 * clique ("dkk"): maximal sets of pairwise coherent routes, found by
   Bron-Kerbosch with pivoting on bitmasks (one int per route set).
 
-The reduction also produces, per leaf, an integer flow with netflow
-(0, d_2, ..., d_{n-1}, -sum d_i).  A flow is sent to its leaf by replaying
-the reduction along it; a leaf's flow is read off its routes (the prefixes
-ending in each edge) and confirmed by one replay.  That is the flow <->
-clique bijection; composing it across two framings gives the
-framing-change bijection on cliques.
+Each leaf's flow has netflow (0, d_2, ..., d_{n-1}, -sum d_i).  A flow is
+sent to its leaf by replaying the reduction along it; a leaf's flow is read
+off its routes (the prefixes ending in each edge) and confirmed by one
+replay.  That is the flow <-> clique bijection; composing it across two
+framings gives the framing-change bijection on cliques.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from math import comb
 from .errors import ContractError, InputError, InternalCheckError
 from .graphs import (
     Framing,
+    _framing_to_json,
     coherent,
     enumerate_routes,
     require_pruned,
@@ -113,135 +118,65 @@ def _validate_framed(g, framing):
     Framing.validate(g, framing)
 
 
-@dataclass
-class FramedGraphState:
-    """Mutable state while reducing a framed graph vertex by vertex.
-
-    Current edges are (tail, head, provenance) triples keyed by a stable
-    id; provenance is the ordered tuple of original edge ids an edge
-    accumulated.  Original out-edges keep their original ids, so the
-    original framing's out-orders stay valid at unreduced vertices.
-    """
-
-    edges: dict
-    in_orders: dict
-    out_orders: dict
-    flow: dict
-    trace: tuple
-    next_id: int
-
-    @classmethod
-    def initial(cls, g, framing):
-        """The unreduced state of g under framing; both must be validated first."""
-        edges = {e: (t, h, (e,)) for e, (t, h) in enumerate(g.edges)}
-        return cls(
-            edges=edges,
-            in_orders={v: tuple(framing.in_orders[v]) for v in g.inner_vertices()},
-            out_orders={v: tuple(framing.out_orders[v]) for v in g.inner_vertices()},
-            flow={e: 0 for e in range(g.edge_count)},
-            trace=(),
-            next_id=g.edge_count,
-        )
-
-    def copy(self):
-        return FramedGraphState(
-            dict(self.edges),
-            dict(self.in_orders),
-            self.out_orders,
-            dict(self.flow),
-            self.trace,
-            self.next_id,
-        )
-
-    def in_size(self, v):
-        return len(self.in_orders[v])
-
-
-def reduce_at_vertex(state, i, tree):
-    """Eliminate inner vertex i using the given noncrossing tree.
-
-    Each tree edge joins an in-edge e1 (top-to-bottom order) to an
-    out-edge e2 and contributes the edge e1+e2 with concatenated
-    provenance; the composition entry b_j is recorded as flow on the j-th
-    out-edge (always an original edge).  In-orders at later vertices are
-    rewritten by block substitution.  Returns a new state.
-    """
-    state = state.copy()
-    ins = state.in_orders.pop(i)
-    outs = state.out_orders[i]
-    if tree.left != len(ins) or tree.right != len(outs):
-        raise ContractError(
-            f"tree shape ({tree.left},{tree.right}) does not match vertex {i} "
-            f"with ({len(ins)},{len(outs)}) edges"
-        )
-    replacements = {e2: [] for e2 in outs}
-    for li, rj in tree.edge_pairs():
-        e1, e2 = ins[li], outs[rj]
-        t1, _, prov1 = state.edges[e1]
-        _, h2, prov2 = state.edges[e2]
-        new_id = state.next_id
-        state.next_id += 1
-        state.edges[new_id] = (t1, h2, prov1 + prov2)
-        replacements[e2].append(new_id)
-    for j, e2 in enumerate(outs):
-        state.flow[state.edges[e2][2][0]] += tree.composition[j]
-    for e in ins:
-        del state.edges[e]
-    for e in outs:
-        del state.edges[e]
-    for v, order in state.in_orders.items():
-        if any(m in replacements for m in order):
-            new_order = []
-            for m in order:
-                new_order.extend(replacements.get(m, [m]))
-            state.in_orders[v] = tuple(new_order)
-    state.trace = state.trace + ((i, tree.composition),)
-    return state
-
-
 @dataclass(frozen=True)
 class SubdivisionLeaf:
     routes: tuple  # sorted tuple of routes (edge-id tuples) of the original graph
     flow: tuple  # integer flow on the original edges, netflow (0, d_2, ..)
-    trace: tuple
 
 
-def _leaf_from_state(g, state):
-    routes = []
-    for e, (t, h, prov) in sorted(state.edges.items()):
-        if (t, h) != (1, g.n):
-            raise InternalCheckError("fully reduced graph is not a parallel-edge graph")
-        routes.append(prov)
+def _arriving(framing, blocks, v):
+    """The route prefixes ending at v: the blocks of its in-edges, in in-order."""
+    return [pre for e in framing.in_orders[v] for pre in blocks[e]]
+
+
+def _reduce(framing, blocks, flow, v, ins, composition):
+    """Reduce vertex v, at which the prefixes ins arrive, along composition b.
+
+    Out-edge j (framing out-order) takes the b_j + 1 prefixes from position
+    p = b_1 + ... + b_{j-1} on, each extended by that edge, and carries flow
+    b_j; consecutive out-edges share one prefix.  Only the entries of v's
+    out-edges are written, so a sibling tree overwrites exactly them.
+    """
+    p = 0
+    for e, b in zip(framing.out_orders[v], composition):
+        blocks[e] = [pre + (e,) for pre in ins[p : p + b + 1]]
+        flow[e] = b
+        p += b
+
+
+def _start(g):
+    """Blocks and flow before any reduction: edges out of 1 are one-edge prefixes."""
+    return {e: [(e,)] for e in g.out_edge_ids(1)}, [0] * g.edge_count
+
+
+def _leaf(g, blocks, flow):
+    """The leaf once every inner vertex is reduced: the prefixes arriving at n."""
+    routes = [pre for e in g.in_edge_ids(g.n) for pre in blocks[e]]
     if len(routes) != g.edge_count - g.n + 2:
         raise InternalCheckError("leaf does not have #E - #V + 2 routes")
-    return SubdivisionLeaf(
-        routes=tuple(sorted(routes)),
-        flow=tuple(state.flow[e] for e in range(g.edge_count)),
-        trace=state.trace,
-    )
+    return SubdivisionLeaf(tuple(sorted(routes)), tuple(flow))
 
 
 def ps_triangulation(g, framing):
     """All leaves of the vertex-reduction subdivision, depth first.
 
-    Tree choices at each vertex run in colex composition order, so the
-    output order is the lexicographic order of the traces.
+    Tree choices at each vertex run in colex composition order, so leaves
+    come ordered by their compositions, vertex 2 first, each in colex order.
     """
+    _validate_framed(g, framing)
+    blocks, flow = _start(g)
     leaves = []
 
-    def descend(state, v):
+    def descend(v):
         if v == g.n:
-            leaves.append(_leaf_from_state(g, state))
+            leaves.append(_leaf(g, blocks, flow))
             return
-        for tree in noncrossing_trees(state.in_size(v), len(state.out_orders[v])):
-            descend(reduce_at_vertex(state, v, tree), v + 1)
+        ins = _arriving(framing, blocks, v)
+        for tree in noncrossing_trees(len(ins), len(framing.out_orders[v])):
+            _reduce(framing, blocks, flow, v, ins, tree.composition)
+            descend(v + 1)
 
-    _validate_framed(g, framing)
-    state = FramedGraphState.initial(g, framing)
-    if g.n == 2:
-        leaves.append(_leaf_from_state(g, state))
-    else:
-        descend(state, 2)
+    descend(2)
     return leaves
 
 
@@ -259,15 +194,16 @@ def flow_to_clique(g, framing, flow):
 
 def _replay(g, framing, flow):
     """Leaf routes of the reduction along flow, for an already validated g, framing."""
-    state = FramedGraphState.initial(g, framing)
+    blocks, replayed = _start(g)
     for v in range(2, g.n):
-        outs = state.out_orders[v]
-        composition = tuple(int(flow[state.edges[e][2][0]]) for e in outs)
-        if sum(composition) != state.in_size(v) - 1:
+        ins = _arriving(framing, blocks, v)
+        composition = tuple(int(flow[e]) for e in framing.out_orders[v])
+        if sum(composition) != len(ins) - 1:
             raise InputError(f"flow not realizable: bad total at vertex {v}")
-        tree = NoncrossingTree(sum(composition) + 1, len(outs), composition)
-        state = reduce_at_vertex(state, v, tree)
-    leaf = _leaf_from_state(g, state)
+        _reduce(framing, blocks, replayed, v, ins, composition)
+    if any(flow[e] for e in g.out_edge_ids(1)):
+        raise InputError("flow not realizable: nonzero flow out of vertex 1")
+    leaf = _leaf(g, blocks, replayed)
     if leaf.flow != tuple(int(x) for x in flow):
         raise InternalCheckError("replayed reduction did not reproduce the input flow")
     return leaf.routes
@@ -495,11 +431,5 @@ def triangulation_to_json(method, framing, simplices, graph=None):
         "simplices": [[list(v) for v in sorted(s)] for s in simplices],
     }
     if framing is not None and graph is not None:
-        data["framing"] = {
-            str(v): {
-                "in": list(framing.in_orders[v]),
-                "out": list(framing.out_orders[v]),
-            }
-            for v in graph.inner_vertices()
-        }
+        data["framing"] = _framing_to_json(graph, framing)
     return data

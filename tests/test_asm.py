@@ -11,7 +11,6 @@ from flowpoly.asm import (
     enumerate_asm,
     euler_zigzag,
     family_report,
-    fibonacci,
     is_asm,
     p_lambda_vertices,
     proctor_ehrhart,
@@ -132,7 +131,6 @@ def test_dyck_path_counts():
 
 def test_small_sequences():
     assert [euler_zigzag(k) for k in range(6)] == [1, 1, 1, 2, 5, 16]
-    assert [fibonacci(k) for k in range(8)] == [0, 1, 1, 2, 3, 5, 8, 13]
     assert [catalan(n) for n in range(6)] == [1, 1, 2, 5, 14, 42]
 
 

@@ -137,6 +137,29 @@ def test_degenerate_graph_exits_2(runner, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["graph", "volume", "--method", "kostant"],
+        ["graph", "volume", "--method", "ps"],
+        ["graph", "volume", "--method", "dkk"],
+        ["graph", "volume", "--all"],
+        ["triangulate"],
+        ["triangulate", "--method", "ps"],
+        ["graph", "ehrhart"],
+        ["graph", "routes"],
+    ],
+    ids=["kostant", "ps", "dkk", "all", "triangulate", "triangulate-ps", "ehrhart", "routes"],
+)
+def test_one_vertex_graph_exits_2(runner, tmp_path, command):
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps({"n": 1, "edges": []}))
+    result = runner.invoke(main, command + [str(path)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert result.stderr.startswith("input error: ")
+
+
 # id-order framing of K4: edges 0..5 are 12, 13, 14, 23, 24, 34
 K4_FRAMING = {"2": {"in": [0], "out": [3, 4]}, "3": {"in": [1, 3], "out": [5]}}
 

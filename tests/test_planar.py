@@ -206,9 +206,3 @@ def test_embedding_left_right_matters_but_stays_consistent():
     pg2 = poset_to_flow_graph(p, flipped)
     assert sorted(pg1.graph.edges) == sorted(pg2.graph.edges)
 
-
-def test_planar_json_export():
-    pg = arc_diagram(TRIANGLE, id_order_framing(TRIANGLE))
-    data = pg.to_json()
-    assert set(data) == {"regions", "edge_sides"}
-    assert len(data["edge_sides"]) == 3

@@ -3,7 +3,7 @@ from itertools import combinations
 from math import comb, factorial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from flowpoly import triangulations
 from flowpoly.errors import ContractError, InputError, InternalCheckError
@@ -24,7 +24,6 @@ from flowpoly.kostant import enumerate_integer_flows, flow_polytope_volume, inde
 from flowpoly.planar import poset_to_flow_graph
 from flowpoly.posets import antichain, chain, linear_extensions, skew_star, staircase_star, zigzag
 from flowpoly.triangulations import (
-    FramedGraphState,
     NoncrossingTree,
     canonical_triangulation,
     clique_to_flow,
@@ -36,7 +35,6 @@ from flowpoly.triangulations import (
     linext_to_clique,
     noncrossing_trees,
     ps_triangulation,
-    reduce_at_vertex,
     simplex_key,
     triangulation_to_json,
 )
@@ -76,21 +74,18 @@ def test_noncrossing_tree_rejects_bad_composition():
         NoncrossingTree(3, 2, (3, 0))
 
 
-def test_reduce_at_vertex_degrees_follow_composition():
-    # star: 4 in-edges and 3 out-edges at vertex 2
+def test_reduction_degrees_follow_composition():
+    # star: 4 in-edges and 3 out-edges at vertex 2, reduced along (1, 0, 2)
     g = DirectedMultigraph(
         3, ((1, 2), (1, 2), (1, 2), (1, 2), (2, 3), (2, 3), (2, 3))
     )
-    state = FramedGraphState.initial(g, id_order_framing(g))
-    tree = NoncrossingTree(4, 3, (1, 0, 2))
-    new = reduce_at_vertex(state, 2, tree)
-    degrees = {}
-    for _, (t, h, prov) in sorted(new.edges.items()):
-        assert (t, h) == (1, 3)
-        degrees[prov[-1]] = degrees.get(prov[-1], 0) + 1
-    # right vertex j gets b_j + 1 tree edges
-    assert [degrees[e] for e in (4, 5, 6)] == [2, 1, 3]
-    assert [new.flow[e] for e in (4, 5, 6)] == [1, 0, 2]
+    fr = id_order_framing(g)
+    flow = (0, 0, 0, 0, 1, 0, 2)
+    routes = flow_to_clique(g, fr, flow)
+    # out-edge j takes b_j + 1 consecutive in-edges, neighbours sharing one
+    assert routes == ((0, 4), (1, 4), (1, 5), (1, 6), (2, 6), (3, 6))
+    assert [sum(r[-1] == e for r in routes) for e in (4, 5, 6)] == [2, 1, 3]
+    assert clique_to_flow(g, fr, routes) == flow
 
 
 def test_reduction_leaf_count_is_volume():
@@ -216,6 +211,37 @@ def test_flow_clique_roundtrip_on_every_leaf(name, g, fr):
         assert clique_to_flow(g, fr, reversed(leaf.routes)) == leaf.flow
 
 
+@st.composite
+def framed_graphs(draw):
+    """The path 1 -> ... -> n plus up to 5 forward edges, parallels allowed,
+    under a random framing."""
+    n = draw(st.integers(2, 6))
+    extra = []
+    for _ in range(draw(st.integers(0, 5))):
+        tail = draw(st.integers(1, n - 1))
+        extra.append((tail, draw(st.integers(tail + 1, n))))
+    g = DirectedMultigraph(n, tuple((v, v + 1) for v in range(1, n)) + tuple(extra))
+    return g, random_framing(g, draw(st.integers(0, 2**20)))
+
+
+@seed(0xF10)
+@settings(max_examples=60, deadline=2000)
+@given(framed_graphs())
+def test_reduction_agrees_with_volume_cliques_and_flows(graph_and_framing):
+    g, fr = graph_and_framing
+    leaves = ps_triangulation(g, fr)
+    cliques = dkk_maximal_cliques(g, fr)
+    assert len(leaves) == flow_polytope_volume(g) == len(cliques)
+    assert sorted(leaf.routes for leaf in leaves) == cliques
+    flows = enumerate_integer_flows(g, indegree_shift_netflow(g))
+    assert {leaf.flow for leaf in leaves} == {
+        tuple(fl.get(e, 0) for e in range(g.edge_count)) for fl in flows
+    }
+    for leaf in leaves:
+        assert flow_to_clique(g, fr, leaf.flow) == leaf.routes
+        assert clique_to_flow(g, fr, leaf.routes) == leaf.flow
+
+
 def _k6_leaves():
     g = complete_graph(6)
     fr = random_framing(g, 1)
@@ -273,6 +299,16 @@ def test_flow_to_clique_rejects_unrealizable_flow():
         flow_to_clique(g, fr, (9, 9, 9, 9, 9, 9))
     with pytest.raises(InputError):
         flow_to_clique(g, fr, (1, 0, 0))
+
+
+def test_flow_to_clique_rejects_flow_out_of_vertex_1():
+    # edge 0 = (1, 2) is never reduced, so only an explicit check sees its flow
+    g = complete_graph(4)
+    fr = id_order_framing(g)
+    flow = list(ps_triangulation(g, fr)[0].flow)
+    flow[0] += 1
+    with pytest.raises(InputError, match="^flow not realizable: nonzero flow out of vertex 1$"):
+        flow_to_clique(g, fr, flow)
 
 
 def test_framing_change_bijection_properties():
