@@ -174,24 +174,41 @@ def corner_sum_map(n, lam, m):
 
 
 def asm_dilation_count(n, lam, t):
-    """Integer matrices in t * P_lambda(n), by row DP on column partial sums."""
+    """Integer matrices in t * P_lambda(n), by a cell-by-cell transfer DP.
+
+    One dict maps (column partial sums, row partial sum) to a count and
+    advances one free cell at a time, in row-major order; forced-zero cells
+    change no sum and are skipped.  At the end of a row only states whose
+    row sum is t survive, and a column whose last free cell was in that row
+    must be at t.  The answer is the count of the all-t state.
+    """
     if t < 0:
         raise InputError("dilation factor must be nonnegative")
+    if n < 1:
+        raise InputError("matrix size must be positive")
     zeros = zero_pattern(n, lam)
-    zero_cols = {i: {j - 1 for (a, j) in zeros if a == i} for i in range(1, n + 1)}
-
-    @lru_cache(maxsize=None)
-    def count(i, colsums):
-        if i > n:
-            return 1 if all(c == t for c in colsums) else 0
-        total = 0
-        for row in _rows_from_state(n, colsums, zero_cols[i], t):
-            total += count(i + 1, tuple(c + x for c, x in zip(colsums, row)))
-        return total
-
-    result = count(1, (0,) * n)
-    count.cache_clear()
-    return result
+    free = {i: [j for j in range(n) if (i, j + 1) not in zeros] for i in range(1, n + 1)}
+    last_row = {j: i for i in free for j in free[i]}
+    states = {(0,) * n: 1}
+    for i in range(1, n + 1):
+        # the row partial sum rides as the last entry of the key
+        states = {cols + (0,): k for cols, k in states.items()}
+        for j in free[i]:
+            advanced = {}
+            for key, k in states.items():
+                c, r = key[j], key[-1]
+                head, mid = key[:j], key[j + 1 : -1]
+                for a in range(max(-r, -c), t - max(r, c) + 1):
+                    nxt = head + (c + a,) + mid + (r + a,)
+                    advanced[nxt] = advanced.get(nxt, 0) + k
+            states = advanced
+        done = [j for j in free[i] if last_row[j] == i]
+        states = {
+            key[:-1]: k
+            for key, k in states.items()
+            if key[-1] == t and all(key[j] == t for j in done)
+        }
+    return states.get((t,) * n, 0)
 
 
 def proctor_ehrhart(n, t):

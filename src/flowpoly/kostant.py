@@ -2,13 +2,14 @@
 
 All arithmetic is exact (python ints / fractions).  The vector-partition
 count K_G(a) is implemented twice: by explicit backtracking enumeration and
-by a memoized dynamic program; tests assert the two agree.
+by a forward transfer DP over the vertices, whose state is the inflows still
+owed to later vertices; tests assert the two agree.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial
 
 from .errors import ContractError, InputError
@@ -74,58 +75,38 @@ def enumerate_integer_flows(g, netflow):
 
 
 def kostant_value(g, netflow):
-    """K_G(netflow): number of nonnegative integer flows, by dynamic program.
+    """K_G(netflow): number of nonnegative integer flows, by a transfer DP.
 
-    The memo key is (vertex, residual inflows at vertices beyond it); out-edge
-    values toward a common head are aggregated with a stars-and-bars weight.
+    One dict maps (inflows of the vertices after v, supply of v still to
+    place) to a count.  Vertex v's out-edges are grouped by head; each group
+    of k parallel edges takes a share a of the supply in C(a+k-1, k-1) ways,
+    and the last group takes the remainder.  Vertex n's inflow is not kept:
+    with a balanced netflow it is fixed by the others.
     """
     netflow = _check_netflow(g, netflow)
-    heads = {}
+    # inflows of vertices v..n-1, before vertex v is processed
+    states = {(0,) * (g.n - 1): 1}
     for v in range(1, g.n):
-        per_head = {}
-        for e in g.out_edge_ids(v):
-            per_head[g.edges[e][1]] = per_head.get(g.edges[e][1], 0) + 1
-        heads[v] = sorted(per_head.items())
-
-    @lru_cache(maxsize=None)
-    def count(v, residual):
-        # residual[i] = accumulated inflow of vertex v+1+i
-        if v == g.n:
-            return 1
-        supply = netflow[v - 1] + (0 if v == 1 else residual[0])
-        tail_residual = residual if v == 1 else residual[1:]
-        if supply < 0:
-            return 0
-        per_head = heads[v]
-        if not per_head:
-            if supply > 0:
-                return 0
-            return count(v + 1, tail_residual)
-        total = 0
-
-        def distribute(idx, remaining, acc):
-            nonlocal total
-            if idx == len(per_head) - 1:
-                acc.append((per_head[idx][0], remaining))
-                new_res = list(tail_residual)
-                ways = 1
-                for (h, cnt), (_, t) in zip(per_head, acc):
-                    new_res[h - v - 1] += t
-                    ways *= comb(t + cnt - 1, cnt - 1)
-                total += ways * count(v + 1, tuple(new_res))
-                acc.pop()
-                return
-            for t in range(remaining + 1):
-                acc.append((per_head[idx][0], t))
-                distribute(idx + 1, remaining - t, acc)
-                acc.pop()
-
-        distribute(0, supply, [])
-        return total
-
-    result = count(1, (0,) * (g.n - 1))
-    count.cache_clear()
-    return result
+        groups = sorted(Counter(g.edges[e][1] for e in g.out_edge_ids(v)).items())
+        # supply fixes key[0], so no two keys meet at one (key[1:], supply)
+        states = {
+            (key[1:], supply): k
+            for key, k in states.items()
+            if (supply := netflow[v - 1] + key[0]) == 0 or (supply > 0 and groups)
+        }
+        for idx, (h, mult) in enumerate(groups):
+            pos, last, stored = h - v - 1, idx == len(groups) - 1, h < g.n
+            advanced = {}
+            for (inflows, supply), k in states.items():
+                for a in (supply,) if last else range(supply + 1):
+                    if stored:
+                        nxt = (inflows[:pos] + (inflows[pos] + a,) + inflows[pos + 1 :], supply - a)
+                    else:
+                        nxt = (inflows, supply - a)
+                    advanced[nxt] = advanced.get(nxt, 0) + k * comb(a + mult - 1, mult - 1)
+            states = advanced
+        states = {inflows: k for (inflows, _), k in states.items()}
+    return sum(states.values())
 
 
 def indegree_shift_netflow(g):

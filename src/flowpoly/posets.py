@@ -73,12 +73,14 @@ class Poset:
         for e in elements:
             if e in below[e]:
                 raise InputError("relation set contains a cycle")
-        covers = []
-        for b in elements:
-            for a in below[b]:
-                if not any(a in below[z] for z in below[b]):
-                    covers.append((a, b))
-        return cls(elements, tuple(covers))
+        # covers in element order, so equal relations give equal posets
+        covers = tuple(
+            (a, b)
+            for b in elements
+            for a in elements
+            if a in below[b] and not any(a in below[z] for z in below[b])
+        )
+        return cls(elements, covers)
 
 
 def _transitive_below(elements, covers):

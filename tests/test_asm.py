@@ -107,6 +107,59 @@ def test_dilation_count_with_shapes():
                 assert asm_dilation_count(n, lam, t) == order_polynomial(poset, t + 1)
 
 
+def _dilated_matrices(n, lam, t):
+    """Integer n x n matrices in t * P_lambda(n), listed cell by cell with no
+    memo: zeros below the first subdiagonal and on lambda's cells justified
+    to the upper right, every row and column partial sum in [0, t], every
+    row and column sum t."""
+    lam = tuple(lam) + (0,) * n
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    rows, cols = [0] * n, [0] * n
+    entries = []
+    out = []
+
+    def place(k):
+        if k == len(cells):
+            if all(c == t for c in cols):
+                out.append(tuple(entries))
+            return
+        i, j = cells[k]
+        forced = i - j >= 2 or j >= n - lam[i]
+        for a in (0,) if forced else range(-t, t + 1):
+            rows[i] += a
+            cols[j] += a
+            if 0 <= rows[i] <= t and 0 <= cols[j] <= t and (j < n - 1 or rows[i] == t):
+                entries.append(a)
+                place(k + 1)
+                entries.pop()
+            rows[i] -= a
+            cols[j] -= a
+
+    place(0)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_dilation_count_matches_plain_enumeration(n):
+    for lam in all_staircase_partitions(n):
+        for t in range(4):
+            assert asm_dilation_count(n, lam, t) == len(_dilated_matrices(n, lam, t))
+
+
+def test_dilation_count_at_one_counts_vertices():
+    for n in range(1, 6):
+        for lam in all_staircase_partitions(n):
+            assert asm_dilation_count(n, lam, 1) == len(p_lambda_vertices(n, lam))
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_dilation_count_rejects_bad_sizes(n):
+    with pytest.raises(InputError, match="^matrix size must be positive$"):
+        asm_dilation_count(n, (), 1)
+    with pytest.raises(InputError, match="^matrix size must be positive$"):
+        enumerate_asm(n)
+
+
 def test_proctor_product():
     assert [proctor_ehrhart(3, t) for t in range(4)] == [1, 5, 14, 30]
     for n in (2, 3, 4):

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from flowpoly.errors import ContractError, InputError
 from flowpoly.graphs import DirectedMultigraph, complete_graph, parallel_edges, path_graph
@@ -53,6 +53,9 @@ def test_dp_agrees_with_bruteforce_enumeration():
         (complete_graph(5), ehrhart_netflow(complete_graph(5), 2)),
         (parallel_edges(3), (3, -3)),
         (DirectedMultigraph(4, ((1, 2), (1, 2), (2, 3), (2, 4), (3, 4))), (2, 1, 0, -3)),
+        # vertex 2 has no out-edges, so it can take no inflow
+        (DirectedMultigraph(3, ((1, 2), (1, 3))), (2, 0, -2)),
+        (DirectedMultigraph(3, ((1, 2), (1, 3))), (1, 1, -2)),
     ]
     for g, nf in cases:
         assert kostant_value(g, nf) == len(enumerate_integer_flows(g, nf))
@@ -63,6 +66,28 @@ def test_dp_agrees_with_bruteforce_enumeration():
 def test_dp_agrees_on_random_netflows(a, b):
     g = complete_graph(4)
     nf = (a, b, 0, -a - b)
+    assert kostant_value(g, nf) == len(enumerate_integer_flows(g, nf))
+
+
+@st.composite
+def graphs_with_netflows(draw):
+    """The path 1 -> ... -> n plus up to 5 forward edges, parallels allowed,
+    with a balanced netflow whose inner entries may be negative."""
+    n = draw(st.integers(2, 6))
+    extra = []
+    for _ in range(draw(st.integers(0, 5))):
+        tail = draw(st.integers(1, n - 1))
+        extra.append((tail, draw(st.integers(tail + 1, n))))
+    g = DirectedMultigraph(n, tuple((v, v + 1) for v in range(1, n)) + tuple(extra))
+    head = [draw(st.integers(0, 3))] + [draw(st.integers(-2, 2)) for _ in range(n - 2)]
+    return g, tuple(head) + (-sum(head),)
+
+
+@seed(0xC057)
+@settings(max_examples=60, deadline=2000)
+@given(graphs_with_netflows())
+def test_dp_agrees_with_enumeration_on_random_graphs(graph_and_netflow):
+    g, nf = graph_and_netflow
     assert kostant_value(g, nf) == len(enumerate_integer_flows(g, nf))
 
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -35,6 +37,29 @@ def test_from_relations_reduces_transitively():
     p = Poset.from_relations((1, 2, 3), ((1, 2), (2, 3), (1, 3)))
     assert set(p.covers) == {(1, 2), (2, 3)}
     assert p.less(1, 3)
+
+
+def test_from_relations_cover_order_follows_elements():
+    # the same order relation on tuple labels, given in different orders and
+    # with different redundant pairs, must give one poset
+    rng = random.Random(0xC0)
+    for _ in range(200):
+        elements = tuple((rng.randint(0, 9), rng.randint(0, 9)) for _ in range(7))
+        elements = tuple(dict.fromkeys(elements))
+        pairs = [
+            (elements[i], elements[j])
+            for i in range(len(elements))
+            for j in range(i + 1, len(elements))
+            if rng.random() < 0.35
+        ]
+        first = Poset.from_relations(elements, pairs)
+        shuffled = list(pairs) + [(a, b) for b in elements for a in first.strictly_below(b)]
+        rng.shuffle(shuffled)
+        second = Poset.from_relations(elements, shuffled)
+        assert first == second
+        assert [b for _, b in first.covers] == sorted(
+            (b for _, b in first.covers), key=elements.index
+        )
 
 
 def test_chain_and_antichain_extension_counts():
