@@ -12,6 +12,10 @@ polytope's vertex differences.  That lattice's basis is its Hermite normal
 form, computed once per polytope.  Because the basis is in row echelon
 form, coordinates in it follow by forward substitution on the pivot columns,
 with no elimination.
+
+The sample-coverage check compiles each unimodular simplex once into its
+d + 1 barycentric weights, as sparse affine inequalities in integers on the
+sample point, and stops testing a simplex at the first negative weight.
 """
 
 from __future__ import annotations
@@ -193,6 +197,15 @@ def simplex_normalized_volume(simplex, basis):
 # triangulation verification
 
 
+@dataclass(frozen=True)
+class SampleWitness:
+    """A sample point that does not lie in exactly one simplex."""
+
+    simplex: int  # index of the simplex the point was drawn from
+    point: tuple  # (num, den): the point num / den in lattice coordinates
+    containing: tuple  # indices of the simplices that contain it
+
+
 @dataclass
 class TriangulationReport:
     simplex_count: int
@@ -201,6 +214,7 @@ class TriangulationReport:
     expected_volume: int
     sample_count: int
     failures: list = field(default_factory=list)
+    witness: SampleWitness | None = None  # set when the sample check fails; not in to_json
 
     @property
     def passed(self):
@@ -234,13 +248,46 @@ def _volume_and_inverse(m):
     return 1, [[last * x for x in row[d:]] for row in aug]
 
 
+def _barycentric_rows(inv, origin):
+    """A unimodular simplex's barycentric weights as sparse affine rows.
+
+    ``inv`` is the integer inverse of the simplex's edge matrix and
+    ``origin`` its first vertex.  Row ``(c, terms)`` gives the weight of the
+    point num / den, scaled by den, as ``den * c + sum(a * num[j] for j, a in
+    terms)``: first lam_1..lam_d (the rows of inv with the origin folded into
+    c), then lam_0 = den - sum(lam_i) (minus the column sums of inv).
+    """
+    rows = inv + [[-sum(col) for col in zip(*inv)]]
+    return [
+        (
+            int(k == len(inv)) - sum(a * o for a, o in zip(row, origin)),
+            [(j, a) for j, a in enumerate(row) if a],
+        )
+        for k, row in enumerate(rows)
+    ]
+
+
+def _contains(rows, num, den):
+    """Whether num / den lies in the closed simplex: no weight is negative."""
+    for c, terms in rows:
+        lam = den * c
+        for j, a in terms:
+            lam += a * num[j]
+        if lam < 0:
+            return False
+    return True
+
+
 def triangulation_checks(polytope_vertices, simplices, expected_volume):
     """Sanity-check a claimed triangulation of conv(polytope_vertices).
 
     Verifies vertex membership, unimodularity of each simplex, the total
     volume against an independently computed value, and that each of 200
-    seeded interior sample points lies in exactly one simplex (membership
-    decided by exact barycentric coordinates).
+    seeded interior sample points lies in exactly one simplex.  Every sample
+    is tested against every simplex; membership is decided by exact integer
+    barycentric weights, compiled once per simplex and evaluated until the
+    first negative one.  When a sample lies in none or several simplices,
+    the report's ``witness`` holds it and the simplices that contain it.
     """
     vertices = [tuple(p) for p in polytope_vertices]
     vertex_set = set(vertices)
@@ -267,7 +314,7 @@ def triangulation_checks(polytope_vertices, simplices, expected_volume):
     # vertex -> integer lattice coordinates relative to vertices[0]
     coords = {p: coordinates_in_basis(basis, [x - b for x, b in zip(p, base)]) for p in vertex_set}
 
-    inverses = []
+    compiled = []
     total = 0
     for idx, simplex in enumerate(simplices):
         vol, inv = 0, None
@@ -280,19 +327,13 @@ def triangulation_checks(polytope_vertices, simplices, expected_volume):
         total += vol
         if vol != 1:
             failures.append(f"simplex {idx}: normalized volume {vol}, expected 1")
-        inverses.append(inv)
+        compiled.append(None if inv is None else _barycentric_rows(inv, coords[simplex[0]]))
     if total != expected_volume:
         failures.append(f"volume total {total} != expected {expected_volume}")
 
-    def contains(idx, num, den):
-        # barycentric signs of the point num/den, all in integer arithmetic
-        simplex = simplices[idx]
-        rel = [a - den * b for a, b in zip(num, coords[simplex[0]])]
-        lam = [sum(r * x for r, x in zip(row, rel)) for row in inverses[idx]]
-        return all(x >= 0 for x in lam) and sum(lam) <= den
-
     rng = random.Random(SAMPLE_SEED)
     samples = 0
+    witness = None
     if not failures and simplices:
         for _ in range(SAMPLE_COUNT):
             idx = rng.randrange(len(simplices))
@@ -302,12 +343,13 @@ def triangulation_checks(polytope_vertices, simplices, expected_volume):
                 sum(w * c for w, c in zip(weights, col))
                 for col in zip(*(coords[p] for p in simplices[idx]))
             ]
-            containing = [j for j in range(len(simplices)) if contains(j, num, den)]
+            containing = [j for j, rows in enumerate(compiled) if _contains(rows, num, den)]
             samples += 1
             if len(containing) != 1:
                 failures.append(
                     f"sample from simplex {idx} lies in simplices {containing}"
                 )
+                witness = SampleWitness(idx, (tuple(num), den), tuple(containing))
                 break
 
     return TriangulationReport(
@@ -317,4 +359,5 @@ def triangulation_checks(polytope_vertices, simplices, expected_volume):
         expected_volume=expected_volume,
         sample_count=samples,
         failures=failures,
+        witness=witness,
     )

@@ -166,14 +166,18 @@ def ps_triangulation(g, framing):
     _validate_framed(g, framing)
     blocks, flow = _start(g)
     leaves = []
+    trees = {}  # (left, right) -> compositions of noncrossing_trees(left, right)
 
     def descend(v):
         if v == g.n:
             leaves.append(_leaf(g, blocks, flow))
             return
         ins = _arriving(framing, blocks, v)
-        for tree in noncrossing_trees(len(ins), len(framing.out_orders[v])):
-            _reduce(framing, blocks, flow, v, ins, tree.composition)
+        sides = (len(ins), len(framing.out_orders[v]))
+        if sides not in trees:
+            trees[sides] = [tree.composition for tree in noncrossing_trees(*sides)]
+        for composition in trees[sides]:
+            _reduce(framing, blocks, flow, v, ins, composition)
             descend(v + 1)
 
     descend(2)

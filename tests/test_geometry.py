@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import given, seed, settings, strategies as st
 
 from flowpoly.errors import InputError
 from flowpoly.geometry import (
+    _barycentric_rows,
+    _contains,
     _volume_and_inverse,
     affine_dimension,
     coordinates_in_basis,
@@ -17,10 +20,16 @@ from flowpoly.geometry import (
     simplex_normalized_volume,
     triangulation_checks,
 )
-from flowpoly.graphs import complete_graph, enumerate_routes, route_flow_vector
+from flowpoly.graphs import (
+    complete_graph,
+    enumerate_routes,
+    id_order_framing,
+    random_framing,
+    route_flow_vector,
+)
+from flowpoly.kostant import flow_polytope_volume
 from flowpoly.posets import antichain, order_polytope_vertices, skew_star
 from flowpoly.triangulations import canonical_triangulation, dkk_triangulation
-from flowpoly.graphs import id_order_framing
 
 
 def test_matrix_rank_basic():
@@ -144,6 +153,146 @@ def test_triangulation_checks_catch_broken_squares(vertices, simplices, volume, 
     report = triangulation_checks(vertices, simplices, volume)
     assert not report.passed
     assert report.failures == failures
+    assert (report.witness is None) == (report.sample_count == 0)
+
+
+def test_sample_witness_on_overlap():
+    simplices = DIAGONAL_CUT + [((0, 0), (1, 0), (0, 1))]
+    report = triangulation_checks(SQUARE, simplices, 3)
+    witness = report.witness
+    assert witness.simplex == 0 and witness.containing == (0, 2)
+    # the square's lattice coordinates are its own coordinates
+    num, den = witness.point
+    point = [Fraction(x, den) for x in num]
+    inside = [j for j, s in enumerate(simplices) if min(fraction_barycentric(s, [point])[0]) >= 0]
+    assert inside == [0, 2]
+    assert "witness" not in report.to_json()
+    assert triangulation_checks(SQUARE, DIAGONAL_CUT, 2).witness is None
+
+
+# ---------------------------------------------------------------------------
+# compiled barycentric rows against a dense Fraction oracle
+
+
+def fraction_barycentric(simplex, points):
+    """Weights lam_0..lam_d of each point in simplex, by Fraction Gauss–Jordan
+    on the edge matrix with one right-hand side per point."""
+    origin, d = simplex[0], len(simplex) - 1
+    m = [
+        [Fraction(p[i] - origin[i]) for p in simplex[1:]]
+        + [Fraction(x[i]) - origin[i] for x in points]
+        for i in range(d)
+    ]
+    for col in range(d):
+        piv = next(r for r in range(col, d) if m[r][col])
+        m[col], m[piv] = m[piv], m[col]
+        m[col] = [x / m[col][col] for x in m[col]]
+        for r in range(d):
+            if r != col and m[r][col]:
+                m[r] = [a - m[r][col] * b for a, b in zip(m[r], m[col])]
+    weights = []
+    for k in range(len(points)):
+        lam = [row[d + k] for row in m]
+        weights.append([1 - sum(lam)] + lam)
+    return weights
+
+
+def lattice_simplices(vertices, simplices):
+    basis = lattice_basis(vertices)
+    base = vertices[0]
+    coords = {p: coordinates_in_basis(basis, [x - b for x, b in zip(p, base)]) for p in vertices}
+    return [[coords[p] for p in s] for s in simplices]
+
+
+def boundary_heavy_points(simplices, count, rng):
+    """Convex combinations of one simplex's vertices, each weight zero half of the time."""
+    points = []
+    for _ in range(count):
+        s = rng.choice(simplices)
+        weights = [rng.choice((0, 0, 1, 2, 5)) for _ in s]
+        weights[rng.randrange(len(s))] += 1
+        den = sum(weights)
+        points.append(([sum(w * v[i] for w, v in zip(weights, s)) for i in range(len(s[0]))], den))
+    return points
+
+
+def k6_dkk():
+    g = complete_graph(6)
+    return [route_flow_vector(g, r) for r in enumerate_routes(g)], dkk_triangulation(
+        g, id_order_framing(g)
+    )
+
+
+def skew5_canonical():
+    p, _ = skew_star(5, (2, 1))
+    return order_polytope_vertices(p), [s.vertices for s in canonical_triangulation(p)]
+
+
+@pytest.mark.parametrize("case", [k6_dkk, skew5_canonical], ids=["K6-dkk", "skew5-21-canonical"])
+def test_compiled_rows_match_fraction_oracle(case):
+    vertices, simplices = case()
+    simplices = lattice_simplices(vertices, simplices)
+    rng = random.Random(0xA5C)
+    points = boundary_heavy_points(simplices, 12, rng)
+    shared = 0
+    for s in simplices:
+        origin = s[0]
+        m = [[p[i] - origin[i] for p in s[1:]] for i in range(len(origin))]
+        vol, inv = _volume_and_inverse(m)
+        assert vol == 1
+        rows = _barycentric_rows(inv, origin)
+        assert len(rows) == len(s)
+        oracle = fraction_barycentric(s, [[Fraction(x, den) for x in num] for num, den in points])
+        for (num, den), lam in zip(points, oracle):
+            inside = min(lam) >= 0
+            assert _contains(rows, num, den) == inside
+            # each compiled row is den times the matching oracle weight
+            assert [c * den + sum(a * num[j] for j, a in terms) for c, terms in rows] == [
+                x * den for x in lam[1:] + lam[:1]
+            ]
+            shared += inside
+    # boundary points lie in several closed simplices, so ">=" is exercised
+    assert shared > len(points)
+
+
+# ---------------------------------------------------------------------------
+# broken K6 triangulations: five DKK simplices from each of two framings
+
+
+# s -> (origin simplex, containing simplices, sample_count) of the first failing sample
+K6_MIXES = {
+    1: (1, [1, 6], 1), 2: (0, [0, 7], 2), 3: (1, [1, 8], 1), 4: (1, [1, 9], 1),
+    5: (1, [1, 8], 1), 6: (0, [0, 6], 2), 7: (1, [1, 5], 1), 8: (1, [1, 5], 1),
+    9: (1, [1, 8], 1), 10: (1, [1, 7], 1), 11: (1, [1, 8], 1), 12: (1, [1, 5], 1),
+    13: (1, [1, 6], 1), 14: (1, [1, 7], 1), 15: (1, [1, 8], 1), 16: (0, [0, 6], 2),
+    17: (1, [1, 6], 1), 18: (0, [0, 7], 2), 19: (1, [1, 8], 1), 20: (1, [1, 7], 1),
+    21: (0, [0, 7], 2), 22: (1, [1, 8], 1), 23: (1, [1, 6], 1), 24: (1, [1, 5], 1),
+    25: (0, [0, 6], 2), 26: (1, [1, 8], 1), 27: (1, [1, 8], 1), 28: (0, [0, 6], 2),
+    29: (0, [0, 7], 2),
+}
+
+
+def test_broken_k6_mixes():
+    g = complete_graph(6)
+    vertices = [route_flow_vector(g, r) for r in enumerate_routes(g)]
+    first = dkk_triangulation(g, id_order_framing(g))[:5]
+    for s, (origin, containing, samples) in K6_MIXES.items():
+        other = [x for x in dkk_triangulation(g, random_framing(g, s)) if x not in first][:5]
+        report = triangulation_checks(vertices, first + other, 10)
+        assert report.volume_total == 10
+        assert report.failures == [f"sample from simplex {origin} lies in simplices {containing}"]
+        assert report.sample_count == samples
+        assert (report.witness.simplex, report.witness.containing) == (origin, tuple(containing))
+
+
+@pytest.mark.parametrize("framing", ["id-order", 7])
+def test_k7_dkk_passes_triangulation_checks(framing):
+    g = complete_graph(7)
+    fr = id_order_framing(g) if framing == "id-order" else random_framing(g, framing)
+    vertices = [route_flow_vector(g, r) for r in enumerate_routes(g)]
+    report = triangulation_checks(vertices, dkk_triangulation(g, fr), flow_polytope_volume(g))
+    assert report.passed and report.simplex_count == 140 and report.dimension == 15
+    assert report.sample_count == 200 and report.witness is None
 
 
 def test_dkk_simplices_are_unimodular():
