@@ -25,7 +25,7 @@ from .kostant import (
     indegree_shift_netflow,
 )
 from .planar import dual_poset, flow_to_order_point, order_to_flow_point
-from .posets import linear_extensions, order_ideals
+from .posets import all_staircase_partitions, linear_extensions, order_ideals, order_polynomial
 from .triangulations import (
     canonical_triangulation,
     clique_to_flow,
@@ -40,15 +40,15 @@ from .triangulations import (
 
 
 def transported_canonical_triangulation(pg):
-    """Canonical simplices of O(P_G) carried into flow coordinates."""
+    """Canonical simplices of O(P_G) in flow coordinates; each vertex mapped once."""
     dp = dual_poset(pg)
+    points = {}
     simplices = []
     for simp in canonical_triangulation(dp.poset):
-        points = [
-            order_to_flow_point(pg, dict(zip(dp.poset.elements, v)))
-            for v in simp.vertices
-        ]
-        simplices.append(tuple(points))
+        for v in simp.vertices:
+            if v not in points:
+                points[v] = order_to_flow_point(pg, dict(zip(dp.poset.elements, v)))
+        simplices.append(tuple(points[v] for v in simp.vertices))
     return simplices
 
 
@@ -169,7 +169,7 @@ def verify_maps_roundtrip(t_values=(1, 2)):
                     break
                 images.add(tuple(sorted((r, v) for r, v in f.items())))
             # images must exhaust the order-preserving maps P_G -> {0..t}
-            expected = _monotone_map_count(dp.poset, t)
+            expected = order_polynomial(dp.poset, t + 1)
             if len(images) != len(vectors) or len(vectors) != expected:
                 ok = False
             detail_counts.append(len(vectors))
@@ -177,16 +177,9 @@ def verify_maps_roundtrip(t_values=(1, 2)):
     return results
 
 
-def _monotone_map_count(p, t):
-    from .posets import order_polynomial
-
-    return order_polynomial(p, t + 1)
-
-
 def verify_asm_family(ns=(3, 4), lambdas=None):
     """family_report consistency across the staircase shapes."""
     from .asm import family_report
-    from .posets import all_staircase_partitions
 
     results = []
     for n in ns:

@@ -119,7 +119,7 @@ def graph_volume(path, method, all_methods):
 
 @graph.command("ehrhart")
 @click.argument("path", type=click.Path(exists=True))
-@click.option("--t-max", default=4, show_default=True)
+@click.option("--t-max", default=4, show_default=True, type=click.IntRange(min=0))
 def graph_ehrhart(path, t_max):
     def run():
         g, _ = _load_graph(_load_json(path))
@@ -179,7 +179,7 @@ def poset_stats(path):
 
 @poset.command("ehrhart")
 @click.argument("path", type=click.Path(exists=True))
-@click.option("--m-max", default=5, show_default=True)
+@click.option("--m-max", default=5, show_default=True, type=click.IntRange(min=0))
 def poset_ehrhart(path, m_max):
     def run():
         p, _ = poset_from_json(_load_json(path))

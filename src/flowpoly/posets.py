@@ -1,5 +1,10 @@
 """Finite posets, linear extensions, order ideals and the staircase families.
 
+Ideals, e(P), linear extensions, the order polynomial and the canonical
+simplices read off one ideal-lattice kernel on int bitmasks, built once per
+call: e(P) is a forward DP over the ideal masks, the order polynomial
+repeated zeta transforms over them.
+
 Skew-staircase posets carry cell labels (i, j); their partial order is
 p_{ij} <= p_{i'j'} iff i >= i' and j <= j'.  Builders also return the
 canonical upward-planar embedding of the Hasse diagram, which the planar
@@ -85,126 +90,119 @@ class Poset:
 
 def _transitive_below(elements, covers):
     below = {e: set() for e in elements}
-    children = {e: [] for e in elements}
     for a, b in covers:
-        children[b].append(a)
-    order = list(elements)
-    # closure by iteration; poset sizes are desk scale
-    changed = True
-    while changed:
-        changed = False
-        for b in order:
-            acc = set()
-            for a in children[b]:
-                acc.add(a)
-                acc |= below[a]
-            if acc - below[b]:
-                below[b] |= acc
-                changed = True
+        if a not in below or b not in below:
+            raise InputError(f"relation ({a},{b}) uses unknown elements")
+        below[b].add(a)
+    for k in elements:  # Warshall: from here on k may be an intermediate
+        for e in elements:
+            if k in below[e]:
+                below[e] |= below[k]
     return {e: frozenset(s) for e, s in below.items()}
 
 
 # ---------------------------------------------------------------------------
-# linear extensions
+# linear extensions and the ideal lattice, on bitmasks: bit i is p.elements[i]
+
+
+def _below_masks(p):
+    """Per element, the mask of the elements strictly below it."""
+    index = {e: i for i, e in enumerate(p.elements)}
+    return [sum(1 << index[a] for a in p.strictly_below(e)) for e in p.elements]
+
+
+def _indices(mask):
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _addable(below, ideal):
+    """Indices, ascending, of the elements outside ideal whose lower set is in it."""
+    return [i for i, b in enumerate(below) if not ideal >> i & 1 and not b & ~ideal]
+
+
+def _ideal_masks(below):
+    """All order ideals as masks, by size and then by sorted element indices."""
+    masks, level = [0], [0]
+    while level:
+        level = sorted({m | 1 << i for m in level for i in _addable(below, m)}, key=_indices)
+        masks += level
+    return masks
+
+
+def _ideal_vertices(p):
+    """Per ideal mask, the 0/1 indicator of the complementary filter."""
+    n = len(p.elements)
+    masks = _ideal_masks(_below_masks(p))
+    return {m: tuple(int(not m >> i & 1) for i in range(n)) for m in masks}
 
 
 def linear_extensions(p):
     """All linear extensions, lexicographic in element-index order."""
-    index = {e: i for i, e in enumerate(p.elements)}
-    remaining = set(p.elements)
-    out = []
-    prefix = []
+    below = _below_masks(p)
+    addable = {m: _addable(below, m) for m in _ideal_masks(below)}
+    out, prefix = [], []
 
-    def walk():
-        if not remaining:
+    def walk(ideal):
+        if not addable[ideal]:  # only the full ideal has nothing to add
             out.append(tuple(prefix))
             return
-        for e in sorted(remaining, key=index.get):
-            if all(a not in remaining for a in p.strictly_below(e)):
-                remaining.remove(e)
-                prefix.append(e)
-                walk()
-                prefix.pop()
-                remaining.add(e)
+        for i in addable[ideal]:
+            prefix.append(p.elements[i])
+            walk(ideal | 1 << i)
+            prefix.pop()
 
-    walk()
+    walk(0)
     return out
 
 
 def count_linear_extensions(p):
-    """e(P) via dynamic programming over the ideal lattice."""
-    memo = {frozenset(): 1}
-
-    def count(ideal):
-        if ideal in memo:
-            return memo[ideal]
-        total = 0
-        for e in ideal:
-            if not any(e in p.strictly_below(f) for f in ideal):
-                total += count(ideal - {e})
-        memo[ideal] = total
-        return total
-
-    return count(frozenset(p.elements))
+    """e(P): maximal chains of the ideal lattice, counted upward by size."""
+    below = _below_masks(p)
+    chains = dict.fromkeys(_ideal_masks(below), 0)
+    chains[0] = 1
+    for ideal, c in chains.items():
+        for i in _addable(below, ideal):
+            chains[ideal | 1 << i] += c
+    return chains[(1 << len(below)) - 1]
 
 
 def order_ideals(p):
-    """All down-closed subsets, sorted canonically."""
-    index = {e: i for i, e in enumerate(p.elements)}
-    topo = []
-    remaining = set(p.elements)
-    while remaining:
-        nxt = min(
-            (e for e in remaining if p.strictly_below(e).isdisjoint(remaining)),
-            key=index.get,
-        )
-        topo.append(nxt)
-        remaining.remove(nxt)
-    ideals = []
-
-    def walk(i, chosen):
-        if i == len(topo):
-            ideals.append(frozenset(chosen))
-            return
-        e = topo[i]
-        walk(i + 1, chosen)
-        if p.strictly_below(e) <= chosen:
-            chosen.add(e)
-            walk(i + 1, chosen)
-            chosen.remove(e)
-
-    walk(0, set())
-    ideals.sort(key=lambda s: (len(s), sorted(index[e] for e in s)))
-    return ideals
+    """All down-closed subsets, by size and then by sorted element indices."""
+    masks = _ideal_masks(_below_masks(p))
+    return [frozenset(p.elements[i] for i in _indices(m)) for m in masks]
 
 
 def order_polytope_vertices(p):
     """0/1 filter indicators in p.elements coordinates, sorted."""
-    verts = {
-        tuple(int(e not in ideal) for e in p.elements) for ideal in order_ideals(p)
-    }
-    return sorted(verts)
+    return sorted(_ideal_vertices(p).values())
 
 
 def order_polynomial(p, m):
     """Number of order-preserving maps P -> {1..m}.
 
-    Counted as (m-1)-multichains in the ideal lattice; a brute-force
-    fallback exists in order_polynomial_bruteforce for small posets.
+    Counted as (m-1)-multichains in the ideal lattice J(P), each step one
+    zeta transform (Bjorklund et al., SODA 2012): for e in linear-extension
+    order, and no other, add w[I - e] into w[I] for every ideal I with e
+    maximal.  Oracle for small posets: order_polynomial_bruteforce.
     """
     if m < 0:
         raise InputError("order polynomial argument must be nonnegative")
     if m == 0:
         return 1 if not p.elements else 0
-    ideals = order_ideals(p)
-    weights = {ideal: 1 for ideal in ideals}
-    full = frozenset(p.elements)
+    below = _below_masks(p)
+    position = {ideal: k for k, ideal in enumerate(_ideal_masks(below))}
+    # a < b gives |below(a)| < |below(b)|, so sorting by it is a linear extension
+    pairs = [
+        (position[ideal], position[ideal ^ 1 << i])
+        for i in sorted(range(len(below)), key=lambda i: below[i].bit_count())
+        for ideal in position
+        if ideal >> i & 1 and ideal ^ 1 << i in position
+    ]
+    weights = [1] * len(position)
     for _ in range(m - 1):
-        weights = {
-            ideal: sum(w for other, w in weights.items() if other <= ideal)
-            for ideal in ideals
-        }
-    return weights[full]
+        for k, j in pairs:
+            weights[k] += weights[j]
+    return weights[-1]
 
 
 def order_polynomial_bruteforce(p, m):
@@ -391,7 +389,11 @@ def poset_to_json(p, emb=None):
 
 def poset_from_json(data):
     try:
-        poset = Poset(tuple(data["elements"]), tuple(tuple(c) for c in data["covers"]))
+        elements, covers = data["elements"], data["covers"]
+        pairs = all(isinstance(c, list) and len(c) == 2 for c in covers)
+        if not isinstance(elements, list) or not pairs:
+            raise TypeError("elements must be a list and covers a list of pairs")
+        poset = Poset(tuple(elements), tuple(tuple(c) for c in covers))
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed poset JSON: {exc}") from exc
     block = data.get("embedding")

@@ -16,8 +16,8 @@
 Each leaf's flow has netflow (0, d_2, ..., d_{n-1}, -sum d_i).  A flow is
 sent to its leaf by replaying the reduction along it; a leaf's flow is read
 off its routes (the prefixes ending in each edge) and confirmed by one
-replay.  That is the flow <-> clique bijection; composing it across two
-framings gives the framing-change bijection on cliques.
+replay.  That is the flow <-> clique bijection; matching the leaves of the
+walks under two framings by flow gives the framing-change bijection.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .graphs import (
 )
 from .kostant import compositions_colex
 from .planar import BOTTOM, TOP
-from .posets import linear_extensions
+from .posets import _ideal_vertices, linear_extensions
 
 
 # ---------------------------------------------------------------------------
@@ -48,22 +48,24 @@ class CanonicalSimplex:
     extension: tuple
     vertices: tuple  # indicator vectors of the suffix filters, largest first
 
-    def key(self):
-        return tuple(sorted(self.vertices))
-
 
 def canonical_triangulation(p):
     """One simplex per linear extension of p.
 
     The simplex of extension (s_1, ..., s_k) has the k+1 vertices
     1_{F_j}, F_j = {s_{j+1}, ..., s_k}, written in p.elements coordinates.
+    Vertex j is read off the mask of the prefix ideal {s_1, ..., s_j}; all
+    simplices share one tuple per ideal.
     """
+    bit = {e: 1 << i for i, e in enumerate(p.elements)}
+    vertex = _ideal_vertices(p)
     out = []
     for ext in linear_extensions(p):
-        vertices = []
-        for j in range(len(ext) + 1):
-            filt = set(ext[j:])
-            vertices.append(tuple(int(e in filt) for e in p.elements))
+        ideal = 0
+        vertices = [vertex[0]]
+        for e in ext:
+            ideal |= bit[e]
+            vertices.append(vertex[ideal])
         out.append(CanonicalSimplex(ext, tuple(vertices)))
     return out
 
@@ -181,6 +183,7 @@ def ps_triangulation(g, framing):
             descend(v + 1)
 
     descend(2)
+    del descend  # breaks its self-reference, so the walk's state is freed on return
     return leaves
 
 
@@ -260,11 +263,13 @@ def clique_to_flow(g, framing, clique):
 
 def framing_change_bijection(g, f1, f2):
     """Map each f1-clique to the f2-clique with the same reduction flow."""
-    mapping = {}
     leaves = ps_triangulation(g, f1)
-    Framing.validate(g, f2)
+    routes_by_flow = {leaf.flow: leaf.routes for leaf in ps_triangulation(g, f2)}
+    mapping = {}
     for leaf in leaves:
-        mapping[leaf.routes] = _replay(g, f2, leaf.flow)
+        if leaf.flow not in routes_by_flow:
+            raise InternalCheckError("a leaf flow under f1 is no leaf flow under f2")
+        mapping[leaf.routes] = routes_by_flow[leaf.flow]
     if len(set(mapping.values())) != len(mapping):
         raise InternalCheckError("framing change map is not injective")
     return mapping

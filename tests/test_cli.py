@@ -207,6 +207,44 @@ def test_malformed_embedding_exits_2(runner, tmp_path, data, command):
     assert result.stderr.startswith("input error: ")
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        {**SKEW3, "covers": [["1,2", "1,3", "2,3"]]},
+        {**SKEW3, "covers": [["1,2"]]},
+        {**SKEW3, "covers": "ab"},
+        {"elements": "ab", "covers": []},
+    ],
+    ids=["three-element-cover", "one-element-cover", "covers-a-string", "elements-a-string"],
+)
+@pytest.mark.parametrize(
+    "command", [["poset", "stats"], ["triangulate", "--method", "canonical"]], ids=["stats", "canonical"]
+)
+def test_malformed_covers_or_elements_exit_2(runner, tmp_path, data, command):
+    path = tmp_path / "bad-poset.json"
+    path.write_text(json.dumps(data))
+    result = runner.invoke(main, command + [str(path)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert result.stderr.startswith("input error: malformed poset JSON")
+
+
+@pytest.mark.parametrize(
+    "command, data",
+    [
+        (["poset", "ehrhart", "--m-max"], SKEW3),
+        (["graph", "ehrhart", "--t-max"], graph_to_json(complete_graph(4))),
+    ],
+    ids=["m-max", "t-max"],
+)
+def test_negative_dilation_bound_exits_2(runner, tmp_path, command, data):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    result = runner.invoke(main, command + ["-2", str(path)])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+
+
 def test_triangulate_single_point_polytope(runner, tmp_path):
     # path_graph(4) has one route, so its flow polytope is a point
     path = tmp_path / "path4.json"

@@ -1,7 +1,8 @@
+import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from flowpoly.errors import InputError
 from flowpoly.posets import (
@@ -23,6 +24,7 @@ from flowpoly.posets import (
     staircase_syt_count,
     zigzag,
 )
+from flowpoly.triangulations import canonical_triangulation
 
 
 def test_poset_rejects_cycles_and_redundant_covers():
@@ -37,6 +39,8 @@ def test_from_relations_reduces_transitively():
     p = Poset.from_relations((1, 2, 3), ((1, 2), (2, 3), (1, 3)))
     assert set(p.covers) == {(1, 2), (2, 3)}
     assert p.less(1, 3)
+    with pytest.raises(InputError, match="unknown elements"):
+        Poset.from_relations((1, 2), ((3, 1),))
 
 
 def test_from_relations_cover_order_follows_elements():
@@ -171,3 +175,50 @@ def test_poset_json_roundtrip():
     q, qemb = skew_star(3)
     data = poset_to_json(q, qemb)
     assert data["elements"] == ["1,2", "1,3", "2,3"]
+
+
+@st.composite
+def shuffled_posets(draw):
+    """from_relations posets on tuple labels whose element order is shuffled."""
+    labels = [(k, -k) for k in range(draw(st.integers(0, 7)))]
+    hidden = draw(st.permutations(labels))  # every relation points up this order
+    pairs = [(a, b) for i, a in enumerate(hidden) for b in hidden[i + 1 :]]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    relations = [pair for pair, k in zip(pairs, keep) if k]
+    return Poset.from_relations(draw(st.permutations(labels)), relations)
+
+
+@seed(0x1DEA)
+@settings(max_examples=60, deadline=2000)
+@given(shuffled_posets())
+def test_ideal_kernel_matches_brute_force(p):
+    elements = p.elements
+    index = {e: i for i, e in enumerate(elements)}
+    # combinations come by size, then lexicographic in element index
+    subsets = [
+        frozenset(c) for k in range(len(elements) + 1) for c in itertools.combinations(elements, k)
+    ]
+    ideals = [s for s in subsets if all(p.strictly_below(x) <= s for x in s)]
+    assert order_ideals(p) == ideals
+    assert order_polytope_vertices(p) == sorted(
+        tuple(int(e not in s) for e in elements) for s in ideals
+    )
+
+    def respects_covers(perm):
+        pos = {e: i for i, e in enumerate(perm)}
+        return all(pos[a] < pos[b] for a, b in p.covers)
+
+    exts = sorted(
+        (perm for perm in itertools.permutations(elements) if respects_covers(perm)),
+        key=lambda perm: [index[e] for e in perm],
+    )
+    assert linear_extensions(p) == exts
+    assert count_linear_extensions(p) == len(exts)
+    for m in range(4):
+        assert order_polynomial(p, m) == order_polynomial_bruteforce(p, m)
+    simplices = canonical_triangulation(p)
+    assert [s.extension for s in simplices] == exts
+    for s in simplices:
+        assert s.vertices == tuple(
+            tuple(int(e in s.extension[j:]) for e in elements) for j in range(len(elements) + 1)
+        )

@@ -324,6 +324,31 @@ def test_framing_change_bijection_properties():
     assert all(k == v for k, v in identity.items())
 
 
+@pytest.mark.parametrize(
+    "mangle,message",
+    [
+        (lambda leaves: leaves[:-1], "no leaf flow under f2"),
+        (
+            lambda leaves: [triangulations.SubdivisionLeaf(leaves[0].routes, l.flow) for l in leaves],
+            "not injective",
+        ),
+    ],
+    ids=["missing-flow", "repeated-clique"],
+)
+def test_framing_change_bijection_checks_the_second_walk(monkeypatch, mangle, message):
+    g = complete_graph(5)
+    f1, f2 = id_order_framing(g), random_framing(g, 1)
+    walk = triangulations.ps_triangulation
+
+    def broken(g, framing):
+        leaves = walk(g, framing)
+        return mangle(leaves) if framing is f2 else leaves
+
+    monkeypatch.setattr(triangulations, "ps_triangulation", broken)
+    with pytest.raises(InternalCheckError, match=message):
+        framing_change_bijection(g, f1, f2)
+
+
 def test_linext_to_clique_covers_planar_triangulation():
     for p, emb in (skew_star(3), skew_star(4), zigzag(4)):
         pg = poset_to_flow_graph(p, emb)
