@@ -53,35 +53,6 @@ def is_asm(m):
     return True
 
 
-def _rows_from_state(n, colsums, zero_cols, t):
-    """All rows extending the given column partial sums, entries summing to t.
-
-    Partial row sums and the updated column sums must stay in [0, t];
-    entries in zero_cols are forced to 0.
-    """
-    rows = []
-    row = []
-
-    def place(j, rowsum):
-        if j == n:
-            if rowsum == t:
-                rows.append(tuple(row))
-            return
-        if j in zero_cols:
-            choices = (0,)
-        else:
-            lo = max(-rowsum, -colsums[j])
-            hi = min(t - rowsum, t - colsums[j])
-            choices = range(lo, hi + 1)
-        for a in choices:
-            row.append(a)
-            place(j + 1, rowsum + a)
-            row.pop()
-
-    place(0, 0)
-    return rows
-
-
 def zero_pattern(n, lam=()):
     """Forced-zero cells of P_lambda(n): the lower band and lambda's cells."""
     lam = validate_staircase_partition(n, lam)
@@ -92,25 +63,50 @@ def zero_pattern(n, lam=()):
     return zeros
 
 
+def _free_cells(n, zeros):
+    """Row i's free cells (0-based columns of cells not forced to zero), and
+    the columns whose sum is final after row i: their last free cell is in
+    row i, or, for a column with no free cell, row i is the last row."""
+    free = {i: [j for j in range(n) if (i, j + 1) not in zeros] for i in range(1, n + 1)}
+    last_row = dict.fromkeys(range(n), n) | {j: i for i in free for j in free[i]}
+    done = {i: [j for j in range(n) if last_row[j] == i] for i in free}
+    return free, done
+
+
 def enumerate_asm(n, zeros=frozenset()):
-    """All n x n alternating sign matrices (with optional forced zeros)."""
+    """All n x n alternating sign matrices (with optional forced zeros).
+
+    A depth-first walk over the free cells in row-major order, with the
+    entry range of asm_dilation_count at t = 1: every partial row and
+    column sum stays in [0, 1].  A row ends at sum 1, and so does every
+    column whose sum is final after it.
+    """
     if n < 1:
         raise InputError("matrix size must be positive")
+    free, done = _free_cells(n, zeros)
+    rows = [[0] * n for _ in range(n)]
+    cols = [0] * n
     out = []
-    rows = []
 
-    def walk(i, colsums):
-        if i > n:
-            if all(c == 1 for c in colsums):
-                out.append(tuple(rows))
+    def place(i, k, r):
+        # the k-th free cell of row i, with row partial sum r
+        if k == len(free[i]):
+            if r != 1 or any(cols[j] != 1 for j in done[i]):
+                return
+            if i == n:
+                out.append(tuple(map(tuple, rows)))
+            else:
+                place(i + 1, 0, 0)
             return
-        zero_cols = {j - 1 for (a, j) in zeros if a == i}
-        for row in _rows_from_state(n, colsums, zero_cols, 1):
-            rows.append(row)
-            walk(i + 1, tuple(c + x for c, x in zip(colsums, row)))
-            rows.pop()
+        j = free[i][k]
+        c = cols[j]
+        for a in range(max(-r, -c), 1 - max(r, c) + 1):
+            rows[i - 1][j], cols[j] = a, c + a
+            place(i, k + 1, r + a)
+        rows[i - 1][j], cols[j] = 0, c
 
-    walk(1, (0,) * n)
+    place(1, 0, 0)
+    del place  # breaks its self-reference, so the walk's state is freed on return
     out.sort()
     return out
 
@@ -186,9 +182,7 @@ def asm_dilation_count(n, lam, t):
         raise InputError("dilation factor must be nonnegative")
     if n < 1:
         raise InputError("matrix size must be positive")
-    zeros = zero_pattern(n, lam)
-    free = {i: [j for j in range(n) if (i, j + 1) not in zeros] for i in range(1, n + 1)}
-    last_row = {j: i for i in free for j in free[i]}
+    free, done = _free_cells(n, zero_pattern(n, lam))
     states = {(0,) * n: 1}
     for i in range(1, n + 1):
         # the row partial sum rides as the last entry of the key
@@ -202,11 +196,10 @@ def asm_dilation_count(n, lam, t):
                     nxt = head + (c + a,) + mid + (r + a,)
                     advanced[nxt] = advanced.get(nxt, 0) + k
             states = advanced
-        done = [j for j in free[i] if last_row[j] == i]
         states = {
             key[:-1]: k
             for key, k in states.items()
-            if key[-1] == t and all(key[j] == t for j in done)
+            if key[-1] == t and all(key[j] == t for j in done[i])
         }
     return states.get((t,) * n, 0)
 

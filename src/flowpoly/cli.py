@@ -287,7 +287,9 @@ def asm_report(n, lam):
 
 @main.command("verify")
 @click.argument("prop", type=click.Choice(sorted(checks.PROPERTIES)))
-@click.option("--n", "n", type=int, default=None, help="asm-family: restrict to one n")
+@click.option(
+    "--n", "n", type=click.IntRange(min=1), default=None, help="asm-family: restrict to one n"
+)
 def verify(prop, n):
     """Re-check one of the package's structural properties over the corpus."""
 

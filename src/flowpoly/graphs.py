@@ -5,6 +5,12 @@ larger one.  Edges are identified by their 0-based position in the edge
 list; parallel edges are distinguished only by this id.  A framing orders
 the in-edges and out-edges at every inner vertex; all framing lists are
 written "smallest first", which for planar framings means top to bottom.
+
+Two routes are coherent when, at every inner vertex they share, the order
+in which they arrive (set where their shared stretch begins) does not
+contradict the order in which they leave (set where it ends).  Each route
+is profiled once by its framing ranks at its inner vertices, and one kernel
+compares two profiles in one backward pass over their shared vertices.
 """
 
 from __future__ import annotations
@@ -156,11 +162,11 @@ def prune_inner_vertices(g):
         for v in sorted(alive_vertices):
             if v in (1, g.n):
                 continue
-            ins = [e for e in alive_edges if g.edges[e][1] == v]
-            outs = [e for e in alive_edges if g.edges[e][0] == v]
+            ins = [e for e in g.in_edge_ids(v) if e in alive_edges]
+            outs = [e for e in g.out_edge_ids(v) if e in alive_edges]
             if not ins or not outs:
                 alive_vertices.remove(v)
-                alive_edges -= set(ins) | set(outs)
+                alive_edges.difference_update(ins, outs)
                 removed.append(v)
                 changed = True
     vertex_map = {old: new for new, old in enumerate(sorted(alive_vertices), start=1)}
@@ -206,6 +212,7 @@ def enumerate_routes(g):
 
     if g.n >= 2:
         walk(1)
+    del walk  # breaks its self-reference, so the walk's state is freed on return
     return routes
 
 
@@ -231,63 +238,42 @@ def route_flow_vector(g, route):
 # the coherence relation
 
 
-def compare_into(g, framing, v, p, q):
-    """Compare two route-prefixes ending at v; -1, 0 or 1.
+def _passes(g, framing, route):
+    """Route profile: each inner vertex, in route order, to the ranks of the
+    route's edge into it in the framing's in-order and of its edge out of it
+    in the out-order."""
+    verts = route_vertices(g, route)
+    return {
+        v: (framing.in_orders[v].index(route[i - 1]), framing.out_orders[v].index(route[i]))
+        for i, v in enumerate(verts[1:-1], start=1)
+    }
 
-    Finds the largest vertex w after which the prefixes coincide and
-    before which they differ, then compares the edges entering w in the
-    framing's in-order at w.
+
+def _coherent(p, q):
+    """Coherence of two route profiles, in one backward pass.
+
+    Over the shared inner vertices, last first, the out-comparison is set
+    where the two routes leave by different edges, and inherited where they
+    leave by one edge, from that edge's head (0 into n).  The routes are
+    incoherent when they enter some shared vertex by different edges in the
+    order opposite to the out-comparison there.  A shared vertex entered by
+    one edge needs no test: both comparisons there equal those at that
+    edge's tail, or the in-comparison is 0 if the tail is vertex 1.
     """
-    for path in (p, q):
-        if not path or g.edges[path[-1]][1] != v:
-            raise ContractError(f"prefix {path} does not end at vertex {v}")
-    if p == q:
-        return 0
-    k = 0
-    while k < len(p) and k < len(q) and p[-1 - k] == q[-1 - k]:
-        k += 1
-    if k == len(p) or k == len(q):
-        raise ContractError("one prefix is a strict suffix of the other")
-    ep, eq = p[-1 - k], q[-1 - k]
-    w = g.edges[ep][1]
-    if g.edges[eq][1] != w:
-        raise ContractError("prefixes do not merge at a single vertex")
-    order = framing.in_orders[w]
-    return -1 if order.index(ep) < order.index(eq) else 1
-
-
-def compare_outof(g, framing, v, p, q):
-    """Compare two route-suffixes starting at v; -1, 0 or 1."""
-    for path in (p, q):
-        if not path or g.edges[path[0]][0] != v:
-            raise ContractError(f"suffix {path} does not start at vertex {v}")
-    if p == q:
-        return 0
-    k = 0
-    while k < len(p) and k < len(q) and p[k] == q[k]:
-        k += 1
-    if k == len(p) or k == len(q):
-        raise ContractError("one suffix is a strict prefix of the other")
-    ep, eq = p[k], q[k]
-    w = g.edges[ep][0]
-    if g.edges[eq][0] != w:
-        raise ContractError("suffixes do not branch at a single vertex")
-    order = framing.out_orders[w]
-    return -1 if order.index(ep) < order.index(eq) else 1
+    c = 0
+    for v in reversed(p):
+        if v in q:
+            (p_in, p_out), (q_in, q_out) = p[v], q[v]
+            if p_out != q_out:
+                c = 1 if p_out > q_out else -1
+            if (p_in - q_in) * c < 0:
+                return False
+    return True
 
 
 def coherent(g, framing, p, q):
     """True iff routes p and q are coherent at every common inner vertex."""
-    vp = route_vertices(g, p)
-    vq = route_vertices(g, q)
-    common = set(vp[1:-1]) & set(vq[1:-1])
-    for v in common:
-        ip, iq = vp.index(v), vq.index(v)
-        cmp_in = compare_into(g, framing, v, p[:ip], q[:iq])
-        cmp_out = compare_outof(g, framing, v, p[ip:], q[iq:])
-        if cmp_in * cmp_out < 0:
-            return False
-    return True
+    return _coherent(_passes(g, framing, p), _passes(g, framing, q))
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,9 @@ from math import comb
 from .errors import ContractError, InputError, InternalCheckError
 from .graphs import (
     Framing,
+    _coherent,
     _framing_to_json,
-    coherent,
+    _passes,
     enumerate_routes,
     require_pruned,
     route_flow_vector,
@@ -292,10 +293,11 @@ def dkk_maximal_cliques(g, framing):
     _validate_framed(g, framing)
     routes = enumerate_routes(g)
     k = len(routes)
+    profiles = [_passes(g, framing, r) for r in routes]
     adj = [0] * k  # indexed by bit
     for a in range(k):
         for b in range(a + 1, k):
-            if coherent(g, framing, routes[a], routes[b]):
+            if _coherent(profiles[a], profiles[b]):
                 adj[k - 1 - a] |= 1 << (k - 1 - b)
                 adj[k - 1 - b] |= 1 << (k - 1 - a)
     cliques = []
@@ -326,6 +328,7 @@ def dkk_maximal_cliques(g, framing):
         expand(0, (1 << k) - 1, 0)
     else:  # no routes: the empty set is the one maximal clique
         cliques.append(0)
+    del expand  # breaks its self-reference, so the walk's state is freed on return
     expected = g.edge_count - g.n + 2
     for c in cliques:
         if c.bit_count() != expected:

@@ -110,6 +110,14 @@ def test_verify_asm_family_single_n(runner):
     assert result.exit_code == 0
 
 
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_verify_asm_family_nonpositive_n_exits_2(runner, n):
+    result = runner.invoke(main, ["verify", "asm-family", "--n", n])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "Traceback" not in result.output
+
+
 def test_verify_vertex_bijections(runner):
     result = runner.invoke(main, ["verify", "vertex-bij"])
     assert result.exit_code == 0

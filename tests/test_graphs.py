@@ -7,8 +7,6 @@ from flowpoly.graphs import (
     Framing,
     all_framings,
     coherent,
-    compare_into,
-    compare_outof,
     complete_graph,
     enumerate_routes,
     graph_from_json,
@@ -117,24 +115,13 @@ def test_random_framing_is_valid(seed):
     Framing.validate(g, random_framing(g, seed))
 
 
-def test_compare_into_orders_prefixes():
-    g = complete_graph(4)
-    fr = id_order_framing(g)
-    routes = enumerate_routes(g)
-    # two routes through vertex 3: 1-2-3-4 and 1-3-4
-    r1 = next(r for r in routes if route_vertices(g, r) == (1, 2, 3, 4))
-    r2 = next(r for r in routes if route_vertices(g, r) == (1, 3, 4))
-    cmp = compare_into(g, fr, 3, r1[:2], r2[:1])
-    assert cmp == -compare_into(g, fr, 3, r2[:1], r1[:2])
-    assert compare_into(g, fr, 3, r1[:2], r1[:2]) == 0
-    assert compare_outof(g, fr, 3, r1[2:], r2[1:]) == 0
-
-
-def test_compare_rejects_nested_prefixes():
+def test_coherent_rejects_a_non_path_route():
     g = DirectedMultigraph(3, ((1, 2), (2, 3), (1, 3)))
     fr = id_order_framing(g)
-    with pytest.raises(ContractError):
-        compare_outof(g, fr, 1, (0, 1), (0,))
+    with pytest.raises(ContractError, match="is not a path"):
+        coherent(g, fr, (1, 0), (0, 1))
+    with pytest.raises(ContractError, match="is not a path"):
+        coherent(g, fr, (0, 1), (0, 2))
 
 
 def test_coherence_is_symmetric():

@@ -1,3 +1,4 @@
+import gc
 from collections import Counter
 from itertools import combinations
 from math import comb, factorial
@@ -6,8 +7,9 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from flowpoly import triangulations
+from flowpoly.asm import enumerate_asm
 from flowpoly.errors import ContractError, InputError, InternalCheckError
-from flowpoly.fixtures import TRIANGLE, planar_fixtures, wedge_framing, wedge_graph
+from flowpoly.fixtures import TRIANGLE, graph_fixtures, planar_fixtures, wedge_framing, wedge_graph
 from flowpoly.graphs import (
     DirectedMultigraph,
     Framing,
@@ -19,6 +21,7 @@ from flowpoly.graphs import (
     parallel_edges,
     random_framing,
     route_flow_vector,
+    route_vertices,
 )
 from flowpoly.kostant import enumerate_integer_flows, flow_polytope_volume, indegree_shift_netflow
 from flowpoly.planar import poset_to_flow_graph
@@ -175,7 +178,9 @@ def test_dkk_rejects_cliques_of_mixed_sizes(monkeypatch):
     g = complete_graph(5)
     r = enumerate_routes(g)
     missing = {frozenset((r[0], r[1])), frozenset((r[0], r[2]))}
-    monkeypatch.setattr(triangulations, "coherent", lambda g, fr, p, q: {p, q} not in missing)
+    # profile each route as itself, so the patched kernel sees the routes
+    monkeypatch.setattr(triangulations, "_passes", lambda g, fr, route: route)
+    monkeypatch.setattr(triangulations, "_coherent", lambda p, q: {p, q} not in missing)
     with pytest.raises(InternalCheckError, match="clique of size 6, expected 7"):
         dkk_maximal_cliques(g, id_order_framing(g))
 
@@ -240,6 +245,78 @@ def test_reduction_agrees_with_volume_cliques_and_flows(graph_and_framing):
     for leaf in leaves:
         assert flow_to_clique(g, fr, leaf.flow) == leaf.routes
         assert clique_to_flow(g, fr, leaf.routes) == leaf.flow
+
+
+def _coherent_at_merge_vertices(g, fr, p, q):
+    """Coherence as first defined: at each common inner vertex v, compare the
+    last differing edges of the two prefixes into v in the in-order of the
+    vertex they enter, and the first differing edges of the two suffixes
+    out of v in the out-order of the vertex they leave."""
+    vp, vq = route_vertices(g, p), route_vertices(g, q)
+
+    def compare(a, b, orders, end):
+        if a == b:
+            return 0
+        k = 0
+        while a[k] == b[k]:
+            k += 1
+        order = orders[g.edges[a[k]][end]]
+        return -1 if order.index(a[k]) < order.index(b[k]) else 1
+
+    for v in set(vp[1:-1]) & set(vq[1:-1]):
+        i, j = vp.index(v), vq.index(v)
+        c_in = compare(p[:i][::-1], q[:j][::-1], fr.in_orders, 1)
+        c_out = compare(p[i:], q[j:], fr.out_orders, 0)
+        if c_in * c_out < 0:
+            return False
+    return True
+
+
+def _coherence_cases():
+    for n in (3, 4, 5):
+        yield from ((complete_graph(n), fr) for fr in all_framings(complete_graph(n)))
+    for n in (6, 7):
+        g = complete_graph(n)
+        yield g, id_order_framing(g)
+        yield from ((g, random_framing(g, seed)) for seed in range(6))
+    for g in graph_fixtures().values():
+        yield from ((g, random_framing(g, seed)) for seed in (1, 2, 3))
+    yield from ((pg.graph, pg.framing) for pg in planar_fixtures().values())
+
+
+def _check_coherence_on_all_pairs(g, fr):
+    routes = enumerate_routes(g)
+    for p in routes:
+        for q in routes:
+            assert coherent(g, fr, p, q) == _coherent_at_merge_vertices(g, fr, p, q)
+    return len(routes) ** 2
+
+
+def test_coherent_matches_merge_vertex_definition():
+    assert sum(_check_coherence_on_all_pairs(g, fr) for g, fr in _coherence_cases()) == 23478
+
+
+@seed(0xC0E)
+@settings(max_examples=60, deadline=2000)
+@given(framed_graphs())
+def test_coherent_matches_merge_vertex_definition_on_generated_graphs(graph_and_framing):
+    _check_coherence_on_all_pairs(*graph_and_framing)
+
+
+def test_walks_free_their_state_on_return():
+    # a recursive closure that kept its self-reference would leave a cycle
+    # for the garbage collector on every call
+    g = complete_graph(6)
+    fr = id_order_framing(g)
+    gc.collect()
+    gc.disable()
+    try:
+        dkk_maximal_cliques(g, fr)
+        ps_triangulation(g, fr)
+        enumerate_asm(4)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _k6_leaves():
