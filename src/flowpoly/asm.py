@@ -172,36 +172,47 @@ def corner_sum_map(n, lam, m):
 def asm_dilation_count(n, lam, t):
     """Integer matrices in t * P_lambda(n), by a cell-by-cell transfer DP.
 
-    One dict maps (column partial sums, row partial sum) to a count and
-    advances one free cell at a time, in row-major order; forced-zero cells
-    change no sum and are skipped.  At the end of a row only states whose
-    row sum is t survive, and a column whose last free cell was in that row
-    must be at t.  The answer is the count of the all-t state.
+    One dict maps a state to a count and advances one free cell at a time,
+    in row-major order; forced-zero cells change no sum and are skipped.
+    The state is one int in base B = t + 2: digit j holds column j's
+    partial sum and digit n the row's partial sum.  The entry range keeps
+    every partial sum in [0, t], so no digit carries; an entry a adds
+    a * (B^j + B^n).  At the end of a row only states whose row sum is t
+    survive, and a column whose last free cell was in that row must be at
+    t.  The answer is the count of the all-t state.
     """
     if t < 0:
         raise InputError("dilation factor must be nonnegative")
     if n < 1:
         raise InputError("matrix size must be positive")
+    if int(n) != n or int(t) != t:
+        raise InputError("matrix size and dilation factor must be integers")
+    n, t = int(n), int(t)
     free, done = _free_cells(n, zero_pattern(n, lam))
-    states = {(0,) * n: 1}
+    base = t + 2
+    place = [base**j for j in range(n + 1)]
+    row = place[n]
+    states = {0: 1}
     for i in range(1, n + 1):
-        # the row partial sum rides as the last entry of the key
-        states = {cols + (0,): k for cols, k in states.items()}
         for j in free[i]:
+            col, step = place[j], place[j] + row
             advanced = {}
+            get = advanced.get
             for key, k in states.items():
-                c, r = key[j], key[-1]
-                head, mid = key[:j], key[j + 1 : -1]
-                for a in range(max(-r, -c), t - max(r, c) + 1):
-                    nxt = head + (c + a,) + mid + (r + a,)
-                    advanced[nxt] = advanced.get(nxt, 0) + k
+                c, r = key // col % base, key // row
+                # min and max of (c, r), without two builtin calls per state
+                low, high = (c, r) if c < r else (r, c)
+                for nxt in range(key - low * step, key + (t - high) * step + 1, step):
+                    advanced[nxt] = get(nxt, 0) + k
             states = advanced
+        # drop the row sum, which must be t, to start the next row at 0
+        full = t * row
         states = {
-            key[:-1]: k
+            key - full: k
             for key, k in states.items()
-            if key[-1] == t and all(key[j] == t for j in done[i])
+            if key // row == t and all(key // place[j] % base == t for j in done[i])
         }
-    return states.get((t,) * n, 0)
+    return states.get(t * sum(place[:n]), 0)
 
 
 def proctor_ehrhart(n, t):
@@ -235,7 +246,7 @@ def dyck_path_count(n, max_height=None):
         return walk(steps - 1, h + 1) + walk(steps - 1, h - 1)
 
     result = walk(2 * n, 0)
-    walk.cache_clear()
+    del walk  # breaks its self-reference, so the cache is freed on return
     return result
 
 

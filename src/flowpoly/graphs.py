@@ -298,7 +298,7 @@ def graph_from_json(data):
     """Parse the graph JSON schema; absent framing defaults to id-order."""
     try:
         g = DirectedMultigraph(int(data["n"]), tuple(tuple(e) for e in data["edges"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise InputError(f"malformed graph JSON: {exc}") from exc
     block = data.get("framing")
     if block is None:

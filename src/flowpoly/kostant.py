@@ -2,15 +2,16 @@
 
 All arithmetic is exact (python ints / fractions).  The vector-partition
 count K_G(a) is implemented twice: by explicit backtracking enumeration and
-by a forward transfer DP over the vertices, whose state is the inflows still
-owed to later vertices; tests assert the two agree.
+by a forward transfer DP over the vertices, whose state is the supply still
+to place and the inflows still owed to later vertices, packed into one int
+as digits in base S + 2, S the sum of the positive netflow entries, which
+bounds every digit; tests assert the two agree.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 
 from .errors import ContractError, InputError
 from .graphs import require_pruned
@@ -34,6 +35,8 @@ def _check_netflow(g, netflow):
         raise InputError("netflow vector length must equal the vertex count")
     if sum(netflow) != 0:
         raise InputError("netflow entries must sum to zero")
+    if any(int(a) != a for a in netflow):
+        raise InputError("netflow entries must be integers")
     return tuple(int(a) for a in netflow)
 
 
@@ -70,6 +73,7 @@ def enumerate_integer_flows(g, netflow):
             assignment.pop(e, None)
 
     walk(1)
+    del walk  # breaks its self-reference, so the walk's state is freed on return
     flows.sort(key=lambda fl: tuple(fl.get(e, 0) for e in range(len(g.edges))))
     return flows
 
@@ -77,35 +81,48 @@ def enumerate_integer_flows(g, netflow):
 def kostant_value(g, netflow):
     """K_G(netflow): number of nonnegative integer flows, by a transfer DP.
 
-    One dict maps (inflows of the vertices after v, supply of v still to
-    place) to a count.  Vertex v's out-edges are grouped by head; each group
-    of k parallel edges takes a share a of the supply in C(a+k-1, k-1) ways,
-    and the last group takes the remainder.  Vertex n's inflow is not kept:
-    with a balanced netflow it is fixed by the others.
+    One dict maps a state to a count and advances one vertex at a time.  At
+    vertex v the state is one int in base B = S + 2, S the sum of the
+    positive netflow entries: digit 0 holds v's supply still to place and
+    digit h - v the inflow owed to a later vertex h < n.  Those digits add
+    up to a partial sum of the netflow, so each lies in [0, S] and none
+    carries.  Vertex v's out-edges take shares of the supply one edge at a
+    time, parallel edges included, and the last edge takes the remainder.
+    A share a on an edge into h < n adds a * (B^(h-v) - 1), a step that
+    B >= 2 keeps nonzero also at S = 0, where B = S + 1 would not; one into
+    n subtracts a, since vertex n's inflow is not kept: with a balanced
+    netflow it is fixed by the others.  Moving on to vertex v + 1 divides
+    the state by B.
     """
     netflow = _check_netflow(g, netflow)
-    # inflows of vertices v..n-1, before vertex v is processed
-    states = {(0,) * (g.n - 1): 1}
-    for v in range(1, g.n):
-        groups = sorted(Counter(g.edges[e][1] for e in g.out_edge_ids(v)).items())
-        # supply fixes key[0], so no two keys meet at one (key[1:], supply)
+    n = g.n
+    base = sum(a for a in netflow if a > 0) + 2
+    place = [base**d for d in range(n)]
+    states = {0: 1}
+    for v in range(1, n):
+        heads = sorted(g.edges[e][1] for e in g.out_edge_ids(v))
+        net = netflow[v - 1]
+        # digit 0 holds the inflow owed to v; adding v's netflow makes it
+        # the supply, which must be 0 where v has no out-edge
         states = {
-            (key[1:], supply): k
+            key + net: k
             for key, k in states.items()
-            if (supply := netflow[v - 1] + key[0]) == 0 or (supply > 0 and groups)
+            if (supply := net + key % base) == 0 or (supply > 0 and heads)
         }
-        for idx, (h, mult) in enumerate(groups):
-            pos, last, stored = h - v - 1, idx == len(groups) - 1, h < g.n
+        for idx, h in enumerate(heads):
+            step = (place[h - v] if h < n else 0) - 1
             advanced = {}
-            for (inflows, supply), k in states.items():
-                for a in (supply,) if last else range(supply + 1):
-                    if stored:
-                        nxt = (inflows[:pos] + (inflows[pos] + a,) + inflows[pos + 1 :], supply - a)
-                    else:
-                        nxt = (inflows, supply - a)
-                    advanced[nxt] = advanced.get(nxt, 0) + k * comb(a + mult - 1, mult - 1)
+            get = advanced.get
+            if idx == len(heads) - 1:
+                for key, k in states.items():
+                    nxt = key + key % base * step
+                    advanced[nxt] = get(nxt, 0) + k
+            else:
+                for key, k in states.items():
+                    for nxt in range(key, key + (key % base + 1) * step, step):
+                        advanced[nxt] = get(nxt, 0) + k
             states = advanced
-        states = {inflows: k for (inflows, _), k in states.items()}
+        states = {key // base: k for key, k in states.items()}
     return sum(states.values())
 
 

@@ -152,6 +152,7 @@ def linear_extensions(p):
             prefix.pop()
 
     walk(0)
+    del walk  # breaks its self-reference, so the walk's state is freed on return
     return out
 
 
@@ -280,6 +281,8 @@ def zigzag(k):
 
 
 def validate_staircase_partition(n, lam):
+    if any(int(x) != x for x in lam):
+        raise InputError("partition parts must be integers")
     lam = tuple(int(x) for x in lam if int(x) != 0)
     if any(x < 0 for x in lam):
         raise InputError("partition parts must be nonnegative")
@@ -355,6 +358,7 @@ def all_staircase_partitions(n):
             extend(prefix + [part], row + 1)
 
     extend([], 1)
+    del extend  # breaks its self-reference, so the walk's state is freed on return
     return results
 
 

@@ -146,6 +146,13 @@ def test_dilation_count_matches_plain_enumeration(n):
             assert asm_dilation_count(n, lam, t) == len(_dilated_matrices(n, lam, t))
 
 
+@pytest.mark.parametrize("n", [5, 6])
+def test_dilation_count_at_zero_matches_plain_enumeration(n):
+    # t = 0 is the smallest radix of the packed state
+    for lam in all_staircase_partitions(n):
+        assert asm_dilation_count(n, lam, 0) == len(_dilated_matrices(n, lam, 0)) == 1
+
+
 def test_dilation_count_at_one_counts_vertices():
     for n in range(1, 6):
         for lam in all_staircase_partitions(n):
@@ -158,6 +165,16 @@ def test_dilation_count_rejects_bad_sizes(n):
         asm_dilation_count(n, (), 1)
     with pytest.raises(InputError, match="^matrix size must be positive$"):
         enumerate_asm(n)
+
+
+def test_dilation_count_rejects_non_integral_input():
+    with pytest.raises(InputError, match="integers"):
+        asm_dilation_count(3, (), 1.5)
+    with pytest.raises(InputError, match="integers"):
+        asm_dilation_count(2.5, (), 1)
+    with pytest.raises(InputError, match="integers"):
+        asm_dilation_count(3, (1.5,), 1)
+    assert asm_dilation_count(3.0, (), 2.0) == asm_dilation_count(3, (), 2)
 
 
 def test_proctor_product():

@@ -2,6 +2,7 @@ import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, seed, settings, strategies as st
 
 from flowpoly.cli import main
 from flowpoly.fixtures import planar_fixtures
@@ -133,9 +134,15 @@ def test_malformed_graph_file_exits_2(runner, tmp_path):
     bad.write_text("{not json")
     result = runner.invoke(main, ["graph", "volume", str(bad)])
     assert result.exit_code == 2
-    bad.write_text(json.dumps({"edges": [[1, 2]]}))
-    result = runner.invoke(main, ["graph", "volume", str(bad)])
-    assert result.exit_code == 2
+    for data in (
+        {"edges": [[1, 2]]},
+        {"n": float("-inf"), "edges": []},
+        {"n": 3, "edges": [[1, 2], [2, float("inf")]]},
+    ):
+        bad.write_text(json.dumps(data))
+        result = runner.invoke(main, ["graph", "volume", str(bad)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)  # no traceback
 
 
 def test_degenerate_graph_exits_2(runner, tmp_path):
@@ -280,3 +287,29 @@ def test_zigzag_poset_roundtrips_through_cli(runner, tmp_path):
     path.write_text(json.dumps(poset_to_json(*zigzag(5))))
     result = runner.invoke(main, ["poset", "stats", str(path)])
     assert json.loads(result.output)["linear_extensions"] == 16
+
+
+JSON_KEYS = st.sampled_from(
+    ("n", "edges", "framing", "in", "out", "2")
+    + ("elements", "covers", "embedding", "up", "down", "__bottom__", "__top__")
+) | st.text(max_size=2)
+JSON_VALUES = st.recursive(
+    # json.load also reads NaN and Infinity, so floats() may draw them
+    st.none() | st.booleans() | st.integers(-2, 6) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(JSON_KEYS, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@seed(0x150)
+@settings(max_examples=60, deadline=2000)
+@given(JSON_VALUES)
+def test_loaders_exit_0_or_2_on_any_json(data):
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        with open("in.json", "w") as fh:
+            json.dump(data, fh)
+        for command in (["graph", "routes"], ["poset", "stats"]):
+            result = runner.invoke(main, command + ["in.json"])
+            assert result.exit_code in (0, 2), result.output
+            assert result.exception is None or isinstance(result.exception, SystemExit)

@@ -46,6 +46,17 @@ def test_netflow_must_balance():
         kostant_value(g, (1, 0, -1))
 
 
+def test_non_integral_netflow_is_rejected():
+    g = complete_graph(4)
+    with pytest.raises(InputError, match="integers"):
+        kostant_value(g, (0.5, 0, 0, -0.5))
+    with pytest.raises(InputError, match="integers"):
+        kostant_value(g, (Fraction(3, 2), Fraction(-1, 2), 0, -1))
+    with pytest.raises(InputError, match="integers"):
+        flow_ehrhart_value(g, 1.5)
+    assert kostant_value(g, (2.0, 0, 0, -2.0)) == kostant_value(g, (2, 0, 0, -2))
+
+
 def test_dp_agrees_with_bruteforce_enumeration():
     cases = [
         (complete_graph(4), (2, 0, 0, -2)),
@@ -56,6 +67,13 @@ def test_dp_agrees_with_bruteforce_enumeration():
         # vertex 2 has no out-edges, so it can take no inflow
         (DirectedMultigraph(3, ((1, 2), (1, 3))), (2, 0, -2)),
         (DirectedMultigraph(3, ((1, 2), (1, 3))), (1, 1, -2)),
+        # the packed state's boundaries: an all-zero netflow, a negative
+        # first entry, an inflow reaching S (the sum of the positive
+        # entries) exactly, and parallel edges into vertex n
+        (complete_graph(5), (0, 0, 0, 0, 0)),
+        (complete_graph(4), (-1, 2, 0, -1)),
+        (DirectedMultigraph(4, ((1, 2), (1, 2), (2, 3), (2, 3), (3, 4), (3, 4))), (2, 1, 0, -3)),
+        (DirectedMultigraph(3, ((1, 2), (1, 3), (1, 3), (2, 3), (2, 3))), (2, 1, -3)),
     ]
     for g, nf in cases:
         assert kostant_value(g, nf) == len(enumerate_integer_flows(g, nf))

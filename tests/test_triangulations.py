@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from flowpoly import triangulations
-from flowpoly.asm import enumerate_asm
+from flowpoly.asm import dyck_path_count, enumerate_asm
 from flowpoly.errors import ContractError, InputError, InternalCheckError
 from flowpoly.fixtures import TRIANGLE, graph_fixtures, planar_fixtures, wedge_framing, wedge_graph
 from flowpoly.graphs import (
@@ -25,7 +25,15 @@ from flowpoly.graphs import (
 )
 from flowpoly.kostant import enumerate_integer_flows, flow_polytope_volume, indegree_shift_netflow
 from flowpoly.planar import poset_to_flow_graph
-from flowpoly.posets import antichain, chain, linear_extensions, skew_star, staircase_star, zigzag
+from flowpoly.posets import (
+    all_staircase_partitions,
+    antichain,
+    chain,
+    linear_extensions,
+    skew_star,
+    staircase_star,
+    zigzag,
+)
 from flowpoly.triangulations import (
     NoncrossingTree,
     canonical_triangulation,
@@ -308,12 +316,17 @@ def test_walks_free_their_state_on_return():
     # for the garbage collector on every call
     g = complete_graph(6)
     fr = id_order_framing(g)
+    p4, _ = staircase_star(4)
     gc.collect()
     gc.disable()
     try:
         dkk_maximal_cliques(g, fr)
         ps_triangulation(g, fr)
         enumerate_asm(4)
+        linear_extensions(p4)
+        enumerate_integer_flows(g, indegree_shift_netflow(g))
+        all_staircase_partitions(5)
+        dyck_path_count(5)
         assert gc.collect() == 0
     finally:
         gc.enable()
