@@ -46,7 +46,6 @@ from .posets import (
 from .planar import (
     BOTTOM,
     TOP,
-    DualPoset,
     PlanarGraphData,
     arc_diagram,
     dual_poset,

@@ -219,6 +219,9 @@ def proctor_ehrhart(n, t):
     """prod_{1<=i<j<=n} (2t+i+j-1)/(i+j-1), asserted to be an integer."""
     if t < 0:
         raise InputError("dilation factor must be nonnegative")
+    if int(n) != n or int(t) != t:
+        raise InputError("matrix size and dilation factor must be integers")
+    n, t = int(n), int(t)
     value = Fraction(1)
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):

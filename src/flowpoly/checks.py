@@ -41,13 +41,13 @@ from .triangulations import (
 
 def transported_canonical_triangulation(pg):
     """Canonical simplices of O(P_G) in flow coordinates; each vertex mapped once."""
-    dp = dual_poset(pg)
+    poset = dual_poset(pg)
     points = {}
     simplices = []
-    for simp in canonical_triangulation(dp.poset):
+    for simp in canonical_triangulation(poset):
         for v in simp.vertices:
             if v not in points:
-                points[v] = order_to_flow_point(pg, dict(zip(dp.poset.elements, v)))
+                points[v] = order_to_flow_point(pg, dict(zip(poset.elements, v)))
         simplices.append(tuple(points[v] for v in simp.vertices))
     return simplices
 
@@ -104,8 +104,8 @@ def verify_bij_linext():
     """linext_to_clique bijects extensions of P_G with maximal cliques."""
     results = []
     for name, pg in fixtures.planar_fixtures().items():
-        dp = dual_poset(pg)
-        exts = linear_extensions(dp.poset)
+        poset = dual_poset(pg)
+        exts = linear_extensions(poset)
         image = [linext_to_clique(pg, ext) for ext in exts]
         cliques = dkk_maximal_cliques(pg.graph, pg.framing)
         ok = len(set(image)) == len(exts) and sorted(image) == sorted(cliques)
@@ -145,7 +145,7 @@ def verify_maps_roundtrip(t_values=(1, 2)):
     results = []
     for name, pg in fixtures.planar_fixtures().items():
         g = pg.graph
-        dp = dual_poset(pg)
+        poset = dual_poset(pg)
         ok = True
         detail_counts = []
         for t in t_values:
@@ -162,14 +162,12 @@ def verify_maps_roundtrip(t_values=(1, 2)):
                 if any(not 0 <= v <= t or v != int(v) for v in f.values()):
                     ok = False
                     break
-                if any(
-                    f[a] > f[b] for a, b in dp.poset.covers
-                ):
+                if any(f[a] > f[b] for a, b in poset.covers):
                     ok = False
                     break
                 images.add(tuple(sorted((r, v) for r, v in f.items())))
             # images must exhaust the order-preserving maps P_G -> {0..t}
-            expected = order_polynomial(dp.poset, t + 1)
+            expected = order_polynomial(poset, t + 1)
             if len(images) != len(vectors) or len(vectors) != expected:
                 ok = False
             detail_counts.append(len(vectors))
@@ -200,7 +198,7 @@ def verify_vertex_bijections():
     results = []
     for name, pg in fixtures.planar_fixtures().items():
         g = pg.graph
-        dp = dual_poset(pg)
+        poset = dual_poset(pg)
         routes = enumerate_routes(g)
         points = set()
         ok = True
@@ -208,8 +206,8 @@ def verify_vertex_bijections():
             f = flow_to_order_point(pg, route_flow_vector(g, r))
             if any(v not in (0, 1) for v in f.values()):
                 ok = False
-            points.add(tuple(int(f[x]) for x in dp.poset.elements))
-        ok = ok and len(points) == len(routes) == len(order_ideals(dp.poset))
+            points.add(tuple(int(f[x]) for x in poset.elements))
+        ok = ok and len(points) == len(routes) == len(order_ideals(poset))
         results.append((name, ok, f"{len(routes)} vertices"))
     return results
 

@@ -17,8 +17,9 @@ from .errors import ContractError, FlowpolyError, InputError
 from .geometry import lattice_basis, triangulation_checks
 from .graphs import (
     enumerate_routes,
-    graph_from_json,
+    framing_from_json,
     id_order_framing,
+    multigraph_from_json,
     require_pruned,
     route_flow_vector,
     route_vertices,
@@ -42,13 +43,17 @@ from .triangulations import (
 
 
 def _load_graph(data):
-    """Parse a graph file; a graph with dead inner vertices is bad input here."""
-    g, framing = graph_from_json(data)
+    """Parse a graph file; a graph with dead inner vertices is bad input here.
+
+    It is rejected before the framing, which lists every inner vertex, is
+    read or built, so the vertex count alone cannot make loading slow.
+    """
+    g = multigraph_from_json(data)
     try:
         require_pruned(g)
     except ContractError as exc:
         raise InputError(str(exc)) from exc
-    return g, framing
+    return g, framing_from_json(g, data.get("framing"))
 
 
 def _load_json(path):

@@ -29,7 +29,12 @@ class DirectedMultigraph:
     edges: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "edges", tuple((int(t), int(h)) for t, h in self.edges))
+        given = tuple((t, h) for t, h in self.edges)
+        edges = tuple((int(t), int(h)) for t, h in given)
+        if edges != given or int(self.n) != self.n:
+            raise InputError("vertex count and edge endpoints must be integers")
+        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "edges", edges)
         if self.n < 1:
             raise InputError("vertex count must be positive")
         for eid, (tail, head) in enumerate(self.edges):
@@ -37,12 +42,12 @@ class DirectedMultigraph:
                 raise InputError(
                     f"edge {eid} = ({tail},{head}) is not forward-directed inside [1,{self.n}]"
                 )
-        # adjacency, built once; not a field, so eq, hash and repr ignore it
-        ins = {v: [] for v in range(1, self.n + 1)}
-        outs = {v: [] for v in range(1, self.n + 1)}
+        # adjacency of the vertices that have edges, built once; not a field,
+        # so eq, hash and repr ignore it
+        ins, outs = {}, {}
         for eid, (tail, head) in enumerate(self.edges):
-            outs[tail].append(eid)
-            ins[head].append(eid)
+            outs.setdefault(tail, []).append(eid)
+            ins.setdefault(head, []).append(eid)
         object.__setattr__(self, "_in", {v: tuple(es) for v, es in ins.items()})
         object.__setattr__(self, "_out", {v: tuple(es) for v, es in outs.items()})
 
@@ -183,12 +188,18 @@ def prune_inner_vertices(g):
 
 def require_pruned(g):
     """Raise ContractError unless g has two or more vertices and every inner
-    vertex has in- and out-edges."""
+    vertex has in- and out-edges.
+
+    The walk stops at the first inner vertex without them, so it takes at
+    most one step per edge whatever the vertex count.
+    """
     if g.n < 2:
         raise ContractError("flow polytopes need at least two vertices")
-    for v in g.inner_vertices():
-        if not g.in_edge_ids(v) or not g.out_edge_ids(v):
-            raise ContractError(f"graph is not pruned: vertex {v} lacks in- or out-edges")
+    v = 2
+    while v < g.n and g.in_edge_ids(v) and g.out_edge_ids(v):
+        v += 1
+    if v < g.n:
+        raise ContractError(f"graph is not pruned: vertex {v} lacks in- or out-edges")
     return g
 
 
@@ -296,21 +307,30 @@ def graph_to_json(g, framing=None):
 
 def graph_from_json(data):
     """Parse the graph JSON schema; absent framing defaults to id-order."""
+    g = multigraph_from_json(data)
+    return g, framing_from_json(g, data.get("framing"))
+
+
+def multigraph_from_json(data):
+    """The graph of a graph JSON object, without its framing."""
     try:
-        g = DirectedMultigraph(int(data["n"]), tuple(tuple(e) for e in data["edges"]))
+        return DirectedMultigraph(data["n"], tuple(tuple(e) for e in data["edges"]))
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise InputError(f"malformed graph JSON: {exc}") from exc
-    block = data.get("framing")
+
+
+def framing_from_json(g, block):
+    """The framing of g read from a framing JSON block; None means id-order."""
     if block is None:
-        return g, id_order_framing(g)
+        return id_order_framing(g)
     in_orders, out_orders = {}, {}
     try:
         for key, spec in block.items():
             v = int(key)
-            if v not in g.inner_vertices():
+            if not 1 < v < g.n:
                 raise InputError(f"framing names vertex {v}, which is not an inner vertex")
             in_orders[v] = tuple(spec["in"])
             out_orders[v] = tuple(spec["out"])
-        return g, Framing.validate(g, Framing(in_orders, out_orders))
+        return Framing.validate(g, Framing(in_orders, out_orders))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed framing JSON: {exc}") from exc

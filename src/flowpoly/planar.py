@@ -8,18 +8,23 @@ is the counterclockwise predecessor of its reverse at the head vertex, so
 every face is traced counterclockwise with its interior on the left.
 
 The bounded regions of a drawing, ordered "lower to higher" across each
-arc, form a poset; conversely a poset with an upward-planar Hasse drawing
-yields a flow graph as the truncated dual of the augmented Hasse diagram.
+arc, form a poset, whose covers dual_poset reads straight off the edge
+sides.  Conversely a poset with an upward-planar Hasse drawing (by default
+posets.default_embedding) yields a flow graph as the truncated dual of the
+augmented Hasse diagram; its faces are numbered source to sink by a
+topological sort that takes the ready face with the least sorted darts
+first.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ContractError, InputError, InternalCheckError, NotPlanarError
 from .graphs import DirectedMultigraph, Framing, require_pruned
-from .posets import HasseEmbedding, Poset
+from .posets import Poset, default_embedding
 
 BOTTOM = "BOTTOM"
 TOP = "TOP"
@@ -66,7 +71,8 @@ def _trace_faces(rotations):
     """Orbit decomposition of darts under next = CCW-predecessor of reverse.
 
     rotations: vertex -> CCW-ordered list of darts (edge id, direction)
-    based at that vertex.  Returns the list of faces, each a tuple of darts.
+    based at that vertex.  Returns the list of faces, each a tuple of darts,
+    and the map from each dart to the index of its face.
     """
     at_vertex = {}
     position = {}
@@ -77,15 +83,15 @@ def _trace_faces(rotations):
             position[d] = (v, i)
         at_vertex[v] = darts
     faces = []
-    seen = set()
+    face_of = {}
     for start in position:
-        if start in seen:
+        if start in face_of:
             continue
         face = []
         d = start
         while True:
             face.append(d)
-            seen.add(d)
+            face_of[d] = len(faces)
             rev = (d[0], -d[1])
             if rev not in position:
                 raise InputError(f"rotation system lacks the reverse of dart {d}")
@@ -93,10 +99,10 @@ def _trace_faces(rotations):
             d = at_vertex[v][(i - 1) % len(at_vertex[v])]
             if d == start:
                 break
-            if d in seen:
+            if d in face_of:
                 raise InputError("face tracing failed to close; embedding inconsistent")
         faces.append(tuple(face))
-    return faces
+    return faces, face_of
 
 
 # ---------------------------------------------------------------------------
@@ -195,13 +201,9 @@ def arc_diagram(g, framing):
             darts.append((line[v - 1], _REV))
         rotations[v] = darts
 
-    faces = _trace_faces(rotations)
+    faces, face_of = _trace_faces(rotations)
     if len(faces) != m + 1:
         raise NotPlanarError("not planar in this arc order: face count mismatch")
-    face_of = {}
-    for i, face in enumerate(faces):
-        for d in face:
-            face_of[d] = i
     outer = face_of[(line[1], _REV)]
     if any(face_of[(line[a], _REV)] != outer for a in line):
         raise NotPlanarError("not planar in this arc order: line is not on the outer face")
@@ -240,29 +242,16 @@ def arc_diagram(g, framing):
 # truncated dual poset
 
 
-@dataclass
-class DualPoset:
-    poset: Poset
-    cover_edges: dict  # (lower label, upper label) -> tuple of separating edge ids
-
-
 def dual_poset(pg):
-    """Poset on the bounded regions, ordered lower-to-higher across arcs."""
-    relations = []
-    cover_edges = {}
-    for e, (below, above) in enumerate(pg.edge_sides):
-        cover_edges.setdefault((below, above), []).append(e)
-        if below not in (BOTTOM, TOP) and above not in (BOTTOM, TOP):
-            relations.append((below, above))
-    poset = Poset.from_relations(tuple(pg.regions), relations)
-    for (below, above) in cover_edges:
-        if below in (BOTTOM, TOP) or above in (BOTTOM, TOP):
-            continue
-        if (below, above) not in poset.covers:
-            raise InternalCheckError(
-                f"regions {below} < {above} are edge-adjacent but not a cover"
-            )
-    return DualPoset(poset, {k: tuple(v) for k, v in cover_edges.items()})
+    """Poset on the bounded regions: each edge between two of them is a
+    cover, lower to higher, listed in from_relations order."""
+    index = {r: i for i, r in enumerate(pg.regions)}
+    covers = {
+        (below, above)
+        for below, above in pg.edge_sides
+        if below not in (BOTTOM, TOP) and above not in (BOTTOM, TOP)
+    }
+    return Poset(tuple(pg.regions), sorted(covers, key=lambda c: (index[c[1]], index[c[0]])))
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +271,7 @@ def poset_to_flow_graph(p, emb=None):
     returned PlanarGraphData are exactly the elements of P.
     """
     if emb is None:
-        emb = _default_embedding(p)
+        emb = default_embedding(p)
     elements = p.elements
     if _BOT in elements or _TOPHAT in elements:
         raise InputError("poset uses a reserved internal label")
@@ -333,22 +322,18 @@ def poset_to_flow_graph(p, emb=None):
         [(left, _REV)] + [(e, _REV) for e in top_links] + [(right, _REV)]
     )
 
-    faces = _trace_faces(rotations)
+    faces, face_of = _trace_faces(rotations)
     expected_faces = (len(hasse) + 2) - (len(elements) + 2) + 2
     if len(faces) != expected_faces:
         raise InputError("embedding inconsistent: wrong face count for a planar drawing")
-    face_of = {}
-    for i, face in enumerate(faces):
-        for d in face:
-            face_of[d] = i
     outer = face_of[(left, _FWD)]
     source = face_of[(left, _REV)]
     sink = face_of[(right, _FWD)]
     if outer in (source, sink):
         raise InputError("embedding inconsistent: boundary faces collapse together")
 
-    # number the faces (except the outer one) by a deterministic topological
-    # sort of the west-to-east dual adjacency
+    # number the faces (except the outer one) by a topological sort of the
+    # west-to-east dual adjacency, the ready face with the least sorted darts first
     dual_arcs = []  # (west face, east face, hasse edge id)
     for eid in range(len(hasse)):
         west, east = face_of[(eid, _FWD)], face_of[(eid, _REV)]
@@ -357,23 +342,21 @@ def poset_to_flow_graph(p, emb=None):
         dual_arcs.append((west, east, eid))
 
     inner_faces = [i for i in range(len(faces)) if i != outer]
-    face_key = {i: tuple(sorted(faces[i])) for i in inner_faces}
-    indeg = {i: 0 for i in inner_faces}
+    indeg = dict.fromkeys(inner_faces, 0)
+    east_of = {i: [] for i in inner_faces}
     for west, east, _ in dual_arcs:
         indeg[east] += 1
+        east_of[west].append(east)
     number = {}
-    ready = sorted((i for i in inner_faces if indeg[i] == 0), key=face_key.get)
-    nxt = 1
+    ready = [(sorted(faces[i]), i) for i in inner_faces if indeg[i] == 0]
+    heapq.heapify(ready)
     while ready:
-        fce = ready.pop(0)
-        number[fce] = nxt
-        nxt += 1
-        for west, east, _ in dual_arcs:
-            if west == fce:
-                indeg[east] -= 1
-                if indeg[east] == 0:
-                    ready.append(east)
-        ready.sort(key=face_key.get)
+        _, fce = heapq.heappop(ready)
+        number[fce] = len(number) + 1
+        for east in east_of[fce]:
+            indeg[east] -= 1
+            if indeg[east] == 0:
+                heapq.heappush(ready, (sorted(faces[east]), east))
     if len(number) != len(inner_faces):
         raise InputError("embedding inconsistent: dual adjacency is cyclic")
     if number[source] != 1 or number[sink] != len(inner_faces):
@@ -396,10 +379,11 @@ def poset_to_flow_graph(p, emb=None):
     )
     dual_id = {eid: i for i, (_, _, eid) in enumerate(dual_arcs)}
 
-    regions = {}
-    for x in elements:
-        incident = [dual_id[eid] for eid, (a, b) in enumerate(hasse) if x in (a, b)]
-        regions[x] = tuple(sorted(incident))
+    regions = dict.fromkeys(elements, ())
+    for i, (_, _, eid) in enumerate(dual_arcs):
+        for x in hasse[eid]:
+            if x in regions:
+                regions[x] += (i,)
 
     # framing: each face's boundary cycle is one run of forward darts (its
     # east side, traversed bottom to top) and one run of reversed darts (its
@@ -430,23 +414,6 @@ def poset_to_flow_graph(p, emb=None):
     )
     Framing.validate(g, framing)
     return PlanarGraphData(g, regions, edge_sides, framing)
-
-
-def _default_embedding(p):
-    """Left-to-right cover orders by element position; fine for fixtures."""
-    index = {e: i for i, e in enumerate(p.elements)}
-    up = {
-        x: tuple(sorted(p.upper_covers(x), key=index.get)) for x in p.elements
-    }
-    down = {
-        x: tuple(sorted(p.lower_covers(x), key=index.get)) for x in p.elements
-    }
-    return HasseEmbedding(
-        up=up,
-        down=down,
-        bottom=tuple(sorted(p.minimal_elements(), key=index.get)),
-        top=tuple(sorted(p.maximal_elements(), key=index.get)),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,19 @@
 """Finite posets, linear extensions, order ideals and the staircase families.
 
-Ideals, e(P), linear extensions, the order polynomial and the canonical
-simplices read off one ideal-lattice kernel on int bitmasks, built once per
-call: e(P) is a forward DP over the ideal masks, the order polynomial
-repeated zeta transforms over them.
+A poset holds its order once, as int bitmasks (bit i is elements[i]): per
+element the mask of the elements strictly below it, closed by a Warshall
+pass when the poset is built.  The order queries, the cover checks and the
+cover extraction of from_relations read those masks, and so does one
+ideal-lattice kernel, built once per call, from which ideals, e(P), linear
+extensions, the order polynomial and the canonical simplices are read:
+e(P) is a forward DP over the ideal masks, the order polynomial repeated
+zeta transforms over them.
 
 Skew-staircase posets carry cell labels (i, j); their partial order is
-p_{ij} <= p_{i'j'} iff i >= i' and j <= j'.  Builders also return the
-canonical upward-planar embedding of the Hasse diagram, which the planar
-module turns into a flow graph.
+p_{ij} <= p_{i'j'} iff i >= i' and j <= j'.  Every builder returns its
+poset with default_embedding, the Hasse drawing whose left-to-right orders
+follow the element order; for the builders' posets it is upward planar,
+and the planar module turns it into a flow graph.
 """
 
 from __future__ import annotations
@@ -36,31 +41,25 @@ class Poset:
                 raise InputError(f"cover ({a},{b}) uses unknown elements")
             if a == b:
                 raise InputError("covers must relate distinct elements")
-        below = _transitive_below(self.elements, self.covers)
-        object.__setattr__(self, "_below", below)
+        index, below = _order_masks(self.elements, self.covers)
         for a, b in self.covers:
-            if a in below[a]:
+            i = index[a]
+            if below[i] >> i & 1:
                 raise InputError("cover relation contains a cycle")
             # irredundancy: no intermediate z with a < z < b
-            for z in below[b]:
-                if z != a and a in below[z]:
-                    raise InputError(f"cover ({a},{b}) is implied by transitivity")
+            if _indirectly_below(below, index[b]) >> i & 1:
+                raise InputError(f"cover ({a},{b}) is implied by transitivity")
+        # not fields, so eq, hash and repr ignore them
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_below", tuple(below))
 
     def less(self, a, b):
         """Strict order a < b."""
-        return a in self._below[b]
-
-    def le(self, a, b):
-        return a == b or self.less(a, b)
+        below = self._below[self._index[b]]
+        return a in self._index and bool(below >> self._index[a] & 1)
 
     def strictly_below(self, b):
-        return self._below[b]
-
-    def lower_covers(self, b):
-        return tuple(a for a, x in self.covers if x == b)
-
-    def upper_covers(self, a):
-        return tuple(x for y, x in self.covers if y == a)
+        return frozenset(self.elements[i] for i in _indices(self._below[self._index[b]]))
 
     def minimal_elements(self):
         uppers = {b for _, b in self.covers}
@@ -74,45 +73,52 @@ class Poset:
     def from_relations(cls, elements, relations):
         """Build a poset from an arbitrary strict-order relation set."""
         elements = tuple(elements)
-        below = _transitive_below(elements, relations)
-        for e in elements:
-            if e in below[e]:
-                raise InputError("relation set contains a cycle")
+        _, below = _order_masks(elements, relations)
+        if any(m >> i & 1 for i, m in enumerate(below)):
+            raise InputError("relation set contains a cycle")
         # covers in element order, so equal relations give equal posets
         covers = tuple(
-            (a, b)
-            for b in elements
-            for a in elements
-            if a in below[b] and not any(a in below[z] for z in below[b])
+            (elements[i], b)
+            for j, b in enumerate(elements)
+            for i in _indices(below[j] & ~_indirectly_below(below, j))
         )
         return cls(elements, covers)
 
 
-def _transitive_below(elements, covers):
-    below = {e: set() for e in elements}
-    for a, b in covers:
-        if a not in below or b not in below:
-            raise InputError(f"relation ({a},{b}) uses unknown elements")
-        below[b].add(a)
-    for k in elements:  # Warshall: from here on k may be an intermediate
-        for e in elements:
-            if k in below[e]:
-                below[e] |= below[k]
-    return {e: frozenset(s) for e, s in below.items()}
-
-
 # ---------------------------------------------------------------------------
-# linear extensions and the ideal lattice, on bitmasks: bit i is p.elements[i]
+# the order on bitmasks: bit i is elements[i]
 
 
-def _below_masks(p):
-    """Per element, the mask of the elements strictly below it."""
-    index = {e: i for i, e in enumerate(p.elements)}
-    return [sum(1 << index[a] for a in p.strictly_below(e)) for e in p.elements]
+def _order_masks(elements, relations):
+    """Element -> bit index, and per index the mask of the elements strictly
+    below it: the transitive closure of relations, by a Warshall pass."""
+    index = {e: i for i, e in enumerate(elements)}
+    below = [0] * len(elements)
+    for a, b in relations:
+        if a not in index or b not in index:
+            raise InputError(f"relation ({a},{b}) uses unknown elements")
+        below[index[b]] |= 1 << index[a]
+    for k, through in enumerate(below):  # from here on k may be an intermediate
+        for e, m in enumerate(below):
+            if m >> k & 1:
+                below[e] = m | through
+    return index, below
+
+
+def _indirectly_below(below, j):
+    """Mask of the elements below some element strictly below element j."""
+    mask = 0
+    for z in _indices(below[j]):
+        mask |= below[z]
+    return mask
 
 
 def _indices(mask):
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+# ---------------------------------------------------------------------------
+# linear extensions and the ideal lattice, on the same masks
 
 
 def _addable(below, ideal):
@@ -132,13 +138,13 @@ def _ideal_masks(below):
 def _ideal_vertices(p):
     """Per ideal mask, the 0/1 indicator of the complementary filter."""
     n = len(p.elements)
-    masks = _ideal_masks(_below_masks(p))
+    masks = _ideal_masks(p._below)
     return {m: tuple(int(not m >> i & 1) for i in range(n)) for m in masks}
 
 
 def linear_extensions(p):
     """All linear extensions, lexicographic in element-index order."""
-    below = _below_masks(p)
+    below = p._below
     addable = {m: _addable(below, m) for m in _ideal_masks(below)}
     out, prefix = [], []
 
@@ -158,7 +164,7 @@ def linear_extensions(p):
 
 def count_linear_extensions(p):
     """e(P): maximal chains of the ideal lattice, counted upward by size."""
-    below = _below_masks(p)
+    below = p._below
     chains = dict.fromkeys(_ideal_masks(below), 0)
     chains[0] = 1
     for ideal, c in chains.items():
@@ -169,7 +175,7 @@ def count_linear_extensions(p):
 
 def order_ideals(p):
     """All down-closed subsets, by size and then by sorted element indices."""
-    masks = _ideal_masks(_below_masks(p))
+    masks = _ideal_masks(p._below)
     return [frozenset(p.elements[i] for i in _indices(m)) for m in masks]
 
 
@@ -188,9 +194,12 @@ def order_polynomial(p, m):
     """
     if m < 0:
         raise InputError("order polynomial argument must be nonnegative")
+    if int(m) != m:
+        raise InputError("order polynomial argument must be an integer")
+    m = int(m)
     if m == 0:
         return 1 if not p.elements else 0
-    below = _below_masks(p)
+    below = p._below
     position = {ideal: k for k, ideal in enumerate(_ideal_masks(below))}
     # a < b gives |below(a)| < |below(b)|, so sorting by it is a linear extension
     pairs = [
@@ -231,53 +240,36 @@ class HasseEmbedding:
     top: tuple
 
 
+def default_embedding(p):
+    """The Hasse drawing whose left-to-right orders all follow p.elements.
+
+    One pass over the covers, taken in from_relations order, fills the
+    per-element cover orders; the minimal and maximal elements keep their
+    element order.  The builders below draw their posets with it.
+    """
+    up = {x: () for x in p.elements}
+    down = dict(up)
+    for a, b in sorted(p.covers, key=lambda c: (p._index[c[1]], p._index[c[0]])):
+        up[a] += (b,)
+        down[b] += (a,)
+    return HasseEmbedding(up, down, p.minimal_elements(), p.maximal_elements())
+
+
 def chain(k):
-    elements = tuple(range(1, k + 1))
-    covers = tuple((i, i + 1) for i in range(1, k))
-    poset = Poset(elements, covers)
-    emb = HasseEmbedding(
-        up={i: ((i + 1,) if i < k else ()) for i in elements},
-        down={i: ((i - 1,) if i > 1 else ()) for i in elements},
-        bottom=(1,) if k else (),
-        top=(k,) if k else (),
-    )
-    return poset, emb
+    poset = Poset(tuple(range(1, k + 1)), tuple((i, i + 1) for i in range(1, k)))
+    return poset, default_embedding(poset)
 
 
 def antichain(k):
-    elements = tuple(range(1, k + 1))
-    poset = Poset(elements, ())
-    emb = HasseEmbedding(
-        up={e: () for e in elements},
-        down={e: () for e in elements},
-        bottom=elements,
-        top=elements,
-    )
-    return poset, emb
+    poset = Poset(tuple(range(1, k + 1)), ())
+    return poset, default_embedding(poset)
 
 
 def zigzag(k):
     """Fence with covers alternating up/down starting upward: 1 < 2 > 3 < 4 ..."""
-    elements = tuple(range(1, k + 1))
-    covers = []
-    for i in range(1, k):
-        covers.append((i, i + 1) if i % 2 == 1 else (i + 1, i))
-    poset = Poset(elements, tuple(covers))
-    up = {e: [] for e in elements}
-    down = {e: [] for e in elements}
-    for a, b in covers:
-        up[a].append(b)
-        down[b].append(a)
-    for e in elements:
-        up[e] = tuple(sorted(up[e]))
-        down[e] = tuple(sorted(down[e]))
-    emb = HasseEmbedding(
-        up=up,
-        down=down,
-        bottom=tuple(e for e in elements if not down[e]),
-        top=tuple(e for e in elements if not up[e]),
-    )
-    return poset, emb
+    covers = tuple((i, i + 1) if i % 2 == 1 else (i + 1, i) for i in range(1, k))
+    poset = Poset(tuple(range(1, k + 1)), covers)
+    return poset, default_embedding(poset)
 
 
 def validate_staircase_partition(n, lam):
@@ -315,19 +307,7 @@ def skew_star(n, lam=()):
         if (i - 1, j) in present:
             covers.append(((i, j), (i - 1, j)))
     poset = Poset(cells, tuple(covers))
-    up = {}
-    down = {}
-    for (i, j) in cells:
-        up[(i, j)] = tuple(c for c in ((i - 1, j), (i, j + 1)) if c in present)
-        down[(i, j)] = tuple(c for c in ((i, j - 1), (i + 1, j)) if c in present)
-    key = lambda c: (c[0] + c[1], -c[0])
-    emb = HasseEmbedding(
-        up=up,
-        down=down,
-        bottom=tuple(sorted(poset.minimal_elements(), key=key)),
-        top=tuple(sorted(poset.maximal_elements(), key=key)),
-    )
-    return poset, emb
+    return poset, default_embedding(poset)
 
 
 def staircase_star(n):

@@ -175,6 +175,12 @@ def test_dilation_count_rejects_non_integral_input():
     with pytest.raises(InputError, match="integers"):
         asm_dilation_count(3, (1.5,), 1)
     assert asm_dilation_count(3.0, (), 2.0) == asm_dilation_count(3, (), 2)
+    # and so does its product-formula partner
+    with pytest.raises(InputError, match="integers"):
+        proctor_ehrhart(3, 1.5)
+    with pytest.raises(InputError, match="integers"):
+        proctor_ehrhart(2.5, 1)
+    assert proctor_ehrhart(3.0, 2.0) == proctor_ehrhart(3, 2)
 
 
 def test_proctor_product():

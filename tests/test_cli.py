@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -138,11 +139,27 @@ def test_malformed_graph_file_exits_2(runner, tmp_path):
         {"edges": [[1, 2]]},
         {"n": float("-inf"), "edges": []},
         {"n": 3, "edges": [[1, 2], [2, float("inf")]]},
+        # non-integral numbers are refused, not truncated
+        {"n": 3.7, "edges": [[1, 3], [1, 2], [2, 3]]},
+        {"n": 3, "edges": [[1.5, 3], [1, 2], [2, 3]]},
     ):
         bad.write_text(json.dumps(data))
         result = runner.invoke(main, ["graph", "volume", str(bad)])
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)  # no traceback
+
+
+@pytest.mark.parametrize("n", [1e300, 1000000], ids=["1e300", "1000000"])
+def test_vertex_count_alone_cannot_stall_loading(runner, tmp_path, n):
+    # vertex 2 has no edges, which is found before a framing over every
+    # inner vertex would be built
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"n": n, "edges": []}))
+    start = time.perf_counter()
+    result = runner.invoke(main, ["graph", "routes", str(path)])
+    assert time.perf_counter() - start < 1
+    assert result.exit_code == 2
+    assert result.stderr == "input error: graph is not pruned: vertex 2 lacks in- or out-edges\n"
 
 
 def test_degenerate_graph_exits_2(runner, tmp_path):

@@ -155,3 +155,12 @@ def test_graph_json_roundtrip():
 def test_graph_json_malformed():
     with pytest.raises(InputError):
         graph_from_json({"edges": [[1, 2]]})
+    # non-integral numbers are refused, not truncated
+    for data in (
+        {"n": 3.7, "edges": [[1, 3], [1, 2], [2, 3]]},
+        {"n": 3, "edges": [[1.5, 3], [1, 2], [2, 3]]},
+    ):
+        with pytest.raises(InputError, match="must be integers"):
+            graph_from_json(data)
+    g, _ = graph_from_json({"n": 3.0, "edges": [[1.0, 3], [1, 2], [2, 3]]})
+    assert g == DirectedMultigraph(3, ((1, 3), (1, 2), (2, 3)))

@@ -26,6 +26,7 @@ from flowpoly.planar import (
 )
 from flowpoly.posets import (
     Poset,
+    all_staircase_partitions,
     antichain,
     chain,
     count_linear_extensions,
@@ -54,8 +55,8 @@ def test_parallel_edges_region_between_arcs():
 def test_triangle_single_region():
     pg = arc_diagram(TRIANGLE, id_order_framing(TRIANGLE))
     assert len(pg.regions) == 1
-    dp = dual_poset(pg)
-    assert len(dp.poset.elements) == 1 and dp.poset.covers == ()
+    dual = dual_poset(pg)
+    assert len(dual.elements) == 1 and dual.covers == ()
 
 
 def test_region_count_is_euler_count():
@@ -90,12 +91,12 @@ def test_crossing_error_reports_edge_pair():
 
 def test_wedge_dual_poset_shape():
     pg = arc_diagram(wedge_graph(), wedge_framing())
-    dp = dual_poset(pg)
-    assert len(dp.poset.elements) == 4
+    dual = dual_poset(pg)
+    assert len(dual.elements) == 4
     # two minimal regions under the inner arcs, then a chain of two
-    assert len(dp.poset.minimal_elements()) == 2
-    assert len(dp.poset.maximal_elements()) == 1
-    assert count_linear_extensions(dp.poset) == 2
+    assert len(dual.minimal_elements()) == 2
+    assert len(dual.maximal_elements()) == 1
+    assert count_linear_extensions(dual) == 2
 
 
 def test_flow_to_order_point_crossing_rule():
@@ -142,13 +143,19 @@ def test_flow_graph_volume_equals_extensions(name, fixture):
     assert len(pg.regions) == len(p.elements)
 
 
-@pytest.mark.parametrize("name,fixture", POSET_FIXTURES)
+SKEW5_FIXTURES = [
+    (f"skew5-{''.join(map(str, lam)) or 0}", skew_star(5, lam))
+    for lam in all_staircase_partitions(5)
+]
+
+
+@pytest.mark.parametrize("name,fixture", POSET_FIXTURES + SKEW5_FIXTURES)
 def test_dual_of_flow_graph_recovers_poset(name, fixture):
     p, emb = fixture
     pg = poset_to_flow_graph(p, emb)
-    dp = dual_poset(pg)
-    assert set(dp.poset.elements) == set(p.elements)
-    assert set(dp.poset.covers) == set(p.covers)
+    dual = dual_poset(pg)
+    assert set(dual.elements) == set(p.elements)
+    assert set(dual.covers) == set(p.covers)
 
 
 @pytest.mark.parametrize("name,fixture", POSET_FIXTURES)

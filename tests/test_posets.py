@@ -109,6 +109,9 @@ def test_order_polynomial_edge_cases():
     assert order_polynomial(Poset((), ()), 0) == 1
     assert order_polynomial(p, 1) == 1
     assert order_polynomial(p, 2) == len(order_ideals(p))
+    with pytest.raises(InputError, match="integer"):
+        order_polynomial(p, 2.5)
+    assert order_polynomial(p, 3.0) == order_polynomial(p, 3)
 
 
 @settings(max_examples=20, deadline=None)
@@ -166,6 +169,22 @@ def test_order_polytope_vertices_are_filters():
                     assert y in filt
 
 
+def test_builder_embeddings_are_pinned():
+    # the drawings the builders hand to poset_to_flow_graph, written out
+    _, emb = skew_star(4, (1,))
+    assert emb.up == {
+        (1, 2): ((1, 3),), (1, 3): (), (2, 3): ((1, 3), (2, 4)), (2, 4): (), (3, 4): ((2, 4),)
+    }
+    assert emb.down == {
+        (1, 2): (), (1, 3): ((1, 2), (2, 3)), (2, 3): (), (2, 4): ((2, 3), (3, 4)), (3, 4): ()
+    }
+    assert emb.bottom == ((1, 2), (2, 3), (3, 4)) and emb.top == ((1, 3), (2, 4))
+    _, emb = zigzag(5)
+    assert emb.up == {1: (2,), 2: (), 3: (2, 4), 4: (), 5: (4,)}
+    assert emb.down == {1: (), 2: (1, 3), 3: (), 4: (3, 5), 5: ()}
+    assert emb.bottom == (1, 3, 5) and emb.top == (2, 4)
+
+
 def test_poset_json_roundtrip():
     p, emb = zigzag(4)
     p2, emb2 = poset_from_json(poset_to_json(p, emb))
@@ -185,15 +204,27 @@ def shuffled_posets(draw):
     pairs = [(a, b) for i, a in enumerate(hidden) for b in hidden[i + 1 :]]
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     relations = [pair for pair, k in zip(pairs, keep) if k]
-    return Poset.from_relations(draw(st.permutations(labels)), relations)
+    return relations, Poset.from_relations(draw(st.permutations(labels)), relations)
 
 
 @seed(0x1DEA)
 @settings(max_examples=60, deadline=2000)
 @given(shuffled_posets())
-def test_ideal_kernel_matches_brute_force(p):
+def test_ideal_kernel_matches_brute_force(case):
+    relations, p = case
     elements = p.elements
     index = {e: i for i, e in enumerate(elements)}
+    # the order: a transitive closure of the relations, pair by pair
+    less = set(relations)
+    while grown := {(a, d) for a, b in less for c, d in less if b == c} - less:
+        less |= grown
+    for b in elements:
+        assert p.strictly_below(b) == {a for a in elements if (a, b) in less}
+        assert all(p.less(a, b) == ((a, b) in less) for a in elements)
+    covers = [
+        (a, b) for a, b in less if not any((a, z) in less and (z, b) in less for z in elements)
+    ]
+    assert list(p.covers) == sorted(covers, key=lambda c: (index[c[1]], index[c[0]]))
     # combinations come by size, then lexicographic in element index
     subsets = [
         frozenset(c) for k in range(len(elements) + 1) for c in itertools.combinations(elements, k)
