@@ -11,27 +11,20 @@ import itertools
 from fractions import Fraction
 
 from . import fixtures
-from .graphs import (
-    all_framings,
-    enumerate_routes,
-    id_order_framing,
-    random_framing,
-    route_flow_vector,
+from .graphs import _coherent, all_framings, id_order_framing, random_framing, route_flow_vector
+from .kostant import ehrhart_netflow, enumerate_integer_flows, indegree_shift_netflow
+from .planar import (
+    _ideal_routes, dual_poset, flow_to_order_point, order_to_flow_point, poset_to_flow_graph
 )
-from .kostant import (
-    ehrhart_netflow,
-    enumerate_integer_flows,
-    flow_polytope_volume,
-    indegree_shift_netflow,
+from .posets import (
+    _ideal_vertices, all_staircase_partitions, linear_extensions, order_polynomial, staircase_star
 )
-from .planar import dual_poset, flow_to_order_point, order_to_flow_point
-from .posets import all_staircase_partitions, linear_extensions, order_ideals, order_polynomial
 from .triangulations import (
+    _canonical_masks,
+    _clique_masks,
     canonical_triangulation,
     clique_to_flow,
-    compare_triangulations,
     dkk_maximal_cliques,
-    dkk_triangulation,
     flow_to_clique,
     framing_change_bijection,
     linext_to_clique,
@@ -40,32 +33,36 @@ from .triangulations import (
 
 
 def transported_canonical_triangulation(pg):
-    """Canonical simplices of O(P_G) in flow coordinates; each vertex mapped once."""
-    poset = dual_poset(pg)
-    points = {}
-    simplices = []
-    for simp in canonical_triangulation(poset):
-        for v in simp.vertices:
-            if v not in points:
-                points[v] = order_to_flow_point(pg, dict(zip(poset.elements, v)))
-        simplices.append(tuple(points[v] for v in simp.vertices))
-    return simplices
+    """Canonical simplices of O(P_G) in flow coordinates: each vertex, a
+    filter indicator, becomes the unit flow of its ideal's route."""
+    poset, routes, route_of = _ideal_routes(pg)
+    vertex = _ideal_vertices(poset)
+    point = {vertex[m]: route_flow_vector(pg.graph, routes[i]) for m, i in route_of.items()}
+    return [tuple(map(point.__getitem__, s.vertices)) for s in canonical_triangulation(poset)]
+
+
+def _thm2(pg):
+    """The sets of canonical simplices of O(P_G) and of DKK cliques of pg,
+    both as masks over its route index."""
+    poset, routes, route_of = _ideal_routes(pg)
+    weight = {m: 1 << (len(routes) - 1 - i) for m, i in route_of.items()}
+    return set(_canonical_masks(poset, weight)), set(_clique_masks(pg.graph, pg.framing)[2])
 
 
 def verify_thm2():
-    """Transported canonical triangulation equals the clique triangulation."""
+    """Transported canonical triangulation equals the clique triangulation,
+    on the planar corpus and the staircase of order 6."""
+    corpus = fixtures.planar_fixtures()
+    corpus["gp-skew6-0"] = poset_to_flow_graph(*staircase_star(6))
     results = []
-    for name, pg in fixtures.planar_fixtures().items():
-        transported = transported_canonical_triangulation(pg)
-        dkk = dkk_triangulation(pg.graph, pg.framing)
-        report = compare_triangulations(transported, dkk)
-        detail = f"{len(dkk)} simplices"
-        if not report.equal:
-            detail = (
-                f"mismatch: {len(report.only_in_a)} only canonical, "
-                f"{len(report.only_in_b)} only clique-side"
-            )
-        results.append((name, report.equal, detail))
+    for name, pg in corpus.items():
+        canonical, cliques = _thm2(pg)
+        ok = canonical == cliques
+        detail = f"{len(cliques)} simplices" if ok else (
+            f"mismatch: {len(canonical - cliques)} only canonical, "
+            f"{len(cliques - canonical)} only clique-side"
+        )
+        results.append((name, ok, detail))
     return results
 
 
@@ -75,28 +72,34 @@ def _framings_for(name, g):
     return [id_order_framing(g)] + [random_framing(g, seed) for seed in range(5)]
 
 
-def verify_dkk_eq_ps():
-    """Reduction leaves and coherent cliques coincide; leaves are coherent."""
-    from .graphs import coherent
+def _reduction_failure(g, framing):
+    """Why the reduction leaves under framing are not the coherent cliques,
+    or None; each route is profiled once, and an incoherent pair is named."""
+    routes, profiles, cliques = _clique_masks(g, framing)
+    index = {r: i for i, r in enumerate(routes)}
+    masks = []
+    for leaf in ps_triangulation(g, framing):
+        ids = [index.get(r) for r in leaf.routes]
+        if None in ids:
+            return "route families differ"
+        for a, b in itertools.combinations(ids, 2):
+            if not _coherent(profiles[a], profiles[b]):
+                return f"incoherent leaf pair {routes[a]} and {routes[b]}"
+        masks.append(sum(1 << (len(routes) - 1 - i) for i in ids))
+    return None if sorted(masks, reverse=True) == cliques else "route families differ"
 
+
+def verify_dkk_eq_ps():
+    """Reduction leaves and coherent cliques coincide; leaves are coherent.
+    A fixture stops at its first failure, which names the framing."""
     results = []
     for name, g in fixtures.graph_fixtures().items():
-        ok = True
-        detail = ""
         for k, framing in enumerate(_framings_for(name, g)):
-            leaves = ps_triangulation(g, framing)
-            cliques = dkk_maximal_cliques(g, framing)
-            if sorted(l.routes for l in leaves) != sorted(cliques):
-                ok, detail = False, f"route families differ (framing #{k})"
+            failure = _reduction_failure(g, framing)
+            if failure:
                 break
-            for leaf in leaves:
-                for p, q in itertools.combinations(leaf.routes, 2):
-                    if not coherent(g, framing, p, q):
-                        ok, detail = False, f"incoherent leaf pair (framing #{k})"
-                        break
-        if ok:
-            detail = f"{k + 1} framings"
-        results.append((name, ok, detail))
+        detail = f"{failure} (framing #{k})" if failure else f"{k + 1} framings"
+        results.append((name, not failure, detail))
     return results
 
 
@@ -194,20 +197,17 @@ def verify_asm_family(ns=(3, 4), lambdas=None):
 
 
 def verify_vertex_bijections():
-    """Route flows <-> 0/1 order points <-> ideals, on the planar corpus."""
+    """Routes <-> ideals by upper boundaries, on the planar corpus, and
+    flow_to_order_point sends each route to its ideal's filter indicator."""
     results = []
     for name, pg in fixtures.planar_fixtures().items():
-        g = pg.graph
-        poset = dual_poset(pg)
-        routes = enumerate_routes(g)
-        points = set()
-        ok = True
-        for r in routes:
-            f = flow_to_order_point(pg, route_flow_vector(g, r))
-            if any(v not in (0, 1) for v in f.values()):
-                ok = False
-            points.add(tuple(int(f[x]) for x in poset.elements))
-        ok = ok and len(points) == len(routes) == len(order_ideals(poset))
+        poset, routes, route_of = _ideal_routes(pg)
+        vertex = _ideal_vertices(poset)
+        ok = len(route_of) == len(routes) and all(
+            flow_to_order_point(pg, route_flow_vector(pg.graph, routes[i]))
+            == dict(zip(poset.elements, vertex[m]))
+            for m, i in route_of.items()
+        )
         results.append((name, ok, f"{len(routes)} vertices"))
     return results
 

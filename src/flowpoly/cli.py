@@ -13,14 +13,12 @@ import click
 
 from . import checks
 from .asm import family_report
-from .errors import ContractError, FlowpolyError, InputError
-from .geometry import lattice_basis, triangulation_checks
+from .errors import FlowpolyError, InputError
+from .geometry import triangulation_checks
 from .graphs import (
     enumerate_routes,
-    framing_from_json,
+    graph_from_json,
     id_order_framing,
-    multigraph_from_json,
-    require_pruned,
     route_flow_vector,
     route_vertices,
 )
@@ -40,20 +38,6 @@ from .triangulations import (
     ps_triangulation,
     triangulation_to_json,
 )
-
-
-def _load_graph(data):
-    """Parse a graph file; a graph with dead inner vertices is bad input here.
-
-    It is rejected before the framing, which lists every inner vertex, is
-    read or built, so the vertex count alone cannot make loading slow.
-    """
-    g = multigraph_from_json(data)
-    try:
-        require_pruned(g)
-    except ContractError as exc:
-        raise InputError(str(exc)) from exc
-    return g, framing_from_json(g, data.get("framing"))
 
 
 def _load_json(path):
@@ -105,7 +89,7 @@ def _resolve_framing(g, framing, spec):
 @click.option("--all", "all_methods", is_flag=True, help="compute all three and compare")
 def graph_volume(path, method, all_methods):
     def run():
-        g, framing = _load_graph(_load_json(path))
+        g, framing = graph_from_json(_load_json(path))
         values = {}
         methods = ("kostant", "ps", "dkk") if all_methods else (method,)
         if "kostant" in methods:
@@ -127,7 +111,7 @@ def graph_volume(path, method, all_methods):
 @click.option("--t-max", default=4, show_default=True, type=click.IntRange(min=0))
 def graph_ehrhart(path, t_max):
     def run():
-        g, _ = _load_graph(_load_json(path))
+        g, _ = graph_from_json(_load_json(path))
         values = [flow_ehrhart_value(g, t) for t in range(t_max + 1)]
         click.echo(json.dumps({"t": list(range(t_max + 1)), "values": values}))
 
@@ -138,7 +122,7 @@ def graph_ehrhart(path, t_max):
 @click.argument("path", type=click.Path(exists=True))
 def graph_routes(path):
     def run():
-        g, _ = _load_graph(_load_json(path))
+        g, _ = graph_from_json(_load_json(path))
         routes = enumerate_routes(g)
         click.echo(
             json.dumps(
@@ -226,7 +210,7 @@ def triangulate(path, method, framing_spec, check):
             volume = count_linear_extensions(p)
             out = triangulation_to_json("canonical", None, simplices)
         else:
-            g, framing = _load_graph(data)
+            g, framing = graph_from_json(data)
             framing = _resolve_framing(g, framing, framing_spec)
             if method == "dkk":
                 simplices = dkk_triangulation(g, framing)
@@ -299,10 +283,9 @@ def verify(prop, n):
     """Re-check one of the package's structural properties over the corpus."""
 
     def run():
-        if prop == "asm-family" and n is not None:
-            results = checks.verify_asm_family(ns=(n,))
-        else:
-            results = checks.PROPERTIES[prop]()
+        if n is not None and prop != "asm-family":
+            raise InputError(f"--n applies to asm-family only, not to {prop}")
+        results = checks.PROPERTIES[prop]() if n is None else checks.verify_asm_family(ns=(n,))
         failed = 0
         for name, ok, detail in results:
             click.echo(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")

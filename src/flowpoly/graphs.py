@@ -306,23 +306,20 @@ def graph_to_json(g, framing=None):
 
 
 def graph_from_json(data):
-    """Parse the graph JSON schema; absent framing defaults to id-order."""
-    g = multigraph_from_json(data)
-    return g, framing_from_json(g, data.get("framing"))
-
-
-def multigraph_from_json(data):
-    """The graph of a graph JSON object, without its framing."""
+    """Parse the graph JSON schema; absent framing defaults to id-order.
+    An unpruned graph is refused before the framing, which lists every
+    inner vertex, is read or built."""
     try:
-        return DirectedMultigraph(data["n"], tuple(tuple(e) for e in data["edges"]))
+        g = DirectedMultigraph(data["n"], tuple(tuple(e) for e in data["edges"]))
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise InputError(f"malformed graph JSON: {exc}") from exc
-
-
-def framing_from_json(g, block):
-    """The framing of g read from a framing JSON block; None means id-order."""
+    try:
+        require_pruned(g)
+    except ContractError as exc:
+        raise InputError(str(exc)) from exc
+    block = data.get("framing")
     if block is None:
-        return id_order_framing(g)
+        return g, id_order_framing(g)
     in_orders, out_orders = {}, {}
     try:
         for key, spec in block.items():
@@ -331,6 +328,6 @@ def framing_from_json(g, block):
                 raise InputError(f"framing names vertex {v}, which is not an inner vertex")
             in_orders[v] = tuple(spec["in"])
             out_orders[v] = tuple(spec["out"])
-        return Framing.validate(g, Framing(in_orders, out_orders))
+        return g, Framing.validate(g, Framing(in_orders, out_orders))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed framing JSON: {exc}") from exc

@@ -22,9 +22,11 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ContractError, InputError, InternalCheckError, NotPlanarError
-from .graphs import DirectedMultigraph, Framing, require_pruned
-from .posets import Poset, default_embedding
+from .errors import InputError, InternalCheckError, NotPlanarError
+from .graphs import (
+    DirectedMultigraph, Framing, enumerate_routes, require_pruned, route_flow_vector
+)
+from .posets import Poset, _ideal_vertices, default_embedding
 
 BOTTOM = "BOTTOM"
 TOP = "TOP"
@@ -252,6 +254,37 @@ def dual_poset(pg):
         if below not in (BOTTOM, TOP) and above not in (BOTTOM, TOP)
     }
     return Poset(tuple(pg.regions), sorted(covers, key=lambda c: (index[c[1]], index[c[0]])))
+
+
+def _upper_boundary(pg, lower):
+    """The route on the upper boundary of the region set lower, which holds
+    BOTTOM: the edges with lower below and the rest above, in path order."""
+    g = pg.graph
+    boundary = [e for e, (b, a) in enumerate(pg.edge_sides) if b in lower and a not in lower]
+    route = tuple(sorted(boundary, key=g.edges.__getitem__))
+    if [1] + [g.edges[e][1] for e in route] != [g.edges[e][0] for e in route] + [g.n]:
+        raise InternalCheckError(f"upper boundary of {sorted(lower - {BOTTOM})!r} is not a route")
+    return route
+
+
+def _ideal_routes(pg):
+    """The dual poset, the routes of pg.graph, and per ideal mask of the
+    poset the index of the route on its upper boundary.  That route's unit
+    flow must be order_to_flow_point of the complementary filter's
+    indicator, and distinct ideals must give distinct routes."""
+    poset = dual_poset(pg)
+    routes = enumerate_routes(pg.graph)
+    index = {route: i for i, route in enumerate(routes)}
+    route_of = {}
+    for ideal, filt in _ideal_vertices(poset).items():
+        route = _upper_boundary(pg, {r for r, x in zip(poset.elements, filt) if not x} | {BOTTOM})
+        flow = order_to_flow_point(pg, dict(zip(poset.elements, filt)))
+        if flow != route_flow_vector(pg.graph, route):
+            raise InternalCheckError(f"upper boundary route {route} is not the transported vertex")
+        route_of[ideal] = index[route]
+    if len(set(route_of.values())) != len(route_of):
+        raise InternalCheckError("two order ideals have one upper boundary route")
+    return poset, routes, route_of
 
 
 # ---------------------------------------------------------------------------

@@ -36,8 +36,8 @@ from .graphs import (
     route_flow_vector,
 )
 from .kostant import compositions_colex
-from .planar import BOTTOM, TOP
-from .posets import _ideal_vertices, linear_extensions
+from .planar import BOTTOM, _upper_boundary
+from .posets import _addable, _ideal_vertices, linear_extensions
 
 
 # ---------------------------------------------------------------------------
@@ -68,6 +68,27 @@ def canonical_triangulation(p):
             ideal |= bit[e]
             vertices.append(vertex[ideal])
         out.append(CanonicalSimplex(ext, tuple(vertices)))
+    return out
+
+
+def _canonical_masks(p, weight):
+    """The canonical simplices of p as masks, in linear_extensions order:
+    weight maps each ideal mask to its vertex's mask, and one walk of the
+    ideal lattice ORs the weights along each extension's prefix ideals."""
+    below = p._below
+    addable = {ideal: _addable(below, ideal) for ideal in weight}
+    out = []
+
+    def walk(ideal, mask):
+        if not addable[ideal]:  # only the full ideal has nothing to add
+            out.append(mask)
+            return
+        for i in addable[ideal]:
+            up = ideal | 1 << i
+            walk(up, mask | weight[up])
+
+    walk(0, weight[0])
+    del walk  # breaks its self-reference, so the walk's state is freed on return
     return out
 
 
@@ -280,15 +301,14 @@ def framing_change_bijection(g, f1, f2):
 # coherent-route cliques
 
 
-def dkk_maximal_cliques(g, framing):
-    """Maximal sets of pairwise coherent routes, each of size #E - #V + 2.
+def _clique_masks(g, framing):
+    """The routes of g, their profiles, and the maximal sets of pairwise
+    coherent routes as masks: route i of the k routes is bit k-1-i.
 
-    Bron-Kerbosch with pivoting on the coherence graph, with every vertex
-    set held as an int: route i is bit k-1-i of k routes.  The pivot
-    maximizes its neighbours left in P.  All cliques have one size, so
-    sorting their masks in descending order sorts them lexicographically;
-    the masks are decoded into route tuples only at the end.  The uniform
-    clique size is asserted rather than trusted.
+    Bron-Kerbosch with pivoting on the coherence graph, every vertex set an
+    int; the pivot maximizes its neighbours left in P.  All cliques have one
+    size, asserted rather than trusted, so sorting the masks in descending
+    order sorts their route tuples lexicographically.
     """
     _validate_framed(g, framing)
     routes = enumerate_routes(g)
@@ -337,6 +357,14 @@ def dkk_maximal_cliques(g, framing):
                 f"{c.bit_count()}, expected {expected}"
             )
     cliques.sort(reverse=True)
+    return routes, profiles, cliques
+
+
+def dkk_maximal_cliques(g, framing):
+    """Maximal sets of pairwise coherent routes, each of size #E - #V + 2,
+    sorted; the clique masks are decoded into route tuples only at the end."""
+    routes, _, cliques = _clique_masks(g, framing)
+    k = len(routes)
 
     def decode(mask):
         found = []
@@ -356,11 +384,10 @@ def dkk_maximal_cliques(g, framing):
 
 
 def dkk_triangulation(g, framing):
-    """Cliques realized as simplices of unit route flows."""
-    return [
-        tuple(sorted(route_flow_vector(g, r) for r in clique))
-        for clique in dkk_maximal_cliques(g, framing)
-    ]
+    """Cliques realized as simplices of unit route flows, each flow taken once."""
+    cliques = dkk_maximal_cliques(g, framing)
+    flow = {r: route_flow_vector(g, r) for r in enumerate_routes(g)}
+    return [tuple(sorted(map(flow.__getitem__, c))) for c in cliques]
 
 
 # ---------------------------------------------------------------------------
@@ -368,35 +395,13 @@ def dkk_triangulation(g, framing):
 
 
 def linext_to_clique(pg, ext):
-    """Routes read off the upper boundaries of the growing region unions.
-
-    For each prefix of the extension (an order ideal of the region poset)
-    the edges with the ideal (or BOTTOM) below and everything else above
-    form a route; the #regions + 1 routes are returned sorted.
-    """
-    g = pg.graph
-    routes = []
-    for j in range(len(ext) + 1):
-        ideal = set(ext[:j]) | {BOTTOM}
-        edge_set = {
-            e
-            for e, (below, above) in enumerate(pg.edge_sides)
-            if below in ideal and above not in ideal
-        }
-        # the upper boundary must chain into a single 1 -> n path
-        route = []
-        v = 1
-        while v != g.n:
-            step = [e for e in edge_set if g.edges[e][0] == v]
-            if len(step) != 1:
-                raise InternalCheckError(
-                    f"upper boundary of {sorted(ideal - {BOTTOM})!r} is not a route"
-                )
-            route.append(step[0])
-            v = g.edges[step[0]][1]
-        if len(route) != len(edge_set):
-            raise InternalCheckError("upper boundary contains stray edges")
-        routes.append(tuple(route))
+    """Routes on the upper boundaries of the extension's prefix ideals,
+    sorted; each traced as planar._ideal_routes traces an ideal's route."""
+    lower = {BOTTOM}
+    routes = [_upper_boundary(pg, lower)]
+    for x in ext:
+        lower.add(x)
+        routes.append(_upper_boundary(pg, lower))
     if len(set(routes)) != len(routes):
         raise InternalCheckError("extension produced a repeated route")
     return tuple(sorted(routes))
@@ -411,13 +416,6 @@ class TriangulationComparison:
     equal: bool
     only_in_a: list
     only_in_b: list
-
-    def to_json(self):
-        return {
-            "equal": self.equal,
-            "only_in_a": [[list(v) for v in s] for s in self.only_in_a],
-            "only_in_b": [[list(v) for v in s] for s in self.only_in_b],
-        }
 
 
 def simplex_key(vertices):

@@ -112,6 +112,14 @@ def test_verify_asm_family_single_n(runner):
     assert result.exit_code == 0
 
 
+@pytest.mark.parametrize("prop", ["bij-linext", "thm2"])
+def test_verify_n_outside_asm_family_exits_2(runner, prop):
+    result = runner.invoke(main, ["verify", prop, "--n", "3"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == f"input error: --n applies to asm-family only, not to {prop}\n"
+
+
 @pytest.mark.parametrize("n", ["0", "-2"])
 def test_verify_asm_family_nonpositive_n_exits_2(runner, n):
     result = runner.invoke(main, ["verify", "asm-family", "--n", n])

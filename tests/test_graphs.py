@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -164,3 +166,10 @@ def test_graph_json_malformed():
             graph_from_json(data)
     g, _ = graph_from_json({"n": 3.0, "edges": [[1.0, 3], [1, 2], [2, 3]]})
     assert g == DirectedMultigraph(3, ((1, 3), (1, 2), (2, 3)))
+    # an unpruned graph is refused before the framing over its inner
+    # vertices is built, so the vertex count alone cannot overflow or stall
+    for n in (1e300, 10**6):
+        start = time.perf_counter()
+        with pytest.raises(InputError, match="^graph is not pruned: vertex 2 lacks in- or out-edges$"):
+            graph_from_json({"n": n, "edges": []})
+        assert time.perf_counter() - start < 0.1

@@ -6,7 +6,7 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from flowpoly import triangulations
+from flowpoly import checks, triangulations
 from flowpoly.asm import dyck_path_count, enumerate_asm
 from flowpoly.errors import ContractError, InputError, InternalCheckError
 from flowpoly.fixtures import TRIANGLE, graph_fixtures, planar_fixtures, wedge_framing, wedge_graph
@@ -24,11 +24,12 @@ from flowpoly.graphs import (
     route_vertices,
 )
 from flowpoly.kostant import enumerate_integer_flows, flow_polytope_volume, indegree_shift_netflow
-from flowpoly.planar import poset_to_flow_graph
+from flowpoly.planar import arc_diagram, dual_poset, order_to_flow_point, poset_to_flow_graph
 from flowpoly.posets import (
     all_staircase_partitions,
     antichain,
     chain,
+    count_linear_extensions,
     linear_extensions,
     skew_star,
     staircase_star,
@@ -316,11 +317,13 @@ def test_walks_free_their_state_on_return():
     # for the garbage collector on every call
     g = complete_graph(6)
     fr = id_order_framing(g)
-    p4, _ = staircase_star(4)
+    p4, emb4 = staircase_star(4)
+    pg4 = poset_to_flow_graph(p4, emb4)
     gc.collect()
     gc.disable()
     try:
         dkk_maximal_cliques(g, fr)
+        checks._thm2(pg4)  # the canonical-mask walk and the clique walk
         ps_triangulation(g, fr)
         enumerate_asm(4)
         linear_extensions(p4)
@@ -439,6 +442,32 @@ def test_framing_change_bijection_checks_the_second_walk(monkeypatch, mangle, me
         framing_change_bijection(g, f1, f2)
 
 
+def test_dkk_eq_ps_stops_at_an_incoherent_leaf_and_names_it(monkeypatch):
+    walk = checks.ps_triangulation
+    calls = Counter()
+
+    def first_incoherent_pair(g, framing):
+        pairs = combinations(enumerate_routes(g), 2)
+        return next((pq for pq in pairs if not coherent(g, framing, *pq)), None)
+
+    def broken(g, framing):
+        calls[g] += 1
+        leaves = walk(g, framing)
+        pair = first_incoherent_pair(g, framing)
+        if pair is None:
+            return leaves
+        return [triangulations.SubdivisionLeaf(pair, leaves[0].flow)] + leaves[1:]
+
+    monkeypatch.setattr(checks, "ps_triangulation", broken)
+    results = {name: (ok, detail) for name, ok, detail in checks.verify_dkk_eq_ps()}
+    g = complete_graph(5)
+    p, q = first_incoherent_pair(g, next(all_framings(g)))
+    assert results["k5"] == (False, f"incoherent leaf pair {p} and {q} (framing #0)")
+    assert calls[g] == 1  # no later framing is walked
+    # two routes of the triangle are coherent, so its leaves are untouched
+    assert results["triangle"] == (True, "6 framings")
+
+
 def test_linext_to_clique_covers_planar_triangulation():
     for p, emb in (skew_star(3), skew_star(4), zigzag(4)):
         pg = poset_to_flow_graph(p, emb)
@@ -480,3 +509,58 @@ def test_dkk_triangulation_vertices_are_route_flows():
     fr = id_order_framing(g)
     for clique, simplex in zip(dkk_maximal_cliques(g, fr), dkk_triangulation(g, fr)):
         assert simplex == tuple(sorted(route_flow_vector(g, r) for r in clique))
+
+
+PLANAR_FIXTURES = planar_fixtures()
+
+
+@pytest.mark.parametrize("name", PLANAR_FIXTURES)
+def test_transport_matches_the_fraction_oracle(name):
+    # each vertex is read off the ideal -> route map; order_to_flow_point
+    # on every vertex of every simplex must give the same simplices
+    pg = PLANAR_FIXTURES[name]
+    poset = dual_poset(pg)
+    oracle = [
+        tuple(order_to_flow_point(pg, dict(zip(poset.elements, v))) for v in s.vertices)
+        for s in canonical_triangulation(poset)
+    ]
+    assert checks.transported_canonical_triangulation(pg) == oracle
+
+
+@st.composite
+def noncrossing_arc_diagrams(draw):
+    """The path 1 -> ... -> n plus arcs that pairwise nest or are disjoint,
+    parallels allowed, drawn above the line with every arc order defaulted."""
+    n = draw(st.integers(2, 8))
+    arcs = []
+    for _ in range(draw(st.integers(0, 8))):
+        a = draw(st.integers(1, n - 1))
+        b = draw(st.integers(a + 1, n))
+        if not any(a < c < b < d or c < a < d < b for c, d in arcs):
+            arcs.append((a, b))
+    g = DirectedMultigraph(n, tuple((v, v + 1) for v in range(1, n)) + tuple(arcs))
+    return arc_diagram(g, Framing({}, {}))
+
+
+def _check_mask_thm2(pg):
+    canonical, cliques = checks._thm2(pg)
+    coordinates = compare_triangulations(
+        checks.transported_canonical_triangulation(pg), dkk_triangulation(pg.graph, pg.framing)
+    )
+    assert (canonical == cliques) == coordinates.equal
+    assert coordinates.equal
+    assert count_linear_extensions(dual_poset(pg)) == len(cliques) == len(canonical)
+
+
+@seed(0xA5C)
+@settings(max_examples=60, deadline=2000)
+@given(noncrossing_arc_diagrams())
+def test_mask_thm2_agrees_with_coordinates_on_arc_diagrams(pg):
+    _check_mask_thm2(pg)
+
+
+@pytest.mark.parametrize(
+    "lam", all_staircase_partitions(5), ids=lambda lam: "".join(map(str, lam)) or "0"
+)
+def test_mask_thm2_agrees_with_coordinates_on_skew5(lam):
+    _check_mask_thm2(poset_to_flow_graph(*skew_star(5, lam)))
