@@ -17,12 +17,11 @@ from .planar import (
     _ideal_routes, dual_poset, flow_to_order_point, order_to_flow_point, poset_to_flow_graph
 )
 from .posets import (
-    _ideal_vertices, all_staircase_partitions, linear_extensions, order_polynomial, staircase_star
+    _chain_sums, _ideal_vertices, _lattice, all_staircase_partitions, linear_extensions,
+    order_polynomial, staircase_star,
 )
 from .triangulations import (
-    _canonical_masks,
     _clique_masks,
-    canonical_triangulation,
     clique_to_flow,
     dkk_maximal_cliques,
     flow_to_clique,
@@ -33,20 +32,20 @@ from .triangulations import (
 
 
 def transported_canonical_triangulation(pg):
-    """Canonical simplices of O(P_G) in flow coordinates: each vertex, a
-    filter indicator, becomes the unit flow of its ideal's route."""
+    """Canonical simplices of O(P_G) in flow coordinates: each vertex, the
+    filter indicator of an ideal, becomes the unit flow of its route."""
     poset, routes, route_of = _ideal_routes(pg)
-    vertex = _ideal_vertices(poset)
-    point = {vertex[m]: route_flow_vector(pg.graph, routes[i]) for m, i in route_of.items()}
-    return [tuple(map(point.__getitem__, s.vertices)) for s in canonical_triangulation(poset)]
+    flow = {m: route_flow_vector(pg.graph, routes[i]) for m, i in route_of.items()}
+    return _chain_sums(_lattice(poset._below), (flow[0],), lambda i, up: (flow[up],))
 
 
 def _thm2(pg):
     """The sets of canonical simplices of O(P_G) and of DKK cliques of pg,
     both as masks over its route index."""
     poset, routes, route_of = _ideal_routes(pg)
-    weight = {m: 1 << (len(routes) - 1 - i) for m, i in route_of.items()}
-    return set(_canonical_masks(poset, weight)), set(_clique_masks(pg.graph, pg.framing)[2])
+    bit = {m: 1 << (len(routes) - 1 - i) for m, i in route_of.items()}
+    canonical = _chain_sums(_lattice(poset._below), bit[0], lambda i, up: bit[up])
+    return set(canonical), set(_clique_masks(pg.graph, pg.framing)[2])
 
 
 def verify_thm2():

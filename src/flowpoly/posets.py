@@ -3,11 +3,11 @@
 A poset holds its order once, as int bitmasks (bit i is elements[i]): per
 element the mask of the elements strictly below it, closed by a Warshall
 pass when the poset is built.  The order queries, the cover checks and the
-cover extraction of from_relations read those masks, and so does one
-ideal-lattice kernel, built once per call, from which ideals, e(P), linear
-extensions, the order polynomial and the canonical simplices are read:
-e(P) is a forward DP over the ideal masks, the order polynomial repeated
-zeta transforms over them.
+cover extraction of from_relations read those masks, and so does the Hasse
+diagram of J(P), built once per call: per ideal mask its steps up.  e(P) is
+a forward DP over it, the order polynomial repeated zeta transforms over its
+ideals, and one walk of its maximal chains, summing a weight per step, lists
+the linear extensions and the canonical simplices (vertices, route masks).
 
 Skew-staircase posets carry cell labels (i, j); their partial order is
 p_{ij} <= p_{i'j'} iff i >= i' and j <= j'.  Every builder returns its
@@ -53,13 +53,18 @@ class Poset:
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_below", tuple(below))
 
+    def _bit(self, x):
+        try:
+            return self._index[x]
+        except (KeyError, TypeError):
+            raise InputError(f"{x!r} is not an element of the poset") from None
+
     def less(self, a, b):
         """Strict order a < b."""
-        below = self._below[self._index[b]]
-        return a in self._index and bool(below >> self._index[a] & 1)
+        return bool(self._below[self._bit(b)] >> self._bit(a) & 1)
 
     def strictly_below(self, b):
-        return frozenset(self.elements[i] for i in _indices(self._below[self._index[b]]))
+        return frozenset(self.elements[i] for i in _indices(self._below[self._bit(b)]))
 
     def minimal_elements(self):
         uppers = {b for _, b in self.covers}
@@ -118,65 +123,72 @@ def _indices(mask):
 
 
 # ---------------------------------------------------------------------------
-# linear extensions and the ideal lattice, on the same masks
+# the ideal lattice J(P) and its maximal chains, on the same masks
 
 
-def _addable(below, ideal):
-    """Indices, ascending, of the elements outside ideal whose lower set is in it."""
-    return [i for i, b in enumerate(below) if not ideal >> i & 1 and not b & ~ideal]
-
-
-def _ideal_masks(below):
-    """All order ideals as masks, by size and then by sorted element indices."""
-    masks, level = [0], [0]
+def _lattice(below):
+    """The Hasse diagram of J(P): per ideal mask, by size and then by sorted
+    element indices, its steps (i, mask | 1 << i) up, ascending in i, one
+    per element i outside the ideal whose lower set is in it."""
+    lattice, level = {}, [0]
     while level:
-        level = sorted({m | 1 << i for m in level for i in _addable(below, m)}, key=_indices)
-        masks += level
-    return masks
+        for m in level:
+            lattice[m] = [
+                (i, m | 1 << i) for i, b in enumerate(below) if not m >> i & 1 and not b & ~m
+            ]
+        level = sorted({up for m in level for _, up in lattice[m]}, key=_indices)
+    return lattice
+
+
+def _chain_sums(lattice, start, weigh):
+    """Per maximal chain of the lattice, in linear_extensions order, start
+    plus weigh(i, up) over its steps (i, up), each step weighed once: 1-tuples
+    add up to sequences, ints to masks when no two ideals share a bit
+    (planar._ideal_routes refuses two ideals with one route)."""
+    weighted = {m: [] for m in lattice}
+    for m, steps in lattice.items():
+        weighted[m].extend((weighted[up], weigh(i, up)) for i, up in steps)
+    out = []
+
+    def walk(steps, total):
+        if not steps:  # only the full ideal has nothing to add
+            out.append(total)
+            return
+        for above, w in steps:
+            walk(above, total + w)
+
+    walk(weighted[0], start)
+    del walk  # breaks its self-reference, so the walk's state is freed on return
+    return out
 
 
 def _ideal_vertices(p):
     """Per ideal mask, the 0/1 indicator of the complementary filter."""
     n = len(p.elements)
-    masks = _ideal_masks(p._below)
-    return {m: tuple(int(not m >> i & 1) for i in range(n)) for m in masks}
+    return {m: tuple(int(not m >> i & 1) for i in range(n)) for m in _lattice(p._below)}
 
 
 def linear_extensions(p):
     """All linear extensions, lexicographic in element-index order."""
-    below = p._below
-    addable = {m: _addable(below, m) for m in _ideal_masks(below)}
-    out, prefix = [], []
-
-    def walk(ideal):
-        if not addable[ideal]:  # only the full ideal has nothing to add
-            out.append(tuple(prefix))
-            return
-        for i in addable[ideal]:
-            prefix.append(p.elements[i])
-            walk(ideal | 1 << i)
-            prefix.pop()
-
-    walk(0)
-    del walk  # breaks its self-reference, so the walk's state is freed on return
-    return out
+    elements = p.elements
+    return _chain_sums(_lattice(p._below), (), lambda i, up: (elements[i],))
 
 
 def count_linear_extensions(p):
     """e(P): maximal chains of the ideal lattice, counted upward by size."""
-    below = p._below
-    chains = dict.fromkeys(_ideal_masks(below), 0)
+    lattice = _lattice(p._below)
+    chains = dict.fromkeys(lattice, 0)
     chains[0] = 1
-    for ideal, c in chains.items():
-        for i in _addable(below, ideal):
-            chains[ideal | 1 << i] += c
-    return chains[(1 << len(below)) - 1]
+    for ideal, steps in lattice.items():
+        c = chains[ideal]
+        for _, up in steps:
+            chains[up] += c
+    return chains[(1 << len(p.elements)) - 1]
 
 
 def order_ideals(p):
     """All down-closed subsets, by size and then by sorted element indices."""
-    masks = _ideal_masks(p._below)
-    return [frozenset(p.elements[i] for i in _indices(m)) for m in masks]
+    return [frozenset(p.elements[i] for i in _indices(m)) for m in _lattice(p._below)]
 
 
 def order_polytope_vertices(p):
@@ -200,7 +212,7 @@ def order_polynomial(p, m):
     if m == 0:
         return 1 if not p.elements else 0
     below = p._below
-    position = {ideal: k for k, ideal in enumerate(_ideal_masks(below))}
+    position = {ideal: k for k, ideal in enumerate(_lattice(below))}
     # a < b gives |below(a)| < |below(b)|, so sorting by it is a linear extension
     pairs = [
         (position[ideal], position[ideal ^ 1 << i])

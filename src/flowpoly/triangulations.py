@@ -1,7 +1,8 @@
 """Three triangulation algorithms and the bijections between their index sets.
 
 * canonical: one simplex of the order polytope per linear extension,
-  vertices the indicator vectors of the extension's suffix filters;
+  vertices the indicator vectors of the suffix filters along its chain of
+  ideals, read by the posets module's one walk of those chains;
 * reduction ("ps"): reduce the inner vertices in the order 2, ..., n-1,
   each along a noncrossing bipartite tree, i.e. a composition b.  When v is
   reduced every edge into v already holds its final block of route
@@ -37,7 +38,7 @@ from .graphs import (
 )
 from .kostant import compositions_colex
 from .planar import BOTTOM, _upper_boundary
-from .posets import _addable, _ideal_vertices, linear_extensions
+from .posets import _chain_sums, _ideal_vertices, _lattice, linear_extensions
 
 
 # ---------------------------------------------------------------------------
@@ -54,42 +55,12 @@ def canonical_triangulation(p):
     """One simplex per linear extension of p.
 
     The simplex of extension (s_1, ..., s_k) has the k+1 vertices
-    1_{F_j}, F_j = {s_{j+1}, ..., s_k}, written in p.elements coordinates.
-    Vertex j is read off the mask of the prefix ideal {s_1, ..., s_j}; all
-    simplices share one tuple per ideal.
+    1_{F_j}, F_j = {s_{j+1}, ..., s_k}, in p.elements coordinates: the
+    filter indicators along its chain of ideals, one shared tuple per ideal.
     """
-    bit = {e: 1 << i for i, e in enumerate(p.elements)}
     vertex = _ideal_vertices(p)
-    out = []
-    for ext in linear_extensions(p):
-        ideal = 0
-        vertices = [vertex[0]]
-        for e in ext:
-            ideal |= bit[e]
-            vertices.append(vertex[ideal])
-        out.append(CanonicalSimplex(ext, tuple(vertices)))
-    return out
-
-
-def _canonical_masks(p, weight):
-    """The canonical simplices of p as masks, in linear_extensions order:
-    weight maps each ideal mask to its vertex's mask, and one walk of the
-    ideal lattice ORs the weights along each extension's prefix ideals."""
-    below = p._below
-    addable = {ideal: _addable(below, ideal) for ideal in weight}
-    out = []
-
-    def walk(ideal, mask):
-        if not addable[ideal]:  # only the full ideal has nothing to add
-            out.append(mask)
-            return
-        for i in addable[ideal]:
-            up = ideal | 1 << i
-            walk(up, mask | weight[up])
-
-    walk(0, weight[0])
-    del walk  # breaks its self-reference, so the walk's state is freed on return
-    return out
+    vertices = _chain_sums(_lattice(p._below), (vertex[0],), lambda i, up: (vertex[up],))
+    return list(map(CanonicalSimplex, linear_extensions(p), vertices))
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +186,11 @@ def flow_to_clique(g, framing, flow):
     At each vertex the unique tree whose composition equals the flow on
     that vertex's out-edges is chosen.
     """
-    if len(flow) != g.edge_count or any(int(x) != x or x < 0 for x in flow):
+    try:
+        malformed = len(flow) != g.edge_count or any(int(x) != x or x < 0 for x in flow)
+    except (TypeError, ValueError, OverflowError):
+        malformed = True
+    if malformed:
         raise InputError("flow must be a nonnegative integer vector over the edges")
     _validate_framed(g, framing)
     return _replay(g, framing, flow)
@@ -271,7 +246,10 @@ def clique_to_flow(g, framing, clique):
     Raises InputError unless replaying the reduction along that flow gives
     back exactly the sorted clique.
     """
-    target = tuple(sorted(clique))
+    try:
+        target = tuple(sorted(clique))
+    except TypeError:
+        raise InputError("route set must be a collection of edge-id tuples") from None
     _validate_framed(g, framing)
     flow = _routes_flow(g, target)
     if flow is not None:
@@ -396,12 +374,22 @@ def dkk_triangulation(g, framing):
 
 def linext_to_clique(pg, ext):
     """Routes on the upper boundaries of the extension's prefix ideals,
-    sorted; each traced as planar._ideal_routes traces an ideal's route."""
+    sorted; each traced as planar._ideal_routes traces an ideal's route.
+    InputError unless ext lists every region once, after its lower covers."""
+    covers = {r: {b for b, a in pg.edge_sides if a == r} for r in pg.regions}
     lower = {BOTTOM}
     routes = [_upper_boundary(pg, lower)]
     for x in ext:
+        try:
+            placeable = x not in lower and covers[x] <= lower
+        except (KeyError, TypeError):  # not a region label
+            placeable = False
+        if not placeable:
+            raise InputError(f"not a linear extension of the region poset: {x!r} out of place")
         lower.add(x)
         routes.append(_upper_boundary(pg, lower))
+    if len(lower) != len(covers) + 1:
+        raise InputError("not a linear extension of the region poset: regions missing")
     if len(set(routes)) != len(routes):
         raise InternalCheckError("extension produced a repeated route")
     return tuple(sorted(routes))

@@ -35,6 +35,15 @@ def test_poset_rejects_cycles_and_redundant_covers():
         Poset((1, 2, 3), ((1, 2), (2, 3), (1, 3)))
 
 
+def test_order_queries_reject_unknown_elements():
+    p, _ = chain(3)
+    for query in (lambda: p.less(1, 9), lambda: p.less(9, 1), lambda: p.strictly_below(9),
+                  lambda: p.strictly_below([1])):
+        with pytest.raises(InputError, match="is not an element of the poset$"):
+            query()
+    assert p.less(1, 3) and not p.less(3, 1) and p.strictly_below(3) == {1, 2}
+
+
 def test_from_relations_reduces_transitively():
     p = Poset.from_relations((1, 2, 3), ((1, 2), (2, 3), (1, 3)))
     assert set(p.covers) == {(1, 2), (2, 3)}

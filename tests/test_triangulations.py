@@ -1,4 +1,5 @@
 import gc
+import re
 from collections import Counter
 from itertools import combinations
 from math import comb, factorial
@@ -9,7 +10,9 @@ from hypothesis import given, seed, settings, strategies as st
 from flowpoly import checks, triangulations
 from flowpoly.asm import dyck_path_count, enumerate_asm
 from flowpoly.errors import ContractError, InputError, InternalCheckError
-from flowpoly.fixtures import TRIANGLE, graph_fixtures, planar_fixtures, wedge_framing, wedge_graph
+from flowpoly.fixtures import (
+    TRIANGLE, graph_fixtures, planar_fixtures, poset_fixtures, wedge_framing, wedge_graph
+)
 from flowpoly.graphs import (
     DirectedMultigraph,
     Framing,
@@ -61,6 +64,48 @@ def test_canonical_simplex_count_and_shape():
             # vertices interpolate between all-ones and all-zeros
             assert s.vertices[0] == (1,) * len(p.elements)
             assert s.vertices[-1] == (0,) * len(p.elements)
+
+
+def _walk_free_canonical(p):
+    """The canonical simplices built without the chain walk: a recursive
+    walk of the linear extensions over the addable elements of each prefix
+    ideal, then each extension's prefix ideals rebuilt as masks, one vertex
+    (the complementary filter's indicator) per mask."""
+    elements = p.elements
+    below = [sum(1 << elements.index(a) for a in p.strictly_below(x)) for x in elements]
+    extensions = []
+
+    def walk(ideal, prefix):
+        addable = [i for i, b in enumerate(below) if not ideal >> i & 1 and not b & ~ideal]
+        if not addable:
+            extensions.append(prefix)
+        for i in addable:
+            walk(ideal | 1 << i, prefix + (elements[i],))
+
+    walk(0, ())
+    simplices = []
+    for ext in extensions:
+        masks = [0]
+        for e in ext:
+            masks.append(masks[-1] | 1 << elements.index(e))
+        vertices = tuple(tuple(int(not m >> i & 1) for i in range(len(elements))) for m in masks)
+        simplices.append((ext, vertices))
+    return simplices
+
+
+ORACLE_POSETS = {name: p for name, (p, _) in poset_fixtures().items()} | {
+    "skew5-" + ("".join(map(str, lam)) or "0"): skew_star(5, lam)[0]
+    for lam in all_staircase_partitions(5)
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_POSETS)
+def test_canonical_triangulation_matches_the_walk_free_oracle(name):
+    # up to 10 elements, past the 7 of the generated posets
+    p = ORACLE_POSETS[name]
+    simplices = canonical_triangulation(p)
+    assert [(s.extension, s.vertices) for s in simplices] == _walk_free_canonical(p)
+    assert [s.extension for s in simplices] == linear_extensions(p)
 
 
 def test_noncrossing_tree_counts():
@@ -324,6 +369,8 @@ def test_walks_free_their_state_on_return():
     try:
         dkk_maximal_cliques(g, fr)
         checks._thm2(pg4)  # the canonical-mask walk and the clique walk
+        canonical_triangulation(p4)
+        checks.transported_canonical_triangulation(pg4)
         ps_triangulation(g, fr)
         enumerate_asm(4)
         linear_extensions(p4)
@@ -392,6 +439,17 @@ def test_flow_to_clique_rejects_unrealizable_flow():
         flow_to_clique(g, fr, (9, 9, 9, 9, 9, 9))
     with pytest.raises(InputError):
         flow_to_clique(g, fr, (1, 0, 0))
+
+
+def test_flow_and_clique_maps_reject_malformed_entries():
+    g = complete_graph(4)
+    fr = id_order_framing(g)
+    for flow in (("a",) * 6, (None,) * 6, (float("inf"),) * 6, 6):
+        with pytest.raises(InputError, match="^flow must be a nonnegative integer vector"):
+            flow_to_clique(g, fr, flow)
+    for clique in ([(0,), "x"], [(0, 1), (0, "a")], 7):
+        with pytest.raises(InputError, match="^route set must be a collection of edge-id tuples$"):
+            clique_to_flow(g, fr, clique)
 
 
 def test_flow_to_clique_rejects_flow_out_of_vertex_1():
@@ -476,6 +534,21 @@ def test_linext_to_clique_covers_planar_triangulation():
         cliques = {tuple(c) for c in dkk_maximal_cliques(g, fr)}
         images = {linext_to_clique(pg, ext) for ext in linear_extensions(p)}
         assert images == cliques
+
+
+def test_linext_to_clique_rejects_non_extensions():
+    p, emb = skew_star(4)
+    pg = poset_to_flow_graph(p, emb)
+    ext = linear_extensions(p)[0]
+    assert len(linext_to_clique(pg, ext)) == 7
+    for bad, why in (
+        (ext[::-1], f"{ext[-1]!r} out of place"),  # above its lower covers
+        (ext[:2] + ext[1:-1], f"{ext[1]!r} out of place"),  # repeated
+        (ext[:-1], "regions missing"),  # truncated
+        (ext[:-1] + ("z",), "'z' out of place"),  # unknown label
+    ):
+        with pytest.raises(InputError, match=re.escape(f"region poset: {why}") + "$"):
+            linext_to_clique(pg, bad)
 
 
 def test_compare_triangulations_reports_difference():
