@@ -3,8 +3,10 @@ corner-sum map onto order polytopes of skew-staircase posets.
 
 P_lambda(n) is the face of the ASM polytope cut out by forcing zeros below
 the first subdiagonal (i - j >= 2) and on the cells of lambda justified to
-the upper right corner.  The corner-sum map g(i,j) = 1 - sum_{i'<=i, j'>=j}
-m_{i'j'} identifies it with the order polytope of the skew staircase poset.
+the upper right corner; one membership test reads that definition for
+is_asm, validate_in_p_lambda and the vertex self-check.  The corner-sum map
+g(i,j) = 1 - sum_{i'<=i, j'>=j} m_{i'j'} identifies it with the order
+polytope of the skew staircase poset.
 """
 
 from __future__ import annotations
@@ -27,30 +29,30 @@ from .posets import (
 )
 
 
+def _membership_failure(m, zeros=()):
+    """Why the square matrix m is not in P_lambda(n), or None: a nonzero
+    entry on a cell of zeros (1-based), then a row, then a column whose
+    partial sums leave [0, 1] or do not end at 1."""
+    for (i, j) in zeros:
+        if m[i - 1][j - 1] != 0:
+            return f"entry ({i},{j}) must be zero for this shape"
+    for kind, lines in (("row", m), ("column", zip(*m))):
+        for k, line in enumerate(lines, start=1):
+            s = 0
+            for x in line:
+                s += x
+                if not 0 <= s <= 1:
+                    return f"{kind} {k} has a partial sum outside [0,1]"
+            if s != 1:
+                return f"{kind} {k} does not sum to 1"
+
+
 def is_asm(m):
-    """Alternating-sign test: all partial row/column sums lie in {0,1}."""
+    """Alternating-sign test: entries in {-1,0,1}, and a point of P_()(n)."""
     n = len(m)
-    if any(len(row) != n for row in m):
+    if any(len(row) != n for row in m) or any(x not in (-1, 0, 1) for row in m for x in row):
         return False
-    if any(x not in (-1, 0, 1) for row in m for x in row):
-        return False
-    for row in m:
-        s = 0
-        for x in row:
-            s += x
-            if s not in (0, 1):
-                return False
-        if s != 1:
-            return False
-    for j in range(n):
-        s = 0
-        for i in range(n):
-            s += m[i][j]
-            if s not in (0, 1):
-                return False
-        if s != 1:
-            return False
-    return True
+    return _membership_failure(m) is None
 
 
 def zero_pattern(n, lam=()):
@@ -112,11 +114,14 @@ def enumerate_asm(n, zeros=frozenset()):
 
 
 def p_lambda_vertices(n, lam=()):
-    """Vertices of P_lambda(n): ASMs with the band and lambda zeros."""
-    verts = enumerate_asm(n, frozenset(zero_pattern(n, lam)))
+    """Vertices of P_lambda(n), its integer points, each checked for membership."""
+    zeros = zero_pattern(n, lam)
+    verts = enumerate_asm(n, frozenset(zeros))
     for m in verts:
-        if not is_asm(m):
-            raise InternalCheckError("generator produced a non-alternating matrix")
+        integral = all(isinstance(x, int) for row in m for x in row)
+        failure = _membership_failure(m, zeros) if integral else "an entry is not an integer"
+        if failure:
+            raise InternalCheckError(f"generator produced a matrix outside P_lambda(n): {failure}")
     return verts
 
 
@@ -125,26 +130,9 @@ def validate_in_p_lambda(n, lam, m):
     if len(m) != n or any(len(row) != n for row in m):
         raise InputError(f"matrix is not {n}x{n}")
     m = tuple(tuple(Fraction(x) for x in row) for row in m)
-    zeros = zero_pattern(n, lam)
-    for (i, j) in zeros:
-        if m[i - 1][j - 1] != 0:
-            raise InputError(f"entry ({i},{j}) must be zero for this shape")
-    for i in range(n):
-        s = Fraction(0)
-        for j in range(n):
-            s += m[i][j]
-            if not 0 <= s <= 1:
-                raise InputError(f"row {i + 1} has a partial sum outside [0,1]")
-        if s != 1:
-            raise InputError(f"row {i + 1} does not sum to 1")
-    for j in range(n):
-        s = Fraction(0)
-        for i in range(n):
-            s += m[i][j]
-            if not 0 <= s <= 1:
-                raise InputError(f"column {j + 1} has a partial sum outside [0,1]")
-        if s != 1:
-            raise InputError(f"column {j + 1} does not sum to 1")
+    failure = _membership_failure(m, zero_pattern(n, lam))
+    if failure:
+        raise InputError(failure)
     return m
 
 
@@ -302,7 +290,7 @@ class FamilyReport:
         }
 
 
-def family_report(n, lam=(), t_max=3):
+def family_report(n, lam=()):
     """Cross-checked summary of P_lambda(n) through all three polytope models."""
     from .planar import poset_to_flow_graph
     from .triangulations import dkk_maximal_cliques
@@ -317,16 +305,16 @@ def family_report(n, lam=(), t_max=3):
     vol_ext = count_linear_extensions(poset)
     vol_kostant = flow_polytope_volume(pg.graph)
     vol_dkk = len(dkk_maximal_cliques(pg.graph, pg.framing))
-    ehrhart = tuple(asm_dilation_count(n, lam, t) for t in range(t_max + 1))
+    ehrhart = tuple(asm_dilation_count(n, lam, t) for t in range(4))
     consistent = (
         dim == expected_dim
         and vol_ext == vol_kostant == vol_dkk
         and len(verts) == ehrhart[1]
         and all(
-            ehrhart[t] == order_polynomial(poset, t + 1) == flow_ehrhart_value(pg.graph, t)
-            for t in range(t_max + 1)
+            value == order_polynomial(poset, t + 1) == flow_ehrhart_value(pg.graph, t)
+            for t, value in enumerate(ehrhart)
         )
-        and (lam != () or all(ehrhart[t] == proctor_ehrhart(n, t) for t in range(t_max + 1)))
+        and (lam != () or all(value == proctor_ehrhart(n, t) for t, value in enumerate(ehrhart)))
     )
     return FamilyReport(
         n=n,

@@ -7,11 +7,10 @@ these into PASS/FAIL lines and an exit code.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 from . import fixtures
-from .graphs import _coherent, all_framings, id_order_framing, random_framing, route_flow_vector
+from .graphs import all_framings, id_order_framing, random_framing, route_flow_vector
 from .kostant import ehrhart_netflow, enumerate_integer_flows, indegree_shift_netflow
 from .planar import (
     _ideal_routes, dual_poset, flow_to_order_point, order_to_flow_point, poset_to_flow_graph
@@ -73,18 +72,20 @@ def _framings_for(name, g):
 
 def _reduction_failure(g, framing):
     """Why the reduction leaves under framing are not the coherent cliques,
-    or None; each route is profiled once, and an incoherent pair is named."""
-    routes, profiles, cliques = _clique_masks(g, framing)
-    index = {r: i for i, r in enumerate(routes)}
+    or None; leaves are read off the clique walk's coherence graph."""
+    routes, adj, cliques = _clique_masks(g, framing)
+    bit = {r: b for b, r in enumerate(reversed(routes))}  # route i is bit k-1-i
     masks = []
     for leaf in ps_triangulation(g, framing):
-        ids = [index.get(r) for r in leaf.routes]
-        if None in ids:
+        bits = [bit.get(r) for r in leaf.routes]
+        if None in bits:
             return "route families differ"
-        for a, b in itertools.combinations(ids, 2):
-            if not _coherent(profiles[a], profiles[b]):
-                return f"incoherent leaf pair {routes[a]} and {routes[b]}"
-        masks.append(sum(1 << (len(routes) - 1 - i) for i in ids))
+        mask = sum(1 << b for b in bits)
+        for b in bits:  # leaf routes are sorted: the first incoherent later one is the highest
+            later = mask & ~adj[b] & ((1 << b) - 1)
+            if later:
+                return f"incoherent leaf pair {routes[-1 - b]} and {routes[-later.bit_length()]}"
+        masks.append(mask)
     return None if sorted(masks, reverse=True) == cliques else "route families differ"
 
 
@@ -177,14 +178,13 @@ def verify_maps_roundtrip(t_values=(1, 2)):
     return results
 
 
-def verify_asm_family(ns=(3, 4), lambdas=None):
+def verify_asm_family(ns=(3, 4)):
     """family_report consistency across the staircase shapes."""
     from .asm import family_report
 
     results = []
     for n in ns:
-        shapes = lambdas if lambdas is not None else all_staircase_partitions(n)
-        for lam in shapes:
+        for lam in all_staircase_partitions(n):
             report = family_report(n, lam)
             name = f"n={n} lambda={','.join(map(str, lam)) or '-'}"
             detail = (

@@ -57,6 +57,10 @@ def _run(fn):
     except FlowpolyError as exc:
         click.echo(f"check failed: {exc}", err=True)
         sys.exit(1)
+    except RecursionError:  # the walks recurse once per vertex, poset element or clique member
+        limit = sys.getrecursionlimit()
+        click.echo(f"input error: input nests deeper than the recursion limit ({limit})", err=True)
+        sys.exit(2)
 
 
 @click.group()

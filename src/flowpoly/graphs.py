@@ -134,9 +134,7 @@ def path_graph(n):
     return DirectedMultigraph(n, tuple((i, i + 1) for i in range(1, n)))
 
 
-def parallel_edges(count, n=2):
-    if n != 2:
-        raise InputError("parallel-edge builder produces two-vertex graphs")
+def parallel_edges(count):
     return DirectedMultigraph(2, ((1, 2),) * count)
 
 

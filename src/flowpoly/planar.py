@@ -453,11 +453,16 @@ def poset_to_flow_graph(p, emb=None):
 # the volume-preserving maps
 
 
+def _exact(x):
+    """x itself if an int or a Fraction, else x converted exactly to a Fraction."""
+    return x if isinstance(x, (int, Fraction)) else Fraction(x)
+
+
 def _check_flow(g, fl):
-    """Validate nonnegativity and conservation; returns the total throughput."""
+    """Validate nonnegativity and conservation; returns the exact flow and its total."""
     if len(fl) != g.edge_count:
         raise InputError("flow vector length must equal the edge count")
-    fl = tuple(Fraction(x) for x in fl)
+    fl = tuple(map(_exact, fl))
     if any(x < 0 for x in fl):
         raise InputError("flows must be nonnegative")
     total = sum(fl[e] for e in g.out_edge_ids(1))
@@ -508,14 +513,14 @@ def order_to_flow_point(pg, f, total=1):
     at 0 and ``total``.  Monotonicity violations raise InputError.
     """
     values = dict(f)
-    values[BOTTOM] = Fraction(0)
-    values[TOP] = Fraction(total)
+    values[BOTTOM] = 0
+    values[TOP] = _exact(total)
     missing = [r for r in pg.regions if r not in values]
     if missing:
         raise InputError(f"no value supplied for regions {missing}")
     fl = []
     for e, (below, above) in enumerate(pg.edge_sides):
-        d = Fraction(values[above]) - Fraction(values[below])
+        d = _exact(values[above]) - _exact(values[below])
         if d < 0:
             raise InputError(
                 f"values are not order preserving across edge {e} "
@@ -523,6 +528,6 @@ def order_to_flow_point(pg, f, total=1):
             )
         fl.append(d)
     fl, seen_total = _check_flow(pg.graph, fl)
-    if seen_total != Fraction(total):
+    if seen_total != values[TOP]:
         raise InternalCheckError("reconstructed flow has the wrong throughput")
-    return tuple(fl)
+    return tuple(map(Fraction, fl))

@@ -280,8 +280,8 @@ def framing_change_bijection(g, f1, f2):
 
 
 def _clique_masks(g, framing):
-    """The routes of g, their profiles, and the maximal sets of pairwise
-    coherent routes as masks: route i of the k routes is bit k-1-i.
+    """The routes of g, their coherence graph as neighbour masks by bit, and
+    its maximal cliques as masks: route i of the k routes is bit k-1-i.
 
     Bron-Kerbosch with pivoting on the coherence graph, every vertex set an
     int; the pivot maximizes its neighbours left in P.  All cliques have one
@@ -335,37 +335,41 @@ def _clique_masks(g, framing):
                 f"{c.bit_count()}, expected {expected}"
             )
     cliques.sort(reverse=True)
-    return routes, profiles, cliques
+    return routes, adj, cliques
 
 
-def dkk_maximal_cliques(g, framing):
-    """Maximal sets of pairwise coherent routes, each of size #E - #V + 2,
-    sorted; the clique masks are decoded into route tuples only at the end."""
-    routes, _, cliques = _clique_masks(g, framing)
-    k = len(routes)
+def _decode(masks, items):
+    """Each mask as the tuple of its items, item i of k being bit k-1-i; the
+    distinct high and low halves of the masks, which consecutive cliques
+    share, are each decoded once and the halves joined."""
+    k = len(items)
 
     def decode(mask):
         found = []
         while mask:
             b = mask.bit_length() - 1
             mask ^= 1 << b
-            found.append(routes[k - 1 - b])
+            found.append(items[k - 1 - b])
         return tuple(found)
 
-    # consecutive cliques share most of their routes, so decode each
-    # distinct high and low half of the masks once and join the halves
     low = (1 << (k // 2)) - 1
     high = ((1 << k) - 1) ^ low
-    highs = {m: decode(m) for m in {c & high for c in cliques}}
-    lows = {m: decode(m) for m in {c & low for c in cliques}}
-    return [highs[c & high] + lows[c & low] for c in cliques]
+    halves = {h: decode(h) for h in {c & high for c in masks} | {c & low for c in masks}}
+    return [halves[c & high] + halves[c & low] for c in masks]
+
+
+def dkk_maximal_cliques(g, framing):
+    """Maximal sets of pairwise coherent routes, each of size #E - #V + 2,
+    sorted; the clique masks are decoded into route tuples only at the end."""
+    routes, _, cliques = _clique_masks(g, framing)
+    return _decode(cliques, routes)
 
 
 def dkk_triangulation(g, framing):
-    """Cliques realized as simplices of unit route flows, each flow taken once."""
-    cliques = dkk_maximal_cliques(g, framing)
-    flow = {r: route_flow_vector(g, r) for r in enumerate_routes(g)}
-    return [tuple(sorted(map(flow.__getitem__, c))) for c in cliques]
+    """Cliques realized as simplices of unit route flows, decoded straight from their masks."""
+    routes, _, cliques = _clique_masks(g, framing)
+    flows = [route_flow_vector(g, r) for r in routes]
+    return [tuple(sorted(s)) for s in _decode(cliques, flows)]
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from flowpoly import asm
 from flowpoly.asm import (
     asm_dilation_count,
     catalan,
@@ -17,7 +18,7 @@ from flowpoly.asm import (
     validate_in_p_lambda,
     zero_pattern,
 )
-from flowpoly.errors import InputError
+from flowpoly.errors import InputError, InternalCheckError
 from flowpoly.posets import (
     all_staircase_partitions,
     order_polynomial,
@@ -57,6 +58,14 @@ def test_p_lambda_vertex_counts():
         assert len(p_lambda_vertices(n)) == catalan(n)
     # the full staircase shape forces the identity-like permutation matrix
     assert len(p_lambda_vertices(3, (2, 1))) == 1
+
+
+def test_vertex_self_check_reads_the_forced_zeros(monkeypatch):
+    # an ASM with a 1 on the band cell (3,1), which P_()(3) forces to zero
+    m = ((0, 1, 0), (0, 0, 1), (1, 0, 0))
+    monkeypatch.setattr(asm, "enumerate_asm", lambda n, zeros: [m])
+    with pytest.raises(InternalCheckError, match=r"entry \(3,1\) must be zero"):
+        p_lambda_vertices(3)
 
 
 def test_validate_in_p_lambda():
@@ -222,7 +231,7 @@ def test_family_report_consistency():
 
 
 def test_family_report_with_shape():
-    rep = family_report(4, (2, 1), t_max=2)
+    rep = family_report(4, (2, 1))
     assert rep.all_consistent
     assert rep.expected_dimension == 3
     assert rep.volume_by_extensions == rep.volume_by_kostant == rep.volume_by_dkk_count

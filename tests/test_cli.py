@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 
 import pytest
@@ -168,6 +169,33 @@ def test_vertex_count_alone_cannot_stall_loading(runner, tmp_path, n):
     assert time.perf_counter() - start < 1
     assert result.exit_code == 2
     assert result.stderr == "input error: graph is not pruned: vertex 2 lacks in- or out-edges\n"
+
+
+@pytest.mark.parametrize(
+    "command,shape",
+    [
+        (["graph", "routes"], "path"),
+        (["graph", "volume", "--method", "ps"], "path"),
+        (["graph", "volume", "--method", "dkk"], "parallel"),
+        (["triangulate", "--method", "canonical", "--no-check"], "chain"),
+    ],
+    ids=["routes", "ps", "dkk", "canonical"],
+)
+def test_input_deeper_than_the_recursion_limit_exits_2(runner, tmp_path, command, shape):
+    # the walks recurse once per vertex, clique member or poset element
+    n = sys.getrecursionlimit() + 10
+    data = {
+        "path": {"n": n, "edges": [[i, i + 1] for i in range(1, n)]},
+        "parallel": {"n": 2, "edges": [[1, 2]] * n},
+        "chain": {"elements": list(range(n)), "covers": [[i, i + 1] for i in range(n - 1)]},
+    }[shape]
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(data))
+    result = runner.invoke(main, command + [str(path)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert result.stderr.startswith("input error: ")
+    assert "Traceback" not in result.output
 
 
 def test_degenerate_graph_exits_2(runner, tmp_path):

@@ -203,6 +203,24 @@ def test_two_chain_extreme_order_points():
     assert pg.edge_sides[fl1.index(1)] == (BOTTOM, 1)
 
 
+@pytest.mark.parametrize("kind", [int, Fraction, float], ids=["int", "fraction", "float"])
+def test_maps_return_fractions_for_int_fraction_and_float_input(kind):
+    pg = poset_to_flow_graph(*chain(2))
+    heights = {BOTTOM: 0, 1: 1, 2: 3, TOP: 4}
+    expected = tuple(Fraction(heights[above] - heights[below]) for below, above in pg.edge_sides)
+    fl = order_to_flow_point(pg, {1: kind(1), 2: kind(3)}, total=kind(4))
+    assert fl == expected and all(type(x) is Fraction for x in fl)
+    f = flow_to_order_point(pg, tuple(map(kind, fl)))
+    assert f == {1: 1, 2: 3} and all(type(x) is Fraction for x in f.values())
+
+
+def test_maps_convert_floats_exactly():
+    pg = poset_to_flow_graph(*chain(2))
+    fl = order_to_flow_point(pg, {1: 0.25, 2: 0.5})
+    assert sorted(fl) == [Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)]
+    assert flow_to_order_point(pg, tuple(map(float, fl))) == {1: Fraction(1, 4), 2: Fraction(1, 2)}
+
+
 def test_embedding_left_right_matters_but_stays_consistent():
     # both embeddings of the 2-antichain give isomorphic flow graphs
     p, emb = antichain(2)
