@@ -80,11 +80,9 @@ def graph():
 def _resolve_framing(g, framing, spec):
     if spec == "id-order":
         return id_order_framing(g)
-    if spec == "file":
-        return framing
     if spec == "planar":
         return arc_diagram(g, framing).framing
-    raise InputError(f"unknown framing {spec!r}")
+    return framing
 
 
 @graph.command("volume")
@@ -197,9 +195,9 @@ def poset_ehrhart(path, m_max):
 @click.option(
     "--framing",
     "framing_spec",
+    type=click.Choice(["file", "id-order", "planar"]),
     default="file",
     show_default=True,
-    help="file | id-order | planar",
 )
 @click.option("--check/--no-check", default=True, help="run the geometry checks")
 def triangulate(path, method, framing_spec, check):

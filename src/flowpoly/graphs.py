@@ -179,20 +179,22 @@ def prune_inner_vertices(g):
         (vertex_map[g.edges[e][0]], vertex_map[g.edges[e][1]]) for e in kept
     )
     pruned = DirectedMultigraph(len(alive_vertices), new_edges)
-    if pruned.n < 2 or not enumerate_routes(pruned):
+    if pruned.n < 2 or not _route_index(pruned)[0]:
         raise InputError("degenerate graph, empty flow polytope")
     return PruneResult(pruned, tuple(removed), vertex_map, edge_map)
 
 
 def require_pruned(g):
-    """Raise ContractError unless g has two or more vertices and every inner
-    vertex has in- and out-edges.
+    """Raise ContractError unless g has two or more vertices, an edge if it
+    has two, and in- and out-edges at every inner vertex.
 
     The walk stops at the first inner vertex without them, so it takes at
     most one step per edge whatever the vertex count.
     """
     if g.n < 2:
         raise ContractError("flow polytopes need at least two vertices")
+    if g.n == 2 and not g.edges:
+        raise ContractError("degenerate graph, empty flow polytope")
     v = 2
     while v < g.n and g.in_edge_ids(v) and g.out_edge_ids(v):
         v += 1
@@ -207,6 +209,16 @@ def require_pruned(g):
 
 def enumerate_routes(g):
     """All 1->n directed paths as edge-id tuples, lexicographic by ids."""
+    return list(_route_index(g)[0])
+
+
+def _route_index(g):
+    """The routes of g as a tuple, lexicographic by ids; the bit of each
+    route, route i of k being bit k-1-i; and per edge id the mask of the
+    routes through it.  Built on first use and stored on g like its
+    adjacency, so eq, hash and repr ignore it."""
+    if "_index" in vars(g):
+        return g._index
     routes = []
     stack = []
 
@@ -222,7 +234,14 @@ def enumerate_routes(g):
     if g.n >= 2:
         walk(1)
     del walk  # breaks its self-reference, so the walk's state is freed on return
-    return routes
+    k = len(routes)
+    bit = {route: 1 << (k - 1 - i) for i, route in enumerate(routes)}
+    through = [0] * g.edge_count
+    for route, b in bit.items():
+        for e in route:
+            through[e] |= b
+    object.__setattr__(g, "_index", (tuple(routes), bit, tuple(through)))
+    return g._index
 
 
 def route_vertices(g, route):

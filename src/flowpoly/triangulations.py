@@ -8,17 +8,19 @@
   reduced every edge into v already holds its final block of route
   prefixes; the prefixes arriving at v are those blocks in framing
   in-order, and out-edge j (framing out-order) takes b_j + 1 consecutive
-  ones, each extended by itself, and flow b_j.  A leaf's routes are the
-  prefixes arriving at n.  One dict of blocks and one flow list serve the
-  whole depth-first walk;
+  ones, each extended by itself, and flow b_j.  A prefix is the mask of
+  the routes that extend it, over the graph's one route index, so a leaf's
+  routes are the bits of the prefixes arriving at n.  One dict of blocks
+  and one flow list serve the whole depth-first walk;
 * clique ("dkk"): maximal sets of pairwise coherent routes, found by
-  Bron-Kerbosch with pivoting on bitmasks (one int per route set).
+  Bron-Kerbosch with pivoting on bitmasks over the same route index.
 
-Each leaf's flow has netflow (0, d_2, ..., d_{n-1}, -sum d_i).  A flow is
-sent to its leaf by replaying the reduction along it; a leaf's flow is read
-off its routes (the prefixes ending in each edge) and confirmed by one
-replay.  That is the flow <-> clique bijection; matching the leaves of the
-walks under two framings by flow gives the framing-change bijection.
+Each leaf's flow has netflow (0, d_2, ..., d_{n-1}, -sum d_i).  One replay
+of the reduction, choosing each vertex's composition, serves both halves of
+the flow <-> clique bijection: a flow chooses the flow on the out-edges, a
+clique chooses, per out-edge, one less than the number of arriving prefixes
+that its routes continue along that edge.  Matching the leaves of the walks
+under two framings by flow gives the framing-change bijection.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .graphs import (
     _coherent,
     _framing_to_json,
     _passes,
-    enumerate_routes,
+    _route_index,
     require_pruned,
     route_flow_vector,
 )
@@ -124,7 +126,7 @@ def _arriving(framing, blocks, v):
     return [pre for e in framing.in_orders[v] for pre in blocks[e]]
 
 
-def _reduce(framing, blocks, flow, v, ins, composition):
+def _reduce(framing, through, blocks, flow, v, ins, composition):
     """Reduce vertex v, at which the prefixes ins arrive, along composition b.
 
     Out-edge j (framing out-order) takes the b_j + 1 prefixes from position
@@ -134,22 +136,26 @@ def _reduce(framing, blocks, flow, v, ins, composition):
     """
     p = 0
     for e, b in zip(framing.out_orders[v], composition):
-        blocks[e] = [pre + (e,) for pre in ins[p : p + b + 1]]
+        blocks[e] = [pre & through[e] for pre in ins[p : p + b + 1]]
         flow[e] = b
         p += b
 
 
 def _start(g):
-    """Blocks and flow before any reduction: edges out of 1 are one-edge prefixes."""
-    return {e: [(e,)] for e in g.out_edge_ids(1)}, [0] * g.edge_count
+    """The route masks through each edge, and the blocks and flow before any
+    reduction: an edge out of 1 holds one prefix, the routes through it."""
+    through = _route_index(g)[2]
+    return through, {e: [through[e]] for e in g.out_edge_ids(1)}, [0] * g.edge_count
 
 
 def _leaf(g, blocks, flow):
-    """The leaf once every inner vertex is reduced: the prefixes arriving at n."""
-    routes = [pre for e in g.in_edge_ids(g.n) for pre in blocks[e]]
-    if len(routes) != g.edge_count - g.n + 2:
-        raise InternalCheckError("leaf does not have #E - #V + 2 routes")
-    return SubdivisionLeaf(tuple(sorted(routes)), tuple(flow))
+    """The leaf once every inner vertex is reduced: the mask of the prefixes
+    arriving at n, each one route, and the flow."""
+    arriving = [pre for e in g.in_edge_ids(g.n) for pre in blocks[e]]
+    mask = sum(arriving)  # a repeated route carries into another bit
+    if len(arriving) != g.edge_count - g.n + 2 or mask.bit_count() != len(arriving):
+        raise InternalCheckError("leaf does not have #E - #V + 2 distinct routes")
+    return mask, tuple(flow)
 
 
 def ps_triangulation(g, framing):
@@ -157,9 +163,10 @@ def ps_triangulation(g, framing):
 
     Tree choices at each vertex run in colex composition order, so leaves
     come ordered by their compositions, vertex 2 first, each in colex order.
+    The leaf masks are decoded into route tuples only at the end.
     """
     _validate_framed(g, framing)
-    blocks, flow = _start(g)
+    through, blocks, flow = _start(g)
     leaves = []
     trees = {}  # (left, right) -> compositions of noncrossing_trees(left, right)
 
@@ -172,12 +179,27 @@ def ps_triangulation(g, framing):
         if sides not in trees:
             trees[sides] = [tree.composition for tree in noncrossing_trees(*sides)]
         for composition in trees[sides]:
-            _reduce(framing, blocks, flow, v, ins, composition)
+            _reduce(framing, through, blocks, flow, v, ins, composition)
             descend(v + 1)
 
     descend(2)
     del descend  # breaks its self-reference, so the walk's state is freed on return
-    return leaves
+    masks, flows = zip(*leaves)
+    return list(map(SubdivisionLeaf, _decode(masks, _route_index(g)[0]), flows))
+
+
+def _replay(g, framing, choose):
+    """The leaf mask and flow of the reduction that reduces each inner vertex
+    v along the composition choose(v, prefixes arriving at v), for an already
+    validated g, framing."""
+    through, blocks, flow = _start(g)
+    for v in range(2, g.n):
+        ins = _arriving(framing, blocks, v)
+        composition = choose(v, ins)
+        if min(composition) < 0 or sum(composition) != len(ins) - 1:
+            raise InputError(f"flow not realizable: bad total at vertex {v}")
+        _reduce(framing, through, blocks, flow, v, ins, composition)
+    return _leaf(g, blocks, flow)
 
 
 def flow_to_clique(g, framing, flow):
@@ -193,68 +215,42 @@ def flow_to_clique(g, framing, flow):
     if malformed:
         raise InputError("flow must be a nonnegative integer vector over the edges")
     _validate_framed(g, framing)
-    return _replay(g, framing, flow)
-
-
-def _replay(g, framing, flow):
-    """Leaf routes of the reduction along flow, for an already validated g, framing."""
-    blocks, replayed = _start(g)
-    for v in range(2, g.n):
-        ins = _arriving(framing, blocks, v)
-        composition = tuple(int(flow[e]) for e in framing.out_orders[v])
-        if sum(composition) != len(ins) - 1:
-            raise InputError(f"flow not realizable: bad total at vertex {v}")
-        _reduce(framing, blocks, replayed, v, ins, composition)
+    mask, replayed = _replay(
+        g, framing, lambda v, _: [int(flow[e]) for e in framing.out_orders[v]]
+    )
     if any(flow[e] for e in g.out_edge_ids(1)):
         raise InputError("flow not realizable: nonzero flow out of vertex 1")
-    leaf = _leaf(g, blocks, replayed)
-    if leaf.flow != tuple(int(x) for x in flow):
+    if replayed != tuple(int(x) for x in flow):
         raise InternalCheckError("replayed reduction did not reproduce the input flow")
-    return leaf.routes
-
-
-def _routes_flow(g, routes):
-    """The flow a replay would need to yield routes; None if there is none.
-
-    Reducing vertex v along composition b gives out-edge j exactly b_j + 1
-    distinct prefixes, and later reductions only extend them, so an edge
-    out of an inner vertex carries one less than the number of distinct
-    route prefixes ending in it; edges out of vertex 1 carry 0.
-    """
-    flow = [0] * g.edge_count
-    prefixes = set()
-    for route in routes:
-        if not isinstance(route, tuple):
-            return None
-        v = 1
-        for j, e in enumerate(route):
-            if not isinstance(e, int) or not 0 <= e < g.edge_count or g.edges[e][0] != v:
-                return None
-            if v != 1 and route[: j + 1] not in prefixes:
-                prefixes.add(route[: j + 1])
-                flow[e] += 1
-            v = g.edges[e][1]
-        if v != g.n:
-            return None
-    flow = tuple(x - 1 if g.edges[e][0] != 1 else 0 for e, x in enumerate(flow))
-    return flow if min(flow, default=0) >= 0 else None
+    return _decode([mask], _route_index(g)[0])[0]
 
 
 def clique_to_flow(g, framing, clique):
-    """Inverse of flow_to_clique: the flow read off the routes, confirmed by one replay.
-
-    Raises InputError unless replaying the reduction along that flow gives
-    back exactly the sorted clique.
-    """
+    """Inverse of flow_to_clique, by one replay: at a leaf, out-edge e of v
+    takes exactly the arriving prefixes that some route of the clique
+    continues along e, so b_e is one less than their number.  Raises
+    InputError unless the replay gives back exactly the clique."""
     try:
-        target = tuple(sorted(clique))
+        target = sorted(clique)
     except TypeError:
         raise InputError("route set must be a collection of edge-id tuples") from None
     _validate_framed(g, framing)
-    flow = _routes_flow(g, target)
-    if flow is not None:
+    _, bit, through = _route_index(g)
+    try:  # edge ids must be ints: (0.0, 4.0) looks up like (0, 4)
+        bits = {bit[r] for r in target if all(isinstance(e, int) for e in r)}
+    except (KeyError, TypeError):  # an unknown or unhashable route
+        bits = ()
+    mask = sum(bits)
+
+    def choose(v, ins):
+        return [
+            sum(1 for pre in ins if pre & through[e] & mask) - 1 for e in framing.out_orders[v]
+        ]
+
+    if len(bits) == len(target):
         try:
-            if _replay(g, framing, flow) == target:
+            replayed, flow = _replay(g, framing, choose)
+            if replayed == mask:
                 return flow
         except InputError:
             pass
@@ -289,7 +285,7 @@ def _clique_masks(g, framing):
     order sorts their route tuples lexicographically.
     """
     _validate_framed(g, framing)
-    routes = enumerate_routes(g)
+    routes = _route_index(g)[0]
     k = len(routes)
     profiles = [_passes(g, framing, r) for r in routes]
     adj = [0] * k  # indexed by bit
@@ -322,10 +318,7 @@ def _clique_masks(g, framing):
             p ^= bit
             x |= bit
 
-    if k:
-        expand(0, (1 << k) - 1, 0)
-    else:  # no routes: the empty set is the one maximal clique
-        cliques.append(0)
+    expand(0, (1 << k) - 1, 0)
     del expand  # breaks its self-reference, so the walk's state is freed on return
     expected = g.edge_count - g.n + 2
     for c in cliques:

@@ -176,6 +176,13 @@ def test_dilation_count_rejects_bad_sizes(n):
         enumerate_asm(n)
 
 
+@pytest.mark.parametrize("count", [asm_dilation_count, proctor_ehrhart], ids=["asm", "proctor"])
+def test_negative_dilation_is_refused(count):
+    args = (3, (), -1) if count is asm_dilation_count else (3, -1)
+    with pytest.raises(InputError, match="^dilation factor must be nonnegative$"):
+        count(*args)
+
+
 def test_dilation_count_rejects_non_integral_input():
     with pytest.raises(InputError, match="integers"):
         asm_dilation_count(3, (), 1.5)

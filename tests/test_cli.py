@@ -220,12 +220,14 @@ def test_degenerate_graph_exits_2(runner, tmp_path):
     ids=["kostant", "ps", "dkk", "all", "triangulate", "triangulate-ps", "ehrhart", "routes"],
 )
 def test_one_vertex_graph_exits_2(runner, tmp_path, command):
-    path = tmp_path / "point.json"
-    path.write_text(json.dumps({"n": 1, "edges": []}))
-    result = runner.invoke(main, command + [str(path)])
-    assert result.exit_code == 2
-    assert isinstance(result.exception, SystemExit)  # no traceback
-    assert result.stderr.startswith("input error: ")
+    # and two vertices without an edge: no route, so an empty flow polytope
+    for graph in ({"n": 1, "edges": []}, {"n": 2, "edges": []}):
+        path = tmp_path / "point.json"
+        path.write_text(json.dumps(graph))
+        result = runner.invoke(main, command + [str(path)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert result.stderr.startswith("input error: ")
 
 
 # id-order framing of K4: edges 0..5 are 12, 13, 14, 23, 24, 34
@@ -333,6 +335,15 @@ def test_nonplanar_framing_request_exits(runner, tmp_path):
         main, ["triangulate", str(path), "--method", "dkk", "--framing", "planar"]
     )
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("method", ["canonical", "dkk", "ps"])
+def test_unknown_framing_exits_2(runner, k5_path, method):
+    command = ["triangulate", k5_path, "--method", method, "--framing", "bogus"]
+    result = runner.invoke(main, command)
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert "'bogus' is not one of" in result.stderr
 
 
 def test_zigzag_poset_roundtrips_through_cli(runner, tmp_path):

@@ -81,8 +81,24 @@ def test_unit_simplex_volume():
     ]
     basis = lattice_basis(simplex)
     assert simplex_normalized_volume(simplex, basis) == 1
-    # degenerate: repeated vertex
+    # degenerate: repeated vertex, or one vertex too few or too many
     assert simplex_normalized_volume([simplex[0]] * 2 + simplex[2:], basis) == 0
+    assert simplex_normalized_volume(simplex[1:], basis) == 0
+    assert simplex_normalized_volume(simplex + [(1,) * d], basis) == 0
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: affine_dimension([]), "affine dimension of an empty point set is undefined"),
+        (lambda: lattice_basis([]), "need at least one point"),
+        (lambda: determinant([[1, 2]]), "determinant needs a square matrix"),
+    ],
+    ids=["affine-dimension", "lattice-basis", "determinant"],
+)
+def test_refusals(call, message):
+    with pytest.raises(InputError, match=f"^{message}$"):
+        call()
 
 
 def test_coordinates_in_basis_detects_outside_vectors():
@@ -146,8 +162,16 @@ DOUBLED_TRIANGLE = [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (0, 2)]
             4,
             ["simplex 0: normalized volume 4, expected 1"],
         ),
+        (
+            DOUBLED_TRIANGLE,
+            [((0, 0), (1, 0), (2, 0))],
+            1,
+            ["simplex 0: normalized volume 0, expected 1", "volume total 0 != expected 1"],
+        ),
     ],
-    ids=["missing", "overlap", "foreign-vertex", "repeated-vertex", "two-vertices", "volume-4"],
+    ids=[
+        "missing", "overlap", "foreign-vertex", "repeated-vertex", "two-vertices", "volume-4", "flat"
+    ],
 )
 def test_triangulation_checks_catch_broken_squares(vertices, simplices, volume, failures):
     report = triangulation_checks(vertices, simplices, volume)

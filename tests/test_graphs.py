@@ -1,3 +1,4 @@
+import pickle
 import time
 
 import pytest
@@ -22,6 +23,7 @@ from flowpoly.graphs import (
     route_flow_vector,
     route_vertices,
 )
+from flowpoly.triangulations import dkk_maximal_cliques
 
 
 def test_edges_must_point_forward():
@@ -31,6 +33,8 @@ def test_edges_must_point_forward():
         DirectedMultigraph(3, ((1, 4),))
     with pytest.raises(InputError):
         DirectedMultigraph(2, ((1, 1),))
+    with pytest.raises(InputError, match="^vertex count must be positive$"):
+        DirectedMultigraph(0, ())
 
 
 @pytest.mark.parametrize(
@@ -44,6 +48,21 @@ def test_stored_adjacency_matches_an_edge_scan(g):
     twin = DirectedMultigraph(g.n, [list(e) for e in g.edges])
     assert twin == g and hash(twin) == hash(g)
     assert repr(g) == f"DirectedMultigraph(n={g.n}, edges={g.edges!r})"
+    # nor do they see the route index that a walk stores on g, and a caller
+    # mutating its copy of the routes does not reach the stored index
+    routes = enumerate_routes(g)
+    assert "_index" in vars(g) and "_index" not in vars(twin)
+    routes.reverse()
+    routes.append((0,))
+    pruned = all(g.in_edge_ids(v) and g.out_edge_ids(v) for v in g.inner_vertices())
+    if pruned:
+        assert dkk_maximal_cliques(g, id_order_framing(g)) == dkk_maximal_cliques(
+            twin, id_order_framing(twin)
+        )
+    assert enumerate_routes(g) == enumerate_routes(twin)
+    clone = pickle.loads(pickle.dumps(g))
+    for h in (g, clone):
+        assert h == twin and hash(h) == hash(twin) and repr(h) == repr(twin)
 
 
 def test_dimension_formula():
@@ -90,8 +109,12 @@ def test_prune_degenerate_graph_raises():
 
 def test_require_pruned():
     require_pruned(complete_graph(4))
+    require_pruned(parallel_edges(1))
     with pytest.raises(ContractError):
         require_pruned(DirectedMultigraph(3, ((1, 2), (1, 3))))
+    # two vertices and no edge: no route, so an empty flow polytope
+    with pytest.raises(ContractError, match="^degenerate graph, empty flow polytope$"):
+        require_pruned(DirectedMultigraph(2, ()))
 
 
 def test_framing_validation():

@@ -36,6 +36,15 @@ def test_complete_graph_volumes(n, expected):
 def test_volume_requires_pruned_graph():
     with pytest.raises(ContractError):
         flow_polytope_volume(DirectedMultigraph(3, ((1, 2), (1, 3))))
+    with pytest.raises(ContractError, match="^degenerate graph, empty flow polytope$"):
+        flow_polytope_volume(DirectedMultigraph(2, ()))
+    with pytest.raises(ContractError, match="^degenerate graph, empty flow polytope$"):
+        flow_ehrhart_value(DirectedMultigraph(2, ()), 1)
+
+
+def test_negative_dilation_is_refused():
+    with pytest.raises(InputError, match="^dilation factor must be nonnegative$"):
+        flow_ehrhart_value(complete_graph(4), -1)
 
 
 def test_netflow_must_balance():

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from flowpoly.graphs import (
 )
 from flowpoly.kostant import ehrhart_netflow, enumerate_integer_flows, flow_polytope_volume
 from flowpoly.planar import (
+    _BOT,
     BOTTOM,
     TOP,
     arc_diagram,
@@ -87,6 +89,31 @@ def test_crossing_error_reports_edge_pair():
     # the reported arcs genuinely conflict: they overlap but neither nests
     assert max(ta, tb) < min(ha, hb)
     assert not (ta < tb and hb < ha) and not (tb < ta and ha < hb)
+
+
+@pytest.mark.parametrize(
+    "g, framing, pair",
+    [
+        # parallel arcs nested one way at vertex 1 and the other at vertex 3
+        (
+            DirectedMultigraph(3, ((1, 2), (2, 3), (1, 3), (1, 3))),
+            Framing({3: (2, 3, 1)}, {1: (3, 2, 0)}),
+            (2, 3),
+        ),
+        # two arcs out of vertex 1, the shorter one on top
+        (TRIANGLE, Framing({}, {1: (0, 2)}), (0, 2)),
+    ],
+    ids=["parallel-arcs", "shared-tail"],
+)
+def test_crossing_error_names_the_nesting_conflict(g, framing, pair):
+    with pytest.raises(NotPlanarError, match=re.escape(f"edges {pair}") + "$") as exc:
+        arc_diagram(g, framing)
+    assert exc.value.edge_pair == pair
+
+
+def test_poset_to_flow_graph_refuses_a_reserved_label():
+    with pytest.raises(InputError, match="^poset uses a reserved internal label$"):
+        poset_to_flow_graph(Poset((_BOT,), ()))
 
 
 def test_wedge_dual_poset_shape():

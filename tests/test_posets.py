@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -33,6 +34,28 @@ def test_poset_rejects_cycles_and_redundant_covers():
     with pytest.raises(InputError):
         # (1,3) is implied by (1,2),(2,3)
         Poset((1, 2, 3), ((1, 2), (2, 3), (1, 3)))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Poset((1, 1), ()), "duplicate poset elements"),
+        (lambda: Poset((1, 2), ((1, 3),)), "cover (1,3) uses unknown elements"),
+        (lambda: Poset((1, 2), ((1, 1),)), "covers must relate distinct elements"),
+        (lambda: Poset.from_relations((1, 2), ((1, 2), (2, 1))), "relation set contains a cycle"),
+        (
+            lambda: order_polynomial(antichain(2)[0], -1),
+            "order polynomial argument must be nonnegative",
+        ),
+        (lambda: skew_star(4, (-1,)), "partition parts must be nonnegative"),
+    ],
+    ids=[
+        "duplicate", "unknown-cover", "self-cover", "relation-cycle", "negative-m", "negative-part"
+    ],
+)
+def test_refusals(build, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def test_order_queries_reject_unknown_elements():

@@ -26,7 +26,9 @@ from flowpoly.graphs import (
     route_flow_vector,
     route_vertices,
 )
-from flowpoly.kostant import enumerate_integer_flows, flow_polytope_volume, indegree_shift_netflow
+from flowpoly.kostant import (
+    compositions_colex, enumerate_integer_flows, flow_polytope_volume, indegree_shift_netflow
+)
 from flowpoly.planar import arc_diagram, dual_poset, order_to_flow_point, poset_to_flow_graph
 from flowpoly.posets import (
     all_staircase_partitions,
@@ -129,6 +131,8 @@ def test_noncrossing_tree_edges_are_noncrossing():
 def test_noncrossing_tree_rejects_bad_composition():
     with pytest.raises(ContractError):
         NoncrossingTree(3, 2, (3, 0))
+    with pytest.raises(InputError, match="^both sides of a noncrossing tree must be nonempty$"):
+        noncrossing_trees(0, 2)
 
 
 def test_reduction_degrees_follow_composition():
@@ -143,6 +147,67 @@ def test_reduction_degrees_follow_composition():
     assert routes == ((0, 4), (1, 4), (1, 5), (1, 6), (2, 6), (3, 6))
     assert [sum(r[-1] == e for r in routes) for e in (4, 5, 6)] == [2, 1, 3]
     assert clique_to_flow(g, fr, routes) == flow
+
+
+def _tuple_prefix_reduction(g, fr):
+    """The vertex reduction with each route prefix kept as its edge-id tuple:
+    (sorted leaf routes, leaf flow) per leaf, in walk order."""
+    blocks = {e: [(e,)] for e in g.out_edge_ids(1)}
+    flow = [0] * g.edge_count
+    leaves = []
+
+    def descend(v):
+        if v == g.n:
+            routes = [pre for e in g.in_edge_ids(g.n) for pre in blocks[e]]
+            leaves.append((tuple(sorted(routes)), tuple(flow)))
+            return
+        ins = [pre for e in fr.in_orders[v] for pre in blocks[e]]
+        for composition in compositions_colex(len(ins) - 1, len(fr.out_orders[v])):
+            p = 0
+            for e, b in zip(fr.out_orders[v], composition):
+                blocks[e] = [pre + (e,) for pre in ins[p : p + b + 1]]
+                flow[e] = b
+                p += b
+            descend(v + 1)
+
+    descend(2)
+    return leaves
+
+
+REDUCTION_ORACLE_CASES = [
+    (f"k{n}-{name}", complete_graph(n), fr)
+    for n in (4, 5, 6, 7)
+    for name, fr in (
+        ("id", id_order_framing(complete_graph(n))),
+        ("f5", random_framing(complete_graph(n), 5)),
+        ("f91", random_framing(complete_graph(n), 91)),
+    )
+] + [(name, pg.graph, pg.framing) for name, pg in planar_fixtures().items()]
+
+
+@pytest.mark.parametrize(
+    "name,g,fr", REDUCTION_ORACLE_CASES, ids=[c[0] for c in REDUCTION_ORACLE_CASES]
+)
+def test_reduction_matches_the_tuple_prefix_oracle(name, g, fr):
+    leaves = ps_triangulation(g, fr)
+    assert [(leaf.routes, leaf.flow) for leaf in leaves] == _tuple_prefix_reduction(g, fr)
+
+
+def test_leaf_refuses_a_repeated_route(monkeypatch):
+    # every block of two or more prefixes repeats its first one in place of
+    # its last, so some leaf has #E - #V + 2 routes with one of them twice
+    reduce_vertex = triangulations._reduce
+
+    def repeating(framing, through, blocks, flow, v, ins, composition):
+        reduce_vertex(framing, through, blocks, flow, v, ins, composition)
+        for e in framing.out_orders[v]:
+            blocks[e][-1] = blocks[e][0]
+
+    monkeypatch.setattr(triangulations, "_reduce", repeating)
+    g = complete_graph(5)
+    message = "leaf does not have #E - #V + 2 distinct routes"
+    with pytest.raises(InternalCheckError, match=f"^{re.escape(message)}$"):
+        ps_triangulation(g, id_order_framing(g))
 
 
 def test_reduction_leaf_count_is_volume():
@@ -268,6 +333,7 @@ def test_flow_clique_roundtrip_on_every_leaf(name, g, fr):
         assert flow_to_clique(g, fr, leaf.flow) == leaf.routes
         assert clique_to_flow(g, fr, leaf.routes) == leaf.flow
         assert clique_to_flow(g, fr, reversed(leaf.routes)) == leaf.flow
+        assert leaf.flow == _distinct_prefix_flow(g, leaf.routes)
 
 
 @st.composite
@@ -292,6 +358,7 @@ def test_reduction_agrees_with_volume_cliques_and_flows(graph_and_framing):
     cliques = dkk_maximal_cliques(g, fr)
     assert len(leaves) == flow_polytope_volume(g) == len(cliques)
     assert sorted(leaf.routes for leaf in leaves) == cliques
+    assert [(leaf.routes, leaf.flow) for leaf in leaves] == _tuple_prefix_reduction(g, fr)
     flows = enumerate_integer_flows(g, indegree_shift_netflow(g))
     assert {leaf.flow for leaf in leaves} == {
         tuple(fl.get(e, 0) for e in range(g.edge_count)) for fl in flows
@@ -393,6 +460,13 @@ def _prefix_counts(routes):
     return Counter(pre[-1] for pre in {r[:j] for r in routes for j in range(1, len(r) + 1)})
 
 
+def _distinct_prefix_flow(g, routes):
+    """The flow read off a leaf's routes: one less than the number of distinct
+    route prefixes ending in each edge, and 0 on the edges out of 1."""
+    counts = _prefix_counts(routes)
+    return tuple(0 if g.edges[e][0] == 1 else counts[e] - 1 for e in range(g.edge_count))
+
+
 def _crossed(g, cliques):
     """Two routes of a leaf made to swap their tails where they meet, such
     that the distinct-prefix count of every edge stays that of the leaf:
@@ -420,9 +494,11 @@ def _crossed(g, cliques):
         lambda g, cliques: cliques[0][:-1] + ((g.edge_count,),),
         lambda g, cliques: cliques[0][1:] + (tuple(reversed(cliques[0][0])),),
         lambda g, cliques: (),
+        lambda g, cliques: [list(r) for r in cliques[0]],
+        lambda g, cliques: [tuple(float(e) for e in r) for r in cliques[0]],
     ],
     ids=["crossed-tails", "repeated-route", "dropped-route", "swapped-route", "edge-out-of-range",
-         "not-a-path", "empty"],
+         "not-a-path", "empty", "routes-as-lists", "float-edge-ids"],
 )
 def test_clique_to_flow_rejects_non_leaves(make_clique):
     g, fr, cliques = _k6_leaves()
