@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import fixtures
-from .graphs import _route_index, all_framings, id_order_framing, random_framing, route_flow_vector
+from .graphs import all_framings, id_order_framing, random_framing, route_flow_vector
 from .kostant import ehrhart_netflow, enumerate_integer_flows, indegree_shift_netflow
 from .planar import (
     _ideal_routes, dual_poset, flow_to_order_point, order_to_flow_point, poset_to_flow_graph
@@ -33,18 +33,17 @@ from .triangulations import (
 def transported_canonical_triangulation(pg):
     """Canonical simplices of O(P_G) in flow coordinates: each vertex, the
     filter indicator of an ideal, becomes the unit flow of its route."""
-    poset, _, route_of = _ideal_routes(pg)
-    flow = {m: route_flow_vector(pg.graph, r) for m, r in route_of.items()}
+    poset, routes, route_of = _ideal_routes(pg)
+    flow = {m: route_flow_vector(pg.graph, routes[i]) for m, i in route_of.items()}
     return _chain_sums(_lattice(poset._below), (flow[0],), lambda i, up: (flow[up],))
 
 
 def _thm2(pg):
     """The sets of canonical simplices of O(P_G) and of DKK cliques of pg,
     both as masks over its route index."""
-    poset, _, route_of = _ideal_routes(pg)
-    bit = _route_index(pg.graph)[1]
-    mask = {m: bit[r] for m, r in route_of.items()}
-    canonical = _chain_sums(_lattice(poset._below), mask[0], lambda i, up: mask[up])
+    poset, routes, route_of = _ideal_routes(pg)
+    bit = {m: 1 << (len(routes) - 1 - i) for m, i in route_of.items()}
+    canonical = _chain_sums(_lattice(poset._below), bit[0], lambda i, up: bit[up])
     return set(canonical), set(_clique_masks(pg.graph, pg.framing)[2])
 
 
@@ -75,18 +74,17 @@ def _reduction_failure(g, framing):
     """Why the reduction leaves under framing are not the coherent cliques,
     or None; leaves are read off the clique walk's coherence graph."""
     routes, adj, cliques = _clique_masks(g, framing)
-    bit = _route_index(g)[1]
+    bit = {r: b for b, r in enumerate(reversed(routes))}  # route i is bit k-1-i
     masks = []
     for leaf in ps_triangulation(g, framing):
         bits = [bit.get(r) for r in leaf.routes]
         if None in bits:
             return "route families differ"
-        mask = sum(bits)
+        mask = sum(1 << b for b in bits)
         for b in bits:  # leaf routes are sorted: the first incoherent later one is the highest
-            later = mask & ~adj[b.bit_length() - 1] & (b - 1)
+            later = mask & ~adj[b] & ((1 << b) - 1)
             if later:
-                p, q = routes[-b.bit_length()], routes[-later.bit_length()]
-                return f"incoherent leaf pair {p} and {q}"
+                return f"incoherent leaf pair {routes[-1 - b]} and {routes[-later.bit_length()]}"
         masks.append(mask)
     return None if sorted(masks, reverse=True) == cliques else "route families differ"
 
@@ -205,9 +203,9 @@ def verify_vertex_bijections():
         poset, routes, route_of = _ideal_routes(pg)
         vertex = _ideal_vertices(poset)
         ok = len(route_of) == len(routes) and all(
-            flow_to_order_point(pg, route_flow_vector(pg.graph, r))
+            flow_to_order_point(pg, route_flow_vector(pg.graph, routes[i]))
             == dict(zip(poset.elements, vertex[m]))
-            for m, r in route_of.items()
+            for m, i in route_of.items()
         )
         results.append((name, ok, f"{len(routes)} vertices"))
     return results

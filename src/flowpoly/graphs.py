@@ -78,12 +78,12 @@ class Framing:
 
     @staticmethod
     def validate(g, framing):
-        for v in g.inner_vertices():
+        for v in range(2, g.n):
             for label, order, expect in (
-                ("in", framing.in_orders.get(v), g.in_edge_ids(v)),
-                ("out", framing.out_orders.get(v), g.out_edge_ids(v)),
+                ("in", framing.in_orders.get(v), g._in.get(v, ())),
+                ("out", framing.out_orders.get(v), g._out.get(v, ())),
             ):
-                if order is None or sorted(order) != sorted(expect):
+                if order is None or tuple(sorted(order)) != expect:  # expect is sorted
                     raise InputError(
                         f"framing {label}-order at vertex {v} does not list its edges exactly once"
                     )
@@ -179,7 +179,7 @@ def prune_inner_vertices(g):
         (vertex_map[g.edges[e][0]], vertex_map[g.edges[e][1]]) for e in kept
     )
     pruned = DirectedMultigraph(len(alive_vertices), new_edges)
-    if pruned.n < 2 or not _route_index(pruned)[0]:
+    if pruned.n < 2 or not pruned.edges:  # pruned, so each edge is on a route
         raise InputError("degenerate graph, empty flow polytope")
     return PruneResult(pruned, tuple(removed), vertex_map, edge_map)
 
@@ -209,16 +209,6 @@ def require_pruned(g):
 
 def enumerate_routes(g):
     """All 1->n directed paths as edge-id tuples, lexicographic by ids."""
-    return list(_route_index(g)[0])
-
-
-def _route_index(g):
-    """The routes of g as a tuple, lexicographic by ids; the bit of each
-    route, route i of k being bit k-1-i; and per edge id the mask of the
-    routes through it.  Built on first use and stored on g like its
-    adjacency, so eq, hash and repr ignore it."""
-    if "_index" in vars(g):
-        return g._index
     routes = []
     stack = []
 
@@ -234,14 +224,7 @@ def _route_index(g):
     if g.n >= 2:
         walk(1)
     del walk  # breaks its self-reference, so the walk's state is freed on return
-    k = len(routes)
-    bit = {route: 1 << (k - 1 - i) for i, route in enumerate(routes)}
-    through = [0] * g.edge_count
-    for route, b in bit.items():
-        for e in route:
-            through[e] |= b
-    object.__setattr__(g, "_index", (tuple(routes), bit, tuple(through)))
-    return g._index
+    return routes
 
 
 def route_vertices(g, route):

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .errors import InputError, InternalCheckError, NotPlanarError
 from .graphs import (
-    DirectedMultigraph, Framing, _route_index, require_pruned, route_flow_vector
+    DirectedMultigraph, Framing, enumerate_routes, require_pruned, route_flow_vector
 )
 from .posets import Poset, _ideal_vertices, default_embedding
 
@@ -269,18 +269,19 @@ def _upper_boundary(pg, lower):
 
 def _ideal_routes(pg):
     """The dual poset, the routes of pg.graph, and per ideal mask of the
-    poset the route on its upper boundary.  That route's unit flow must be
-    order_to_flow_point of the complementary filter's indicator, and
-    distinct ideals must give distinct routes."""
+    poset the index of the route on its upper boundary.  That route's unit
+    flow must be order_to_flow_point of the complementary filter's
+    indicator, and distinct ideals must give distinct routes."""
     poset = dual_poset(pg)
-    routes = _route_index(pg.graph)[0]
+    routes = enumerate_routes(pg.graph)
+    index = {route: i for i, route in enumerate(routes)}
     route_of = {}
     for ideal, filt in _ideal_vertices(poset).items():
         route = _upper_boundary(pg, {r for r, x in zip(poset.elements, filt) if not x} | {BOTTOM})
         flow = order_to_flow_point(pg, dict(zip(poset.elements, filt)))
         if flow != route_flow_vector(pg.graph, route):
             raise InternalCheckError(f"upper boundary route {route} is not the transported vertex")
-        route_of[ideal] = route
+        route_of[ideal] = index[route]
     if len(set(route_of.values())) != len(route_of):
         raise InternalCheckError("two order ideals have one upper boundary route")
     return poset, routes, route_of

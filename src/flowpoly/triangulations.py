@@ -8,19 +8,18 @@
   reduced every edge into v already holds its final block of route
   prefixes; the prefixes arriving at v are those blocks in framing
   in-order, and out-edge j (framing out-order) takes b_j + 1 consecutive
-  ones, each extended by itself, and flow b_j.  A prefix is the mask of
-  the routes that extend it, over the graph's one route index, so a leaf's
-  routes are the bits of the prefixes arriving at n.  One dict of blocks
-  and one flow list serve the whole depth-first walk;
+  ones, each extended by itself, and flow b_j.  A prefix is the AND of
+  through[e] over its edges: the routes extending it, for through[e] the
+  routes of g via e.  One dict of blocks and one flow list serve the walk;
 * clique ("dkk"): maximal sets of pairwise coherent routes, found by
-  Bron-Kerbosch with pivoting on bitmasks over the same route index.
+  Bron-Kerbosch with pivoting on bitmasks (one int per route set).
 
 Each leaf's flow has netflow (0, d_2, ..., d_{n-1}, -sum d_i).  One replay
-of the reduction, choosing each vertex's composition, serves both halves of
-the flow <-> clique bijection: a flow chooses the flow on the out-edges, a
-clique chooses, per out-edge, one less than the number of arriving prefixes
-that its routes continue along that edge.  Matching the leaves of the walks
-under two framings by flow gives the framing-change bijection.
+serves both halves of the flow <-> clique bijection: a flow chooses each
+composition, a prefix being the mask of the edges off it; a clique chooses
+b_e + 1, the arriving prefixes its routes continue along e, a prefix being
+the mask of its routes extending it.  Matching the leaves of two framings
+by flow gives the framing-change bijection.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from .graphs import (
     _coherent,
     _framing_to_json,
     _passes,
-    _route_index,
+    enumerate_routes,
     require_pruned,
     route_flow_vector,
 )
@@ -141,21 +140,30 @@ def _reduce(framing, through, blocks, flow, v, ins, composition):
         p += b
 
 
-def _start(g):
-    """The route masks through each edge, and the blocks and flow before any
-    reduction: an edge out of 1 holds one prefix, the routes through it."""
-    through = _route_index(g)[2]
-    return through, {e: [through[e]] for e in g.out_edge_ids(1)}, [0] * g.edge_count
-
-
-def _leaf(g, blocks, flow):
-    """The leaf once every inner vertex is reduced: the mask of the prefixes
-    arriving at n, each one route, and the flow."""
+def _leaf(g, blocks):
+    """The #E - #V + 2 distinct prefixes arriving at n after the last reduction."""
     arriving = [pre for e in g.in_edge_ids(g.n) for pre in blocks[e]]
-    mask = sum(arriving)  # a repeated route carries into another bit
-    if len(arriving) != g.edge_count - g.n + 2 or mask.bit_count() != len(arriving):
+    if len(arriving) != g.edge_count - g.n + 2 or len(set(arriving)) != len(arriving):
         raise InternalCheckError("leaf does not have #E - #V + 2 distinct routes")
-    return mask, tuple(flow)
+    return arriving
+
+
+def _through(g, routes):
+    """Per edge id the mask of the routes through it, route i of k being bit
+    k-1-i; None unless routes lists distinct routes of g."""
+    through = [0] * g.edge_count
+    for b, route in enumerate(reversed(routes)):
+        if not isinstance(route, tuple):
+            return None
+        v = 1
+        for e in route:  # (0.0, 4.0) is no route, though it equals (0, 4)
+            if not isinstance(e, int) or not 0 <= e < len(through) or g.edges[e][0] != v:
+                return None
+            through[e] |= 1 << b
+            v = g.edges[e][1]
+        if v != g.n:
+            return None
+    return through if len(set(routes)) == len(routes) else None
 
 
 def ps_triangulation(g, framing):
@@ -163,16 +171,17 @@ def ps_triangulation(g, framing):
 
     Tree choices at each vertex run in colex composition order, so leaves
     come ordered by their compositions, vertex 2 first, each in colex order.
-    The leaf masks are decoded into route tuples only at the end.
     """
     _validate_framed(g, framing)
-    through, blocks, flow = _start(g)
+    routes = enumerate_routes(g)
+    through = _through(g, routes)
+    blocks, flow = {e: [through[e]] for e in g.out_edge_ids(1)}, [0] * g.edge_count
     leaves = []
     trees = {}  # (left, right) -> compositions of noncrossing_trees(left, right)
 
     def descend(v):
         if v == g.n:
-            leaves.append(_leaf(g, blocks, flow))
+            leaves.append((sum(_leaf(g, blocks)), tuple(flow)))
             return
         ins = _arriving(framing, blocks, v)
         sides = (len(ins), len(framing.out_orders[v]))
@@ -185,28 +194,28 @@ def ps_triangulation(g, framing):
     descend(2)
     del descend  # breaks its self-reference, so the walk's state is freed on return
     masks, flows = zip(*leaves)
-    return list(map(SubdivisionLeaf, _decode(masks, _route_index(g)[0]), flows))
+    return list(map(SubdivisionLeaf, _decode(masks, routes), flows))
 
 
-def _replay(g, framing, choose):
-    """The leaf mask and flow of the reduction that reduces each inner vertex
-    v along the composition choose(v, prefixes arriving at v), for an already
-    validated g, framing."""
-    through, blocks, flow = _start(g)
+def _replay(g, framing, through, choose):
+    """Blocks and flow of the reduction of each inner vertex v along the
+    composition choose(v, prefixes arriving at v), for a validated g, framing."""
+    blocks, flow = {e: [through[e]] for e in g.out_edge_ids(1)}, [0] * g.edge_count
     for v in range(2, g.n):
         ins = _arriving(framing, blocks, v)
         composition = choose(v, ins)
         if min(composition) < 0 or sum(composition) != len(ins) - 1:
             raise InputError(f"flow not realizable: bad total at vertex {v}")
         _reduce(framing, through, blocks, flow, v, ins, composition)
-    return _leaf(g, blocks, flow)
+    return blocks, flow
 
 
 def flow_to_clique(g, framing, flow):
     """Leaf routes of the reduction replayed along a given integer flow.
 
     At each vertex the unique tree whose composition equals the flow on
-    that vertex's out-edges is chosen.
+    that vertex's out-edges is chosen.  A prefix is the mask of the edges
+    off it, edge order[i] of m being bit m-1-i, so no route is enumerated.
     """
     try:
         malformed = len(flow) != g.edge_count or any(int(x) != x or x < 0 for x in flow)
@@ -215,43 +224,40 @@ def flow_to_clique(g, framing, flow):
     if malformed:
         raise InputError("flow must be a nonnegative integer vector over the edges")
     _validate_framed(g, framing)
-    mask, replayed = _replay(
-        g, framing, lambda v, _: [int(flow[e]) for e in framing.out_orders[v]]
+    order = [e for v in range(1, g.n) for e in g.out_edge_ids(v)]  # by tail: a route in path order
+    every = (1 << g.edge_count) - 1
+    off = [0] * g.edge_count
+    for b, e in enumerate(reversed(order)):
+        off[e] = every ^ (1 << b)
+    blocks, replayed = _replay(
+        g, framing, off, lambda v, _: [int(flow[e]) for e in framing.out_orders[v]]
     )
     if any(flow[e] for e in g.out_edge_ids(1)):
         raise InputError("flow not realizable: nonzero flow out of vertex 1")
-    if replayed != tuple(int(x) for x in flow):
+    if replayed != [int(x) for x in flow]:
         raise InternalCheckError("replayed reduction did not reproduce the input flow")
-    return _decode([mask], _route_index(g)[0])[0]
+    return tuple(sorted(_items(every ^ pre, order) for pre in _leaf(g, blocks)))
 
 
 def clique_to_flow(g, framing, clique):
-    """Inverse of flow_to_clique, by one replay: at a leaf, out-edge e of v
-    takes exactly the arriving prefixes that some route of the clique
-    continues along e, so b_e is one less than their number.  Raises
-    InputError unless the replay gives back exactly the clique."""
+    """Inverse of flow_to_clique, by one replay over the routes of the
+    clique: at a leaf, out-edge e of v takes exactly the arriving prefixes
+    that some of them continue along e, so b_e is one less than their
+    number.  Raises InputError unless each route arrives at n alone."""
     try:
         target = sorted(clique)
     except TypeError:
         raise InputError("route set must be a collection of edge-id tuples") from None
     _validate_framed(g, framing)
-    _, bit, through = _route_index(g)
-    try:  # edge ids must be ints: (0.0, 4.0) looks up like (0, 4)
-        bits = {bit[r] for r in target if all(isinstance(e, int) for e in r)}
-    except (KeyError, TypeError):  # an unknown or unhashable route
-        bits = ()
-    mask = sum(bits)
-
-    def choose(v, ins):
-        return [
-            sum(1 for pre in ins if pre & through[e] & mask) - 1 for e in framing.out_orders[v]
-        ]
-
-    if len(bits) == len(target):
+    through = _through(g, target)
+    if through is not None:
         try:
-            replayed, flow = _replay(g, framing, choose)
-            if replayed == mask:
-                return flow
+            blocks, flow = _replay(g, framing, through, lambda v, ins: [
+                len([1 for pre in ins if pre & through[e]]) - 1 for e in framing.out_orders[v]
+            ])
+            arriving = [pre for e in g.in_edge_ids(g.n) for pre in blocks[e]]
+            if sorted(arriving) == [1 << b for b in range(len(target))]:
+                return tuple(flow)
         except InputError:
             pass
     raise InputError("route set is not a leaf of the reduction for this framing")
@@ -285,7 +291,7 @@ def _clique_masks(g, framing):
     order sorts their route tuples lexicographically.
     """
     _validate_framed(g, framing)
-    routes = _route_index(g)[0]
+    routes = enumerate_routes(g)
     k = len(routes)
     profiles = [_passes(g, framing, r) for r in routes]
     adj = [0] * k  # indexed by bit
@@ -331,23 +337,23 @@ def _clique_masks(g, framing):
     return routes, adj, cliques
 
 
+def _items(mask, items):
+    """The items of mask, in order: item i of k is bit k-1-i."""
+    found = []
+    while mask:
+        b = mask.bit_length() - 1
+        mask ^= 1 << b
+        found.append(items[-1 - b])
+    return tuple(found)
+
+
 def _decode(masks, items):
-    """Each mask as the tuple of its items, item i of k being bit k-1-i; the
-    distinct high and low halves of the masks, which consecutive cliques
-    share, are each decoded once and the halves joined."""
-    k = len(items)
-
-    def decode(mask):
-        found = []
-        while mask:
-            b = mask.bit_length() - 1
-            mask ^= 1 << b
-            found.append(items[k - 1 - b])
-        return tuple(found)
-
-    low = (1 << (k // 2)) - 1
-    high = ((1 << k) - 1) ^ low
-    halves = {h: decode(h) for h in {c & high for c in masks} | {c & low for c in masks}}
+    """Each mask as the tuple of its items; the distinct high and low halves
+    of the masks, which consecutive cliques share, are each decoded once and
+    the halves joined."""
+    low = (1 << (len(items) // 2)) - 1
+    high = ((1 << len(items)) - 1) ^ low
+    halves = {h: _items(h, items) for h in {c & high for c in masks} | {c & low for c in masks}}
     return [halves[c & high] + halves[c & low] for c in masks]
 
 

@@ -318,11 +318,16 @@ def test_flow_clique_roundtrip():
 
 
 STAIRCASE4 = poset_to_flow_graph(*staircase_star(4))
+K5_REVERSED = DirectedMultigraph(5, tuple(reversed(complete_graph(5).edges)))
 ROUNDTRIP_CASES = [
     (f"k{n}-f{seed}", complete_graph(n), random_framing(complete_graph(n), seed))
     for n in (5, 6)
     for seed in (1, 8, 33)
-] + [("staircase4", STAIRCASE4.graph, STAIRCASE4.framing)]
+] + [
+    ("staircase4", STAIRCASE4.graph, STAIRCASE4.framing),
+    # edge ids falling along every route
+    ("k5-ids-reversed", K5_REVERSED, random_framing(K5_REVERSED, 8)),
+]
 
 
 @pytest.mark.parametrize("name,g,fr", ROUNDTRIP_CASES, ids=[c[0] for c in ROUNDTRIP_CASES])
@@ -334,6 +339,21 @@ def test_flow_clique_roundtrip_on_every_leaf(name, g, fr):
         assert clique_to_flow(g, fr, leaf.routes) == leaf.flow
         assert clique_to_flow(g, fr, reversed(leaf.routes)) == leaf.flow
         assert leaf.flow == _distinct_prefix_flow(g, leaf.routes)
+
+
+def test_flow_clique_maps_enumerate_no_route(monkeypatch):
+    # a flow replays over masks of edges and a clique over masks of its own
+    # routes, so K20 and its 2^18 routes cost no more than one replay each
+    def refuse(g):
+        raise AssertionError("the maps enumerated the routes of g")
+
+    monkeypatch.setattr(triangulations, "enumerate_routes", refuse)
+    g = complete_graph(20)
+    fr = random_framing(g, 7)
+    flow = tuple(t - 2 if h == g.n and t > 1 else 0 for t, h in g.edges)
+    clique = flow_to_clique(g, fr, flow)
+    assert len(clique) == g.edge_count - g.n + 2
+    assert clique_to_flow(g, fr, clique) == flow
 
 
 @st.composite
