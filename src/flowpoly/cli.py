@@ -1,11 +1,13 @@
 """Command-line interface.
 
 Exit codes: 0 success / property verified, 1 property violated or internal
-check failed, 2 malformed input.
+check failed, 2 malformed input (an unreadable or undecodable file too).
+One guard, `_exit_codes`, owns this contract for every command.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 
@@ -44,23 +46,31 @@ def _load_json(path):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON, bad UTF-8, over-long ints
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
-def _run(fn):
-    try:
-        return fn()
-    except InputError as exc:
-        click.echo(f"input error: {exc}", err=True)
-        sys.exit(2)
-    except FlowpolyError as exc:
-        click.echo(f"check failed: {exc}", err=True)
-        sys.exit(1)
-    except RecursionError:  # the walks recurse once per vertex, poset element or clique member
-        limit = sys.getrecursionlimit()
-        click.echo(f"input error: input nests deeper than the recursion limit ({limit})", err=True)
-        sys.exit(2)
+def _exit_codes(command):
+    """Exit 2 on bad input, 1 on any other flowpoly error, else with the command's return value."""
+
+    @functools.wraps(command)
+    def guarded(*args, **kwargs):
+        try:
+            code = command(*args, **kwargs)
+        except InputError as exc:
+            click.echo(f"input error: {exc}", err=True)
+            code = 2
+        except FlowpolyError as exc:
+            click.echo(f"check failed: {exc}", err=True)
+            code = 1
+        except RecursionError:  # the walks recurse once per vertex, poset element or clique member
+            message = f"input nests deeper than the recursion limit ({sys.getrecursionlimit()})"
+            click.echo(f"input error: {message}", err=True)
+            code = 2
+        if code:
+            sys.exit(code)
+
+    return guarded
 
 
 @click.group()
@@ -89,56 +99,50 @@ def _resolve_framing(g, framing, spec):
 @click.argument("path", type=click.Path(exists=True))
 @click.option("--method", type=click.Choice(["kostant", "ps", "dkk"]), default="kostant")
 @click.option("--all", "all_methods", is_flag=True, help="compute all three and compare")
+@_exit_codes
 def graph_volume(path, method, all_methods):
-    def run():
-        g, framing = graph_from_json(_load_json(path))
-        values = {}
-        methods = ("kostant", "ps", "dkk") if all_methods else (method,)
-        if "kostant" in methods:
-            values["kostant"] = flow_polytope_volume(g)
-        if "ps" in methods:
-            values["ps"] = len(ps_triangulation(g, framing))
-        if "dkk" in methods:
-            values["dkk"] = len(dkk_maximal_cliques(g, framing))
-        click.echo(json.dumps({"volume": values}))
-        if all_methods and len(set(values.values())) != 1:
-            click.echo("volume methods disagree", err=True)
-            sys.exit(1)
-
-    _run(run)
+    g, framing = graph_from_json(_load_json(path))
+    values = {}
+    methods = ("kostant", "ps", "dkk") if all_methods else (method,)
+    if "kostant" in methods:
+        values["kostant"] = flow_polytope_volume(g)
+    if "ps" in methods:
+        values["ps"] = len(ps_triangulation(g, framing))
+    if "dkk" in methods:
+        values["dkk"] = len(dkk_maximal_cliques(g, framing))
+    click.echo(json.dumps({"volume": values}))
+    if all_methods and len(set(values.values())) != 1:
+        click.echo("volume methods disagree", err=True)
+        return 1
 
 
 @graph.command("ehrhart")
 @click.argument("path", type=click.Path(exists=True))
 @click.option("--t-max", default=4, show_default=True, type=click.IntRange(min=0))
+@_exit_codes
 def graph_ehrhart(path, t_max):
-    def run():
-        g, _ = graph_from_json(_load_json(path))
-        values = [flow_ehrhart_value(g, t) for t in range(t_max + 1)]
-        click.echo(json.dumps({"t": list(range(t_max + 1)), "values": values}))
-
-    _run(run)
+    g, _ = graph_from_json(_load_json(path))
+    values = [flow_ehrhart_value(g, t) for t in range(t_max + 1)]
+    click.echo(json.dumps({"t": list(range(t_max + 1)), "values": values}))
 
 
 @graph.command("routes")
 @click.argument("path", type=click.Path(exists=True))
+@_exit_codes
 def graph_routes(path):
-    def run():
-        g, _ = graph_from_json(_load_json(path))
-        routes = enumerate_routes(g)
-        click.echo(
-            json.dumps(
-                {
-                    "count": len(routes),
-                    "routes": [
-                        {"edges": list(r), "vertices": list(route_vertices(g, r))}
-                        for r in routes
-                    ],
-                }
-            )
+    g, _ = graph_from_json(_load_json(path))
+    routes = enumerate_routes(g)
+    click.echo(
+        json.dumps(
+            {
+                "count": len(routes),
+                "routes": [
+                    {"edges": list(r), "vertices": list(route_vertices(g, r))}
+                    for r in routes
+                ],
+            }
         )
-
-    _run(run)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -152,32 +156,28 @@ def poset():
 
 @poset.command("stats")
 @click.argument("path", type=click.Path(exists=True))
+@_exit_codes
 def poset_stats(path):
-    def run():
-        p, _ = poset_from_json(_load_json(path))
-        click.echo(
-            json.dumps(
-                {
-                    "elements": len(p.elements),
-                    "linear_extensions": count_linear_extensions(p),
-                    "ideals": len(order_ideals(p)),
-                }
-            )
+    p, _ = poset_from_json(_load_json(path))
+    click.echo(
+        json.dumps(
+            {
+                "elements": len(p.elements),
+                "linear_extensions": count_linear_extensions(p),
+                "ideals": len(order_ideals(p)),
+            }
         )
-
-    _run(run)
+    )
 
 
 @poset.command("ehrhart")
 @click.argument("path", type=click.Path(exists=True))
 @click.option("--m-max", default=5, show_default=True, type=click.IntRange(min=0))
+@_exit_codes
 def poset_ehrhart(path, m_max):
-    def run():
-        p, _ = poset_from_json(_load_json(path))
-        values = [order_polynomial(p, m) for m in range(m_max + 1)]
-        click.echo(json.dumps({"m": list(range(m_max + 1)), "values": values}))
-
-    _run(run)
+    p, _ = poset_from_json(_load_json(path))
+    values = [order_polynomial(p, m) for m in range(m_max + 1)]
+    click.echo(json.dumps({"m": list(range(m_max + 1)), "values": values}))
 
 
 # ---------------------------------------------------------------------------
@@ -200,43 +200,40 @@ def poset_ehrhart(path, m_max):
     show_default=True,
 )
 @click.option("--check/--no-check", default=True, help="run the geometry checks")
+@_exit_codes
 def triangulate(path, method, framing_spec, check):
     """Emit a triangulation as JSON; exit 1 if its geometry checks fail."""
-
-    def run():
-        data = _load_json(path)
-        if method == "canonical":
-            p, _ = poset_from_json(data)
-            simplices = [s.vertices for s in canonical_triangulation(p)]
-            vertices = order_polytope_vertices(p)
-            volume = count_linear_extensions(p)
-            out = triangulation_to_json("canonical", None, simplices)
+    data = _load_json(path)
+    if method == "canonical":
+        p, _ = poset_from_json(data)
+        simplices = [s.vertices for s in canonical_triangulation(p)]
+        vertices = order_polytope_vertices(p)
+        volume = count_linear_extensions(p)
+        out = triangulation_to_json("canonical", None, simplices)
+    else:
+        g, framing = graph_from_json(data)
+        framing = _resolve_framing(g, framing, framing_spec)
+        if method == "dkk":
+            simplices = dkk_triangulation(g, framing)
+            out = triangulation_to_json("dkk", framing, simplices, g)
         else:
-            g, framing = graph_from_json(data)
-            framing = _resolve_framing(g, framing, framing_spec)
-            if method == "dkk":
-                simplices = dkk_triangulation(g, framing)
-                out = triangulation_to_json("dkk", framing, simplices, g)
-            else:
-                leaves = ps_triangulation(g, framing)
-                simplices = [
-                    tuple(route_flow_vector(g, r) for r in leaf.routes)
-                    for leaf in leaves
-                ]
-                out = triangulation_to_json("ps", framing, simplices, g)
-                out["flows"] = [list(leaf.flow) for leaf in leaves]
-            vertices = [route_flow_vector(g, r) for r in enumerate_routes(g)]
-            volume = flow_polytope_volume(g)
-        if check:
-            report = triangulation_checks(vertices, simplices, volume)
-            out["checks"] = report.to_json()
-            if not report.passed:
-                click.echo(json.dumps(out))
-                click.echo("triangulation checks failed", err=True)
-                sys.exit(1)
-        click.echo(json.dumps(out))
-
-    _run(run)
+            leaves = ps_triangulation(g, framing)
+            simplices = [
+                tuple(route_flow_vector(g, r) for r in leaf.routes)
+                for leaf in leaves
+            ]
+            out = triangulation_to_json("ps", framing, simplices, g)
+            out["flows"] = [list(leaf.flow) for leaf in leaves]
+        vertices = [route_flow_vector(g, r) for r in enumerate_routes(g)]
+        volume = flow_polytope_volume(g)
+    if check:
+        report = triangulation_checks(vertices, simplices, volume)
+        out["checks"] = report.to_json()
+        if not report.passed:
+            click.echo(json.dumps(out))
+            click.echo("triangulation checks failed", err=True)
+            return 1
+    click.echo(json.dumps(out))
 
 
 # ---------------------------------------------------------------------------
@@ -260,16 +257,14 @@ def _parse_lambda(text):
 @asm.command("report")
 @click.option("--n", "n", type=int, required=True)
 @click.option("--lambda", "lam", default="", help="comma-separated partition parts")
+@_exit_codes
 def asm_report(n, lam):
-    def run():
-        report = family_report(n, _parse_lambda(lam))
-        for key, value in report.to_json().items():
-            click.echo(f"{key:>22}: {value}")
-        click.echo(json.dumps(report.to_json()))
-        if not report.all_consistent:
-            sys.exit(1)
-
-    _run(run)
+    report = family_report(n, _parse_lambda(lam))
+    for key, value in report.to_json().items():
+        click.echo(f"{key:>22}: {value}")
+    click.echo(json.dumps(report.to_json()))
+    if not report.all_consistent:
+        return 1
 
 
 # ---------------------------------------------------------------------------
@@ -281,22 +276,19 @@ def asm_report(n, lam):
 @click.option(
     "--n", "n", type=click.IntRange(min=1), default=None, help="asm-family: restrict to one n"
 )
+@_exit_codes
 def verify(prop, n):
     """Re-check one of the package's structural properties over the corpus."""
-
-    def run():
-        if n is not None and prop != "asm-family":
-            raise InputError(f"--n applies to asm-family only, not to {prop}")
-        results = checks.PROPERTIES[prop]() if n is None else checks.verify_asm_family(ns=(n,))
-        failed = 0
-        for name, ok, detail in results:
-            click.echo(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-            failed += not ok
-        click.echo(f"{len(results) - failed}/{len(results)} fixtures passed")
-        if failed:
-            sys.exit(1)
-
-    _run(run)
+    if n is not None and prop != "asm-family":
+        raise InputError(f"--n applies to asm-family only, not to {prop}")
+    results = checks.PROPERTIES[prop]() if n is None else checks.verify_asm_family(ns=(n,))
+    failed = 0
+    for name, ok, detail in results:
+        click.echo(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
+        failed += not ok
+    click.echo(f"{len(results) - failed}/{len(results)} fixtures passed")
+    if failed:
+        return 1
 
 
 if __name__ == "__main__":

@@ -80,7 +80,10 @@ def matrix_rank(rows):
 
 def hermite_row_basis(rows):
     """Nonzero rows of the row-style Hermite normal form of an integer matrix."""
-    m = [list(map(int, row)) for row in rows if any(row)]
+    rows = [list(row) for row in rows if any(row)]
+    m = [list(map(int, row)) for row in rows]
+    if m != rows:
+        raise InputError("lattice points must have integer coordinates")
     if not m:
         return []
     ncols = len(m[0])
@@ -129,7 +132,7 @@ def affine_dimension(points):
 
 def lattice_basis(points):
     """Hermite basis of the lattice spanned by all vertex differences."""
-    points = [tuple(int(x) for x in p) for p in points]
+    points = list(points)
     if not points:
         raise InputError("need at least one point")
     base = points[0]

@@ -287,11 +287,12 @@ def zigzag(k):
 def validate_staircase_partition(n, lam):
     if any(int(x) != x for x in lam):
         raise InputError("partition parts must be integers")
-    lam = tuple(int(x) for x in lam if int(x) != 0)
+    lam = tuple(map(int, lam))
     if any(x < 0 for x in lam):
         raise InputError("partition parts must be nonnegative")
     if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
         raise InputError("partition parts must be weakly decreasing")
+    lam = tuple(x for x in lam if x)  # drops the trailing zeros
     if any(lam[i] > n - (i + 1) for i in range(len(lam))):
         raise InputError(f"partition {lam} does not fit inside the staircase of order {n}")
     return lam

@@ -75,9 +75,10 @@ class NoncrossingTree:
     composition: tuple
 
     def __post_init__(self):
-        if len(self.composition) != self.right or sum(self.composition) != self.left - 1:
+        c = self.composition
+        if len(c) != self.right or sum(c) != self.left - 1 or any(b < 0 for b in c):
             raise ContractError(
-                f"composition {self.composition} does not encode a tree "
+                f"composition {c} does not encode a tree "
                 f"on {self.left}+{self.right} vertices"
             )
 

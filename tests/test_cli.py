@@ -98,6 +98,10 @@ def test_asm_report(runner):
 def test_asm_report_bad_partition(runner):
     result = runner.invoke(main, ["asm", "report", "--n", "3", "--lambda", "x"])
     assert result.exit_code == 2
+    # a zero part before a positive one is refused, not dropped
+    result = runner.invoke(main, ["asm", "report", "--n", "4", "--lambda", "0,2"])
+    assert result.exit_code == 2
+    assert result.stderr == "input error: partition parts must be weakly decreasing\n"
 
 
 def test_verify_property(runner):
@@ -374,6 +378,42 @@ def test_loaders_exit_0_or_2_on_any_json(data):
         with open("in.json", "w") as fh:
             json.dump(data, fh)
         for command in (["graph", "routes"], ["poset", "stats"]):
+            result = runner.invoke(main, command + ["in.json"])
+            assert result.exit_code in (0, 2), result.output
+            assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+UNDECODABLE = {
+    "not-utf8": b'\xff\xfe\x00{"n":',
+    "long-n": b'{"n": ' + b"9" * 5000 + b', "edges": [[1, 2]]}',
+    "long-element": b'{"elements": [1, ' + b"9" * 5000 + b'], "covers": []}',
+}
+
+
+@pytest.mark.parametrize("content", UNDECODABLE.values(), ids=UNDECODABLE.keys())
+@pytest.mark.parametrize(
+    "command",
+    [["graph", "routes"], ["poset", "stats"], ["triangulate"]],
+    ids=["routes", "stats", "triangulate"],
+)
+def test_undecodable_file_exits_2(runner, tmp_path, command, content):
+    path = tmp_path / "in.json"
+    path.write_bytes(content)
+    result = runner.invoke(main, command + [str(path)])
+    assert result.exit_code == 2
+    assert result.stderr.startswith(f"input error: cannot read {path}: ")
+    assert "Traceback" not in result.output
+
+
+@seed(0x151)
+@settings(max_examples=60, deadline=2000)
+@given(st.binary())
+def test_loaders_exit_0_or_2_on_any_bytes(content):
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        with open("in.json", "wb") as fh:
+            fh.write(content)
+        for command in (["graph", "routes"], ["poset", "stats"], ["triangulate"]):
             result = runner.invoke(main, command + ["in.json"])
             assert result.exit_code in (0, 2), result.output
             assert result.exception is None or isinstance(result.exception, SystemExit)

@@ -93,12 +93,28 @@ def test_unit_simplex_volume():
         (lambda: affine_dimension([]), "affine dimension of an empty point set is undefined"),
         (lambda: lattice_basis([]), "need at least one point"),
         (lambda: determinant([[1, 2]]), "determinant needs a square matrix"),
+        (
+            lambda: lattice_basis([(0,), (Fraction(1, 2),)]),
+            "lattice points must have integer coordinates",
+        ),
+        (
+            lambda: triangulation_checks(
+                [(0, 0), (Fraction(3, 2), 0), (0, 1)], [((0, 0), (Fraction(3, 2), 0), (0, 1))], 1
+            ),
+            "lattice points must have integer coordinates",
+        ),
     ],
-    ids=["affine-dimension", "lattice-basis", "determinant"],
+    ids=["affine-dimension", "lattice-basis", "determinant", "half-integer", "half-integer-checks"],
 )
 def test_refusals(call, message):
     with pytest.raises(InputError, match=f"^{message}$"):
         call()
+
+
+def test_lattice_basis_takes_integral_values_only():
+    assert lattice_basis([(0,), (Fraction(2),)]) == lattice_basis([(0,), (2.0,)]) == [(2,)]
+    with pytest.raises(InputError, match="^lattice points must have integer coordinates$"):
+        hermite_row_basis([[2.5, 0]])
 
 
 def test_coordinates_in_basis_detects_outside_vectors():

@@ -48,9 +48,11 @@ def test_poset_rejects_cycles_and_redundant_covers():
             "order polynomial argument must be nonnegative",
         ),
         (lambda: skew_star(4, (-1,)), "partition parts must be nonnegative"),
+        (lambda: skew_star(4, (0, 1)), "partition parts must be weakly decreasing"),
     ],
     ids=[
-        "duplicate", "unknown-cover", "self-cover", "relation-cycle", "negative-m", "negative-part"
+        "duplicate", "unknown-cover", "self-cover", "relation-cycle", "negative-m",
+        "negative-part", "zero-before-positive",
     ],
 )
 def test_refusals(build, message):

@@ -131,6 +131,8 @@ def test_noncrossing_tree_edges_are_noncrossing():
 def test_noncrossing_tree_rejects_bad_composition():
     with pytest.raises(ContractError):
         NoncrossingTree(3, 2, (3, 0))
+    with pytest.raises(ContractError, match=r"^composition \(3, -1\) does not encode a tree"):
+        NoncrossingTree(3, 2, (3, -1))
     with pytest.raises(InputError, match="^both sides of a noncrossing tree must be nonempty$"):
         noncrossing_trees(0, 2)
 
