@@ -63,7 +63,7 @@ def _exit_codes(command):
         except FlowpolyError as exc:
             click.echo(f"check failed: {exc}", err=True)
             code = 1
-        except RecursionError:  # the walks recurse once per vertex, poset element or clique member
+        except RecursionError:  # the walks recurse once per vertex or poset element
             message = f"input nests deeper than the recursion limit ({sys.getrecursionlimit()})"
             click.echo(f"input error: {message}", err=True)
             code = 2

@@ -180,17 +180,16 @@ def test_vertex_count_alone_cannot_stall_loading(runner, tmp_path, n):
     [
         (["graph", "routes"], "path"),
         (["graph", "volume", "--method", "ps"], "path"),
-        (["graph", "volume", "--method", "dkk"], "parallel"),
+        (["graph", "volume", "--method", "dkk"], "path"),
         (["triangulate", "--method", "canonical", "--no-check"], "chain"),
     ],
     ids=["routes", "ps", "dkk", "canonical"],
 )
 def test_input_deeper_than_the_recursion_limit_exits_2(runner, tmp_path, command, shape):
-    # the walks recurse once per vertex, clique member or poset element
+    # the walks recurse once per vertex or poset element
     n = sys.getrecursionlimit() + 10
     data = {
         "path": {"n": n, "edges": [[i, i + 1] for i in range(1, n)]},
-        "parallel": {"n": 2, "edges": [[1, 2]] * n},
         "chain": {"elements": list(range(n)), "covers": [[i, i + 1] for i in range(n - 1)]},
     }[shape]
     path = tmp_path / "deep.json"
@@ -200,6 +199,21 @@ def test_input_deeper_than_the_recursion_limit_exits_2(runner, tmp_path, command
     assert isinstance(result.exception, SystemExit)  # no traceback
     assert result.stderr.startswith("input error: ")
     assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize(
+    "flags,volume",
+    [(["--all"], {"kostant": 1, "ps": 1, "dkk": 1}), (["--method", "dkk"], {"dkk": 1})],
+    ids=["all", "dkk"],
+)
+def test_more_parallel_edges_than_the_recursion_limit(runner, tmp_path, flags, volume):
+    # one clique of every edge: the clique walk does not recurse per member
+    n = sys.getrecursionlimit() + 10
+    path = tmp_path / "parallel.json"
+    path.write_text(json.dumps({"n": 2, "edges": [[1, 2]] * n}))
+    result = runner.invoke(main, ["graph", "volume", *flags, str(path)])
+    assert result.exit_code == 0
+    assert json.loads(result.stdout) == {"volume": volume}
 
 
 def test_degenerate_graph_exits_2(runner, tmp_path):

@@ -5,7 +5,7 @@ from itertools import combinations
 from math import comb, factorial
 
 import pytest
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from flowpoly import checks, triangulations
 from flowpoly.asm import dyck_path_count, enumerate_asm
@@ -309,6 +309,45 @@ def test_dkk_rejects_cliques_of_mixed_sizes(monkeypatch):
 def test_triangle_has_single_clique():
     cliques = dkk_maximal_cliques(TRIANGLE, id_order_framing(TRIANGLE))
     assert cliques == [((0, 1), (2,))]
+
+
+@st.composite
+def neighbour_masks(draw):
+    """A random graph on 1 to 12 vertices as neighbour masks by bit."""
+    n = draw(st.integers(1, 12))
+    adj = [0] * n
+    for a, b in combinations(range(n), 2):
+        if draw(st.booleans()):
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+    return adj
+
+
+def _brute_force_maximal_cliques(adj):
+    """Every vertex set whose members are pairwise adjacent and to which no
+    other vertex is adjacent in full, as a mask."""
+    n = len(adj)
+    found = set()
+    for size in range(n + 1):
+        for vs in combinations(range(n), size):
+            mask = sum(1 << v for v in vs)
+            if all(adj[a] >> b & 1 for a, b in combinations(vs, 2)) and not any(
+                mask & ~adj[v] == 0 for v in range(n) if v not in vs
+            ):
+                found.add(mask)
+    return found
+
+
+@seed(0xB4)
+@settings(max_examples=60, deadline=2000)
+@given(neighbour_masks())
+@example([0])  # one isolated vertex
+@example([0b10, 0b01, 0b1000, 0b0100, 0])  # cliques of sizes 2, 2 and 1
+@example([0b0110, 0b0101, 0b0011, 0])  # a triangle and an isolated vertex
+def test_maximal_cliques_match_brute_force_on_any_graph(adj):
+    cliques = triangulations._maximal_cliques(adj)
+    assert len(cliques) == len(set(cliques))
+    assert set(cliques) == _brute_force_maximal_cliques(adj)
 
 
 def test_flow_clique_roundtrip():
