@@ -20,6 +20,7 @@ from math import comb
 from .errors import InputError, InternalCheckError
 from .geometry import affine_dimension
 from .kostant import flow_ehrhart_value, flow_polytope_volume
+from .planar import poset_to_flow_graph
 from .posets import (
     count_linear_extensions,
     order_polynomial,
@@ -27,6 +28,7 @@ from .posets import (
     staircase_cells,
     validate_staircase_partition,
 )
+from .triangulations import _clique_masks
 
 
 def _membership_failure(m, zeros=()):
@@ -292,9 +294,6 @@ class FamilyReport:
 
 def family_report(n, lam=()):
     """Cross-checked summary of P_lambda(n) through all three polytope models."""
-    from .planar import poset_to_flow_graph
-    from .triangulations import dkk_maximal_cliques
-
     lam = validate_staircase_partition(n, lam)
     verts = p_lambda_vertices(n, lam)
     flat = [tuple(x for row in m for x in row) for m in verts]
@@ -304,7 +303,7 @@ def family_report(n, lam=()):
     pg = poset_to_flow_graph(poset, emb)
     vol_ext = count_linear_extensions(poset)
     vol_kostant = flow_polytope_volume(pg.graph)
-    vol_dkk = len(dkk_maximal_cliques(pg.graph, pg.framing))
+    vol_dkk = len(_clique_masks(pg.graph, pg.framing)[2])
     ehrhart = tuple(asm_dilation_count(n, lam, t) for t in range(4))
     consistent = (
         dim == expected_dim

@@ -10,6 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import fixtures
+from .asm import family_report
 from .graphs import all_framings, id_order_framing, random_framing, route_flow_vector
 from .kostant import ehrhart_netflow, enumerate_integer_flows, indegree_shift_netflow
 from .planar import (
@@ -21,12 +22,13 @@ from .posets import (
 )
 from .triangulations import (
     _clique_masks,
+    _items,
+    _ps_masks,
     clique_to_flow,
     dkk_maximal_cliques,
     flow_to_clique,
     framing_change_bijection,
     linext_to_clique,
-    ps_triangulation,
 )
 
 
@@ -72,21 +74,18 @@ def _framings_for(name, g):
 
 def _reduction_failure(g, framing):
     """Why the reduction leaves under framing are not the coherent cliques,
-    or None; leaves are read off the clique walk's coherence graph."""
+    or None; compared as masks, a mismatch names the first incoherent pair."""
     routes, adj, cliques = _clique_masks(g, framing)
-    bit = {r: b for b, r in enumerate(reversed(routes))}  # route i is bit k-1-i
-    masks = []
-    for leaf in ps_triangulation(g, framing):
-        bits = [bit.get(r) for r in leaf.routes]
-        if None in bits:
-            return "route families differ"
-        mask = sum(1 << b for b in bits)
-        for b in bits:  # leaf routes are sorted: the first incoherent later one is the highest
+    masks = _ps_masks(g, framing)[1]
+    if sorted(masks, reverse=True) == cliques:
+        return None
+    for mask in masks:
+        for b in range(mask.bit_length() - 1, -1, -1):  # from the first route; later ones are lower
             later = mask & ~adj[b] & ((1 << b) - 1)
-            if later:
-                return f"incoherent leaf pair {routes[-1 - b]} and {routes[-later.bit_length()]}"
-        masks.append(mask)
-    return None if sorted(masks, reverse=True) == cliques else "route families differ"
+            if mask >> b & 1 and later:
+                p, q = _items((1 << b) | (1 << later.bit_length() - 1), routes)
+                return f"incoherent leaf pair {p} and {q}"
+    return "route families differ"
 
 
 def verify_dkk_eq_ps():
@@ -180,8 +179,6 @@ def verify_maps_roundtrip(t_values=(1, 2)):
 
 def verify_asm_family(ns=(3, 4)):
     """family_report consistency across the staircase shapes."""
-    from .asm import family_report
-
     results = []
     for n in ns:
         for lam in all_staircase_partitions(n):

@@ -34,10 +34,11 @@ from .posets import (
     poset_from_json,
 )
 from .triangulations import (
+    _clique_masks,
+    _decode,
+    _ps_masks,
     canonical_triangulation,
-    dkk_maximal_cliques,
     dkk_triangulation,
-    ps_triangulation,
     triangulation_to_json,
 )
 
@@ -107,9 +108,9 @@ def graph_volume(path, method, all_methods):
     if "kostant" in methods:
         values["kostant"] = flow_polytope_volume(g)
     if "ps" in methods:
-        values["ps"] = len(ps_triangulation(g, framing))
+        values["ps"] = len(_ps_masks(g, framing)[1])
     if "dkk" in methods:
-        values["dkk"] = len(dkk_maximal_cliques(g, framing))
+        values["dkk"] = len(_clique_masks(g, framing)[2])
     click.echo(json.dumps({"volume": values}))
     if all_methods and len(set(values.values())) != 1:
         click.echo("volume methods disagree", err=True)
@@ -217,13 +218,10 @@ def triangulate(path, method, framing_spec, check):
             simplices = dkk_triangulation(g, framing)
             out = triangulation_to_json("dkk", framing, simplices, g)
         else:
-            leaves = ps_triangulation(g, framing)
-            simplices = [
-                tuple(route_flow_vector(g, r) for r in leaf.routes)
-                for leaf in leaves
-            ]
+            routes, masks, flows = _ps_masks(g, framing)
+            simplices = _decode(masks, [route_flow_vector(g, r) for r in routes])
             out = triangulation_to_json("ps", framing, simplices, g)
-            out["flows"] = [list(leaf.flow) for leaf in leaves]
+            out["flows"] = flows
         vertices = [route_flow_vector(g, r) for r in enumerate_routes(g)]
         volume = flow_polytope_volume(g)
     if check:

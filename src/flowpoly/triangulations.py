@@ -10,7 +10,8 @@
   in-order, and out-edge j (framing out-order) takes b_j + 1 consecutive
   ones, each extended by itself, and flow b_j.  A prefix is the AND of
   through[e] over its edges: the routes extending it, for through[e] the
-  routes of g via e.  One dict of blocks and one flow list serve the walk;
+  routes of g via e.  One dict of blocks and one flow list serve the walk,
+  and a leaf stays the mask of its routes until a caller decodes it;
 * clique ("dkk"): maximal sets of pairwise coherent routes, found by
   Bron-Kerbosch with pivoting on bitmasks (one int per route set).  What
   the walk reports below a node (R, P, X) is R joined with cliques fixed by
@@ -21,8 +22,8 @@ Each leaf's flow has netflow (0, d_2, ..., d_{n-1}, -sum d_i).  One replay
 serves both halves of the flow <-> clique bijection: a flow chooses each
 composition, a prefix being the mask of the edges off it; a clique chooses
 b_e + 1, the arriving prefixes its routes continue along e, a prefix being
-the mask of its routes extending it.  Matching the leaves of two framings
-by flow gives the framing-change bijection.
+the mask of its routes extending it.  Matching the leaf masks of two
+framings by flow gives the framing-change bijection, decoded at the end.
 """
 
 from __future__ import annotations
@@ -170,8 +171,8 @@ def _through(g, routes):
     return through if len(set(routes)) == len(routes) else None
 
 
-def ps_triangulation(g, framing):
-    """All leaves of the vertex-reduction subdivision, depth first.
+def _ps_masks(g, framing):
+    """The routes of g, and the leaves of the reduction as masks and flows.
 
     Tree choices at each vertex run in colex composition order, so leaves
     come ordered by their compositions, vertex 2 first, each in colex order.
@@ -180,12 +181,13 @@ def ps_triangulation(g, framing):
     routes = enumerate_routes(g)
     through = _through(g, routes)
     blocks, flow = {e: [through[e]] for e in g.out_edge_ids(1)}, [0] * g.edge_count
-    leaves = []
+    masks, flows = [], []
     trees = {}  # (left, right) -> compositions of noncrossing_trees(left, right)
 
     def descend(v):
         if v == g.n:
-            leaves.append((sum(_leaf(g, blocks)), tuple(flow)))
+            masks.append(sum(_leaf(g, blocks)))  # the one-route prefixes at n, joined
+            flows.append(tuple(flow))
             return
         ins = _arriving(framing, blocks, v)
         sides = (len(ins), len(framing.out_orders[v]))
@@ -197,7 +199,12 @@ def ps_triangulation(g, framing):
 
     descend(2)
     del descend  # breaks its self-reference, so the walk's state is freed on return
-    masks, flows = zip(*leaves)
+    return routes, masks, flows
+
+
+def ps_triangulation(g, framing):
+    """All leaves of the vertex-reduction subdivision, in _ps_masks order."""
+    routes, masks, flows = _ps_masks(g, framing)
     return list(map(SubdivisionLeaf, _decode(masks, routes), flows))
 
 
@@ -269,16 +276,14 @@ def clique_to_flow(g, framing, clique):
 
 def framing_change_bijection(g, f1, f2):
     """Map each f1-clique to the f2-clique with the same reduction flow."""
-    leaves = ps_triangulation(g, f1)
-    routes_by_flow = {leaf.flow: leaf.routes for leaf in ps_triangulation(g, f2)}
-    mapping = {}
-    for leaf in leaves:
-        if leaf.flow not in routes_by_flow:
-            raise InternalCheckError("a leaf flow under f1 is no leaf flow under f2")
-        mapping[leaf.routes] = routes_by_flow[leaf.flow]
-    if len(set(mapping.values())) != len(mapping):
+    routes, masks, flows = _ps_masks(g, f1)
+    mask_by_flow = {flow: mask for mask, flow in zip(*_ps_masks(g, f2)[1:])}
+    if not mask_by_flow.keys() >= set(flows):
+        raise InternalCheckError("a leaf flow under f1 is no leaf flow under f2")
+    image = [mask_by_flow[flow] for flow in flows]
+    if len(set(image)) != len(image):
         raise InternalCheckError("framing change map is not injective")
-    return mapping
+    return dict(zip(_decode(masks, routes), _decode(image, routes)))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, seed, settings, strategies as st
 
+from flowpoly import asm, checks, cli, triangulations
 from flowpoly.cli import main
 from flowpoly.fixtures import planar_fixtures
 from flowpoly.graphs import complete_graph, graph_to_json, path_graph, random_framing
@@ -110,6 +111,31 @@ def test_verify_property(runner):
     lines = result.output.strip().splitlines()
     assert all(line.startswith("PASS") for line in lines[:-1])
     assert lines[-1].endswith("fixtures passed")
+
+
+def test_counts_and_dkk_eq_ps_decode_no_route_tuple(runner, tmp_path, monkeypatch):
+    # counting and comparing run on route masks: with every mask decoder
+    # refusing, the outputs are what they are with the decoders in place
+    g = complete_graph(6)
+    path = tmp_path / "k6.json"
+    path.write_text(json.dumps(graph_to_json(g, random_framing(g, 3))))
+    commands = (["verify", "dkk-eq-ps"], ["graph", "volume", str(path), "--all"])
+    expected = [runner.invoke(main, command) for command in commands]
+    report = asm.family_report(4, (1,))
+
+    def refuse(*args):
+        raise AssertionError("a route mask was decoded")
+
+    for module in (triangulations, checks, cli, asm):
+        for name in ("_decode", "_items"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    for command, before in zip(commands, expected):
+        assert before.exit_code == 0
+        result = runner.invoke(main, command)
+        assert (result.exit_code, result.output) == (0, before.output)
+    assert json.loads(expected[1].output) == {"volume": {"kostant": 10, "ps": 10, "dkk": 10}}
+    assert asm.family_report(4, (1,)) == report
 
 
 def test_verify_asm_family_single_n(runner):

@@ -1,7 +1,7 @@
 import gc
 import re
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import comb, factorial
 
 import pytest
@@ -23,6 +23,7 @@ from flowpoly.graphs import (
     id_order_framing,
     parallel_edges,
     random_framing,
+    require_pruned,
     route_flow_vector,
     route_vertices,
 )
@@ -615,30 +616,27 @@ def test_framing_change_bijection_properties():
 @pytest.mark.parametrize(
     "mangle,message",
     [
-        (lambda leaves: leaves[:-1], "no leaf flow under f2"),
-        (
-            lambda leaves: [triangulations.SubdivisionLeaf(leaves[0].routes, l.flow) for l in leaves],
-            "not injective",
-        ),
+        (lambda routes, masks, flows: (routes, masks[:-1], flows[:-1]), "no leaf flow under f2"),
+        (lambda routes, masks, flows: (routes, [masks[0]] * len(masks), flows), "not injective"),
     ],
     ids=["missing-flow", "repeated-clique"],
 )
 def test_framing_change_bijection_checks_the_second_walk(monkeypatch, mangle, message):
     g = complete_graph(5)
     f1, f2 = id_order_framing(g), random_framing(g, 1)
-    walk = triangulations.ps_triangulation
+    walk = triangulations._ps_masks
 
     def broken(g, framing):
         leaves = walk(g, framing)
-        return mangle(leaves) if framing is f2 else leaves
+        return mangle(*leaves) if framing is f2 else leaves
 
-    monkeypatch.setattr(triangulations, "ps_triangulation", broken)
+    monkeypatch.setattr(triangulations, "_ps_masks", broken)
     with pytest.raises(InternalCheckError, match=message):
         framing_change_bijection(g, f1, f2)
 
 
 def test_dkk_eq_ps_stops_at_an_incoherent_leaf_and_names_it(monkeypatch):
-    walk = checks.ps_triangulation
+    walk = checks._ps_masks
     calls = Counter()
 
     def first_incoherent_pair(g, framing):
@@ -647,13 +645,14 @@ def test_dkk_eq_ps_stops_at_an_incoherent_leaf_and_names_it(monkeypatch):
 
     def broken(g, framing):
         calls[g] += 1
-        leaves = walk(g, framing)
+        routes, masks, flows = walk(g, framing)
         pair = first_incoherent_pair(g, framing)
         if pair is None:
-            return leaves
-        return [triangulations.SubdivisionLeaf(pair, leaves[0].flow)] + leaves[1:]
+            return routes, masks, flows
+        pair_mask = sum(1 << (len(routes) - 1 - routes.index(r)) for r in pair)
+        return routes, [pair_mask] + masks[1:], flows
 
-    monkeypatch.setattr(checks, "ps_triangulation", broken)
+    monkeypatch.setattr(checks, "_ps_masks", broken)
     results = {name: (ok, detail) for name, ok, detail in checks.verify_dkk_eq_ps()}
     g = complete_graph(5)
     p, q = first_incoherent_pair(g, next(all_framings(g)))
@@ -661,6 +660,34 @@ def test_dkk_eq_ps_stops_at_an_incoherent_leaf_and_names_it(monkeypatch):
     assert calls[g] == 1  # no later framing is walked
     # two routes of the triangle are coherent, so its leaves are untouched
     assert results["triangle"] == (True, "6 framings")
+
+
+def _pruned_graphs(n, max_edges):
+    """Every pruned multigraph on n vertices with at most max_edges edges."""
+    pairs = list(combinations(range(1, n + 1), 2))
+    for m in range(1, max_edges + 1):
+        for edges in combinations_with_replacement(pairs, m):
+            g = DirectedMultigraph(n, edges)
+            try:
+                require_pruned(g)
+            except ContractError:
+                continue
+            yield g
+
+
+def test_dkk_eq_ps_on_every_small_pruned_graph():
+    # a census of the general-graph claim: on every pruned graph with five
+    # vertices and at most seven edges, under two framings, the reduction
+    # leaves are the coherent cliques and they count the Kostant volume
+    graphs = list(_pruned_graphs(5, 7))
+    assert len(graphs) == 539
+    for g in graphs:
+        volume = flow_polytope_volume(g)
+        for name, fr in (("id-order", id_order_framing(g)), ("random 1", random_framing(g, 1))):
+            failure = checks._reduction_failure(g, fr)
+            assert failure is None, f"edges {g.edges}, {name} framing: {failure}"
+            count = len(triangulations._ps_masks(g, fr)[1])
+            assert count == volume, f"edges {g.edges}, {name} framing: {count} leaves, volume {volume}"
 
 
 def test_linext_to_clique_covers_planar_triangulation():
