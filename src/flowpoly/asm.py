@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
 
 from .errors import InputError, InternalCheckError
@@ -229,18 +228,11 @@ def dyck_path_count(n, max_height=None):
     """Dyck paths of semilength n staying weakly below max_height."""
     if max_height is None:
         max_height = n
-
-    @lru_cache(maxsize=None)
-    def walk(steps, h):
-        if h < 0 or h > max_height:
-            return 0
-        if steps == 0:
-            return 1 if h == 0 else 0
-        return walk(steps - 1, h + 1) + walk(steps - 1, h - 1)
-
-    result = walk(2 * n, 0)
-    del walk  # breaks its self-reference, so the cache is freed on return
-    return result
+    counts = [1] + [0] * max_height  # paths so far ending at each height
+    for _ in range(2 * n):
+        padded = [0, *counts, 0]
+        counts = [padded[h] + padded[h + 2] for h in range(max_height + 1)]
+    return counts[0]
 
 
 def euler_zigzag(k):

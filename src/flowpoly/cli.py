@@ -47,7 +47,8 @@ def _load_json(path):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON, bad UTF-8, over-long ints
+    # ValueError: bad JSON, bad UTF-8, over-long ints; RecursionError: deep nesting
+    except (OSError, RecursionError, ValueError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 

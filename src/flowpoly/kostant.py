@@ -11,22 +11,26 @@ bounds every digit; tests assert the two agree.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import factorial
+from operator import sub
 
 from .errors import ContractError, InputError
 from .graphs import require_pruned
 
 
 def compositions_colex(total, parts):
-    """Weak compositions of ``total`` into ``parts`` parts as a list, colex order."""
+    """Weak compositions of ``total`` into ``parts`` parts as a list, colex order.
+
+    Stars and bars: the sums of the last 1, 2, ..., parts - 1 parts are a
+    nondecreasing sequence in 0..total, and itertools lists those in
+    lexicographic order, which is colex order of the compositions.
+    """
     if parts == 0:
         return [()] if total == 0 else []
-    if parts == 1:
-        return [(total,)]
     return [
-        rest + (last,)
-        for last in range(total + 1)
-        for rest in compositions_colex(total - last, parts - 1)
+        tuple(map(sub, (total, *sums[::-1]), (*sums[::-1], 0)))
+        for sums in combinations_with_replacement(range(total + 1), parts - 1)
     ]
 
 
@@ -48,29 +52,21 @@ def enumerate_integer_flows(g, netflow):
     by the per-edge value tuple.
     """
     netflow = _check_netflow(g, netflow)
-    out_ids = {v: g.out_edge_ids(v) for v in range(1, g.n + 1)}
     flows = []
     assignment = {}
-    inflow = [0] * (g.n + 1)
 
     def walk(v):
+        supply = netflow[v - 1] + sum(assignment[e] for e in g.in_edge_ids(v))
         if v == g.n:
-            if inflow[v] + netflow[v - 1] == 0:
+            if supply == 0:
                 flows.append(dict(assignment))
             return
-        supply = netflow[v - 1] + inflow[v]
-        outs = out_ids[v]
+        outs = g.out_edge_ids(v)
         if supply < 0 or (supply > 0 and not outs):
             return
         for comp in compositions_colex(supply, len(outs)):
-            for e, val in zip(outs, comp):
-                assignment[e] = val
-                inflow[g.edges[e][1]] += val
+            assignment.update(zip(outs, comp))
             walk(v + 1)
-            for e, val in zip(outs, comp):
-                inflow[g.edges[e][1]] -= val
-        for e in outs:
-            assignment.pop(e, None)
 
     walk(1)
     del walk  # breaks its self-reference, so the walk's state is freed on return

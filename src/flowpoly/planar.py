@@ -7,6 +7,12 @@ systems: darts are (edge id, direction) pairs and the successor of a dart
 is the counterclockwise predecessor of its reverse at the head vertex, so
 every face is traced counterclockwise with its interior on the left.
 
+Both constructions below hand PlanarGraphData only the region labels and
+the edge sides (the regions below and above each edge).  It derives each
+region's boundary and the planar framing from the sides by one rule:
+top to bottom, each in-edge's below-label is the next in-edge's
+above-label at an inner vertex, and the same for out-edges.
+
 The bounded regions of a drawing, ordered "lower to higher" across each
 arc, form a poset, whose covers dual_poset reads straight off the edge
 sides.  Conversely a poset with an upward-planar Hasse drawing (by default
@@ -19,7 +25,7 @@ first.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 
 from .errors import InputError, InternalCheckError, NotPlanarError
@@ -36,31 +42,62 @@ TOP = "TOP"
 class PlanarGraphData:
     """A graph together with its drawing's bounded regions.
 
-    regions maps a region label to the tuple of edge ids on its boundary;
     edge_sides[e] = (below, above) holds the labels of the regions on the
     two sides of edge e, using BOTTOM/TOP for the unbounded region
-    approached from below respectively above the drawing.
+    approached from below respectively above the drawing; labels lists the
+    bounded regions' labels in order.  Both other fields are derived from
+    the edge sides: regions maps each label to the ascending ids of the
+    edges with that label on either side, and framing is the planar
+    framing, in which consecutive in-edges, and consecutive out-edges, at
+    an inner vertex share the region between them (top to bottom, the
+    below-label of one is the above-label of the next).  Sides that do not
+    chain so raise InternalCheckError naming the vertex.
     """
 
     graph: DirectedMultigraph
-    regions: dict
+    labels: InitVar[tuple]
     edge_sides: tuple
-    framing: Framing
+    regions: dict = field(init=False)
+    framing: Framing = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, labels):
         g = self.graph
-        if len(self.regions) != g.edge_count - g.n + 1:
-            raise InternalCheckError(
-                f"{len(self.regions)} regions, expected {g.edge_count - g.n + 1}"
-            )
+        if len(labels) != g.edge_count - g.n + 1:
+            raise InternalCheckError(f"{len(labels)} regions, expected {g.edge_count - g.n + 1}")
         if len(self.edge_sides) != g.edge_count:
             raise InternalCheckError("edge_sides must cover every edge")
+        regions = {label: [] for label in labels}
         for e, (below, above) in enumerate(self.edge_sides):
             if below == above:
                 raise InternalCheckError(f"edge {e} has the same label on both sides")
             for label in (below, above):
-                if label not in self.regions and label not in (BOTTOM, TOP):
+                if label in regions:
+                    regions[label].append(e)
+                elif label not in (BOTTOM, TOP):
                     raise InternalCheckError(f"edge {e} borders unknown label {label!r}")
+        self.regions = {label: tuple(ids) for label, ids in regions.items()}
+        inner = g.inner_vertices()
+        self.framing = Framing(
+            in_orders={v: self._top_to_bottom(v, "in", g.in_edge_ids(v)) for v in inner},
+            out_orders={v: self._top_to_bottom(v, "out", g.out_edge_ids(v)) for v in inner},
+        )
+
+    def _top_to_bottom(self, v, kind, ids):
+        """ids chained from the one edge whose above-label is no other's
+        below-label, each next edge's above-label the last one's below-label."""
+        sides = self.edge_sides
+        belows = {sides[e][0] for e in ids}
+        by_above = {sides[e][1]: e for e in ids}
+        tops = [e for e in ids if sides[e][1] not in belows]
+        order = tops if len(tops) == 1 else []
+        while 0 < len(order) < len(ids):
+            nxt = by_above.get(sides[order[-1]][0])
+            if nxt is None or nxt in order:
+                break
+            order.append(nxt)
+        if len(order) != len(ids):
+            raise InternalCheckError(f"edge sides do not chain the {kind}-edges at vertex {v}")
+        return tuple(order)
 
 
 # ---------------------------------------------------------------------------
@@ -210,15 +247,8 @@ def arc_diagram(g, framing):
     if any(face_of[(line[a], _REV)] != outer for a in line):
         raise NotPlanarError("not planar in this arc order: line is not on the outer face")
 
-    has_line_dart = [any(d[0] >= m for d in face) for face in faces]
-    region_faces = [i for i in range(len(faces)) if not has_line_dart[i]]
-    if len(region_faces) != m - g.n + 1:
-        raise InternalCheckError("bounded region count disagrees with the Euler count")
+    region_faces = [i for i, face in enumerate(faces) if all(d[0] < m for d in face)]
     region_index = {f: r for r, f in enumerate(region_faces)}
-    regions = {
-        region_index[f]: tuple(sorted({d[0] for d in faces[f]}))
-        for f in region_faces
-    }
 
     edge_sides = []
     for e in range(m):
@@ -232,12 +262,7 @@ def arc_diagram(g, framing):
             raise InternalCheckError(f"edge {e} has a line-touching region above it")
         below = region_index.get(below_face, BOTTOM)
         edge_sides.append((below, above))
-
-    planar_framing = Framing(
-        in_orders={v: in_orders[v] for v in g.inner_vertices()},
-        out_orders={v: out_orders[v] for v in g.inner_vertices()},
-    )
-    return PlanarGraphData(g, regions, tuple(edge_sides), planar_framing)
+    return PlanarGraphData(g, tuple(region_index.values()), tuple(edge_sides))
 
 
 # ---------------------------------------------------------------------------
@@ -410,43 +435,7 @@ def poset_to_flow_graph(p, emb=None):
     edge_sides = tuple(
         (to_label(hasse[eid][0]), to_label(hasse[eid][1])) for _, _, eid in dual_arcs
     )
-    dual_id = {eid: i for i, (_, _, eid) in enumerate(dual_arcs)}
-
-    regions = dict.fromkeys(elements, ())
-    for i, (_, _, eid) in enumerate(dual_arcs):
-        for x in hasse[eid]:
-            if x in regions:
-                regions[x] += (i,)
-
-    # framing: each face's boundary cycle is one run of forward darts (its
-    # east side, traversed bottom to top) and one run of reversed darts (its
-    # west side, top to bottom)
-    in_orders, out_orders = {}, {}
-    for fce in inner_faces:
-        v = number[fce]
-        cycle = [d for d in faces[fce] if d[0] < len(hasse)]
-        fwd_flags = [d[1] == _FWD for d in cycle]
-        # rotate the cycle so it starts at a forward-run boundary
-        k = len(cycle)
-        start = next(
-            (i for i in range(k) if fwd_flags[i] and not fwd_flags[i - 1]),
-            0,
-        )
-        cycle = cycle[start:] + cycle[:start]
-        fwd = [dual_id[d[0]] for d in cycle if d[1] == _FWD]
-        rev = [dual_id[d[0]] for d in cycle if d[1] == _REV]
-        if [d[1] == _FWD for d in cycle] != [True] * len(fwd) + [False] * len(rev):
-            raise InternalCheckError(f"face {v} boundary is not two monotone runs")
-        if 1 < v:
-            in_orders[v] = tuple(rev)
-        if v < len(inner_faces):
-            out_orders[v] = tuple(reversed(fwd))
-    framing = Framing(
-        in_orders={v: in_orders[v] for v in g.inner_vertices()},
-        out_orders={v: out_orders[v] for v in g.inner_vertices()},
-    )
-    Framing.validate(g, framing)
-    return PlanarGraphData(g, regions, edge_sides, framing)
+    return PlanarGraphData(g, elements, edge_sides)
 
 
 # ---------------------------------------------------------------------------

@@ -242,6 +242,16 @@ def test_more_parallel_edges_than_the_recursion_limit(runner, tmp_path, flags, v
     assert json.loads(result.stdout) == {"volume": volume}
 
 
+def test_a_vertex_wider_than_the_recursion_limit(runner, tmp_path):
+    # vertex 2 deals its one arriving route out to every out-edge
+    n = sys.getrecursionlimit() + 10
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"n": 3, "edges": [[1, 2]] + [[2, 3]] * n}))
+    result = runner.invoke(main, ["graph", "volume", "--all", str(path)])
+    assert result.exit_code == 0
+    assert json.loads(result.stdout) == {"volume": {"kostant": 1, "ps": 1, "dkk": 1}}
+
+
 def test_degenerate_graph_exits_2(runner, tmp_path):
     path = tmp_path / "dead.json"
     path.write_text(json.dumps({"n": 3, "edges": [[1, 2], [1, 3]]}))
@@ -427,6 +437,7 @@ UNDECODABLE = {
     "not-utf8": b'\xff\xfe\x00{"n":',
     "long-n": b'{"n": ' + b"9" * 5000 + b', "edges": [[1, 2]]}',
     "long-element": b'{"elements": [1, ' + b"9" * 5000 + b'], "covers": []}',
+    "nested": b"[" * 100_000 + b"]" * 100_000,
 }
 
 

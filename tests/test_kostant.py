@@ -28,6 +28,20 @@ def test_compositions_colex_order_and_count():
     assert len(compositions_colex(4, 3)) == 15
 
 
+def _colex(total, parts):
+    """Colex order by definition: the last part ascending, and for each
+    last part the compositions of the rest in colex order."""
+    if parts == 0:
+        return [()] if total == 0 else []
+    return [rest + (last,) for last in range(total + 1) for rest in _colex(total - last, parts - 1)]
+
+
+def test_compositions_colex_follow_the_recursive_definition():
+    for total in range(9):
+        for parts in range(7):
+            assert compositions_colex(total, parts) == _colex(total, parts)
+
+
 @pytest.mark.parametrize("n,expected", sorted(CATALAN_PRODUCTS.items()))
 def test_complete_graph_volumes(n, expected):
     assert flow_polytope_volume(complete_graph(n)) == expected

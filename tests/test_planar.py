@@ -2,9 +2,11 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings
 
-from flowpoly.errors import InputError, NotPlanarError
-from flowpoly.fixtures import TRIANGLE, wedge_framing, wedge_graph
+from flowpoly import planar
+from flowpoly.errors import InputError, InternalCheckError, NotPlanarError
+from flowpoly.fixtures import TRIANGLE, poset_fixtures, wedge_framing, wedge_graph
 from flowpoly.graphs import (
     DirectedMultigraph,
     Framing,
@@ -18,8 +20,12 @@ from flowpoly.graphs import (
 from flowpoly.kostant import ehrhart_netflow, enumerate_integer_flows, flow_polytope_volume
 from flowpoly.planar import (
     _BOT,
+    _FWD,
+    _REV,
+    _TOPHAT,
     BOTTOM,
     TOP,
+    PlanarGraphData,
     arc_diagram,
     dual_poset,
     flow_to_order_point,
@@ -36,6 +42,7 @@ from flowpoly.posets import (
     skew_star,
     zigzag,
 )
+from test_triangulations import PLANAR_FIXTURES, noncrossing_arc_diagrams
 
 
 def test_single_edge_has_no_regions():
@@ -258,3 +265,127 @@ def test_embedding_left_right_matters_but_stays_consistent():
     pg2 = poset_to_flow_graph(p, flipped)
     assert sorted(pg1.graph.edges) == sorted(pg2.graph.edges)
 
+
+
+# ---------------------------------------------------------------------------
+# the region boundaries and planar framing derived from the edge sides
+
+
+def _face_cycle_oracle(p, emb, pg, faces, face_of):
+    """Regions and framing as poset_to_flow_graph built them from the faces
+    of the Hasse drawing before PlanarGraphData derived them: each face's
+    boundary cycle is one run of forward darts (its east side, traversed
+    bottom to top) and one run of reversed darts (its west side, top to
+    bottom)."""
+    hasse = [*p.covers, *((_BOT, x) for x in emb.bottom), *((x, _TOPHAT) for x in emb.top)]
+    if not p.elements:
+        hasse.append((_BOT, _TOPHAT))
+    hat = {BOTTOM: _BOT, TOP: _TOPHAT}
+    dual_id = {
+        hasse.index(tuple(hat.get(x, x) for x in sides)): i for i, sides in enumerate(pg.edge_sides)
+    }
+    number = {}
+    for eid, i in dual_id.items():
+        number[face_of[(eid, _FWD)]], number[face_of[(eid, _REV)]] = pg.graph.edges[i]
+
+    regions = dict.fromkeys(p.elements, ())
+    for i, eid in sorted((i, eid) for eid, i in dual_id.items()):
+        for x in hasse[eid]:
+            if x in regions:
+                regions[x] += (i,)
+
+    in_orders, out_orders = {}, {}
+    for fce, v in number.items():
+        cycle = [d for d in faces[fce] if d[0] < len(hasse)]
+        fwd_flags = [d[1] == _FWD for d in cycle]
+        # rotate the cycle so it starts at a forward-run boundary
+        k = len(cycle)
+        start = next((i for i in range(k) if fwd_flags[i] and not fwd_flags[i - 1]), 0)
+        cycle = cycle[start:] + cycle[:start]
+        fwd = [dual_id[d[0]] for d in cycle if d[1] == _FWD]
+        rev = [dual_id[d[0]] for d in cycle if d[1] == _REV]
+        assert [d[1] == _FWD for d in cycle] == [True] * len(fwd) + [False] * len(rev)
+        if 1 < v:
+            in_orders[v] = tuple(rev)
+        if v < pg.graph.n:
+            out_orders[v] = tuple(reversed(fwd))
+    inner = pg.graph.inner_vertices()
+    return regions, Framing({v: in_orders[v] for v in inner}, {v: out_orders[v] for v in inner})
+
+
+ORACLE_POSETS = {
+    **poset_fixtures(),
+    **{
+        f"skew{n}-" + ("".join(map(str, lam)) or "0"): skew_star(n, lam)
+        for n in range(1, 7)
+        for lam in all_staircase_partitions(n)
+    },
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_POSETS)
+def test_poset_to_flow_graph_matches_the_face_cycle_framing(name, monkeypatch):
+    trace_faces, traced = planar._trace_faces, []
+    monkeypatch.setattr(planar, "_trace_faces", lambda rot: traced.append(trace_faces(rot)) or traced[0])
+    p, emb = ORACLE_POSETS[name]
+    pg = poset_to_flow_graph(p, emb)
+    regions, framing = _face_cycle_oracle(p, emb, pg, *traced[0])
+    assert list(pg.regions.items()) == list(regions.items())
+    assert list(pg.framing.in_orders.items()) == list(framing.in_orders.items())
+    assert list(pg.framing.out_orders.items()) == list(framing.out_orders.items())
+
+
+def _check_drawn(g, framing):
+    """The planar framing is the drawing's arc order at the inner vertices,
+    and drawing g again in it gives back the same data."""
+    pg = arc_diagram(g, framing)
+    in_orders, out_orders = planar._full_orders(g, framing)
+    inner = g.inner_vertices()
+    assert pg.framing == Framing({v: in_orders[v] for v in inner}, {v: out_orders[v] for v in inner})
+    redrawn = arc_diagram(g, pg.framing)
+    assert list(redrawn.regions.items()) == list(pg.regions.items())
+    assert redrawn.edge_sides == pg.edge_sides
+    return pg
+
+
+# the planar fixtures drawn by arc_diagram, with the framings they are drawn in
+ARC_FIXTURES = {
+    "triangle": (TRIANGLE, id_order_framing(TRIANGLE)),
+    "parallel2": (parallel_edges(2), Framing({}, {})),
+    "parallel3": (parallel_edges(3), Framing({}, {})),
+    "wedge": (wedge_graph(), wedge_framing()),
+}
+
+
+@pytest.mark.parametrize("name", ARC_FIXTURES)
+def test_arc_fixture_framing_is_its_arc_order(name):
+    assert _check_drawn(*ARC_FIXTURES[name]) == PLANAR_FIXTURES[name]
+
+
+@seed(0xF4A)
+@settings(max_examples=60, deadline=2000)
+@given(noncrossing_arc_diagrams())
+def test_arc_diagram_framing_is_its_arc_order(pg):
+    _check_drawn(pg.graph, Framing({}, {}))
+
+
+# four in-edges at vertex 3, top to bottom 3, 1, 4, 5, with sides
+# 3 = (0, 1), 1 = (3, 0), 4 = (2, 3) and 5 = (BOTTOM, 2)
+FAN_IN = DirectedMultigraph(4, ((1, 2), (2, 3), (3, 4), (1, 3), (2, 3), (2, 3), (1, 4)))
+
+
+@pytest.mark.parametrize(
+    "edited",
+    [
+        {1: (3, 1)},  # edges 3 and 1 both on top
+        {1: (3, BOTTOM)},  # no edge has 3's below-label above it
+        {4: (2, 0), 5: (0, 2)},  # 3, 4, 5 and then 4 again
+    ],
+    ids=["two-tops", "stops-early", "runs-into-itself"],
+)
+def test_sides_that_do_not_chain_name_the_vertex(edited):
+    pg = arc_diagram(FAN_IN, Framing({}, {}))
+    assert pg.framing.in_orders[3] == (3, 1, 4, 5)
+    sides = tuple(edited.get(e, s) for e, s in enumerate(pg.edge_sides))
+    with pytest.raises(InternalCheckError, match="^edge sides do not chain the in-edges at vertex 3$"):
+        PlanarGraphData(FAN_IN, tuple(pg.regions), sides)
