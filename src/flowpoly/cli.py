@@ -18,6 +18,7 @@ from .asm import family_report
 from .errors import FlowpolyError, InputError
 from .geometry import triangulation_checks
 from .graphs import (
+    Framing,
     enumerate_routes,
     graph_from_json,
     id_order_framing,
@@ -93,7 +94,14 @@ def _resolve_framing(g, framing, spec):
     if spec == "id-order":
         return id_order_framing(g)
     if spec == "planar":
-        return arc_diagram(g, framing).framing
+        # one page in vertex order: in-arcs from the farthest tail and out-arcs
+        # to the farthest head on top; the file's order survives among parallel arcs
+        tail, far_head = (lambda e: g.edges[e][0]), (lambda e: -g.edges[e][1])
+        drawing = Framing(
+            {v: tuple(sorted(order, key=tail)) for v, order in framing.in_orders.items()},
+            {v: tuple(sorted(order, key=far_head)) for v, order in framing.out_orders.items()},
+        )
+        return arc_diagram(g, drawing).framing
     return framing
 
 
@@ -200,6 +208,7 @@ def poset_ehrhart(path, m_max):
     type=click.Choice(["file", "id-order", "planar"]),
     default="file",
     show_default=True,
+    help="planar draws the graph on one page, vertices in order, and uses its arc orders",
 )
 @click.option("--check/--no-check", default=True, help="run the geometry checks")
 @_exit_codes

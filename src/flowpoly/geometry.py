@@ -121,13 +121,18 @@ def hermite_row_basis(rows):
     return basis
 
 
+def _differences(points, base):
+    """Each point minus base, refusing points of another length than base."""
+    if any(len(p) != len(base) for p in points):
+        raise InputError("points must all have the same number of coordinates")
+    return [[x - b for x, b in zip(p, base)] for p in points]
+
+
 def affine_dimension(points):
     points = [tuple(p) for p in points]
     if not points:
         raise InputError("affine dimension of an empty point set is undefined")
-    base = points[0]
-    diffs = [[x - b for x, b in zip(p, base)] for p in points[1:]]
-    return matrix_rank(diffs)
+    return matrix_rank(_differences(points[1:], points[0]))
 
 
 def lattice_basis(points):
@@ -135,9 +140,7 @@ def lattice_basis(points):
     points = list(points)
     if not points:
         raise InputError("need at least one point")
-    base = points[0]
-    diffs = [[x - b for x, b in zip(p, base)] for p in points[1:]]
-    return hermite_row_basis(diffs)
+    return hermite_row_basis(_differences(points[1:], points[0]))
 
 
 def coordinates_in_basis(basis, vector):
@@ -148,6 +151,8 @@ def coordinates_in_basis(basis, vector):
     substitution).  A vector in the span but off the lattice gets Fraction
     coordinates.
     """
+    if basis and len(vector) != len(basis[0]):
+        raise InputError("points must all have the same number of coordinates")
     residual = list(vector)
     coords = []
     for row in basis:
@@ -186,10 +191,7 @@ def simplex_normalized_volume(simplex, basis):
         return 0
     if len(simplex) != d + 1:
         return 0
-    base = simplex[0]
-    rows = []
-    for p in simplex[1:]:
-        rows.append(coordinates_in_basis(basis, [x - b for x, b in zip(p, base)]))
+    rows = [coordinates_in_basis(basis, v) for v in _differences(simplex[1:], simplex[0])]
     vol = abs(determinant(rows))
     if vol.denominator != 1:
         raise InternalCheckError("simplex volume is not integral in the chosen lattice")
@@ -313,9 +315,9 @@ def triangulation_checks(polytope_vertices, simplices, expected_volume):
             failures=failures,
         )
 
-    base = vertices[0]
     # vertex -> integer lattice coordinates relative to vertices[0]
-    coords = {p: coordinates_in_basis(basis, [x - b for x, b in zip(p, base)]) for p in vertex_set}
+    diffs = _differences(vertex_set, vertices[0])
+    coords = {p: coordinates_in_basis(basis, v) for p, v in zip(vertex_set, diffs)}
 
     compiled = []
     total = 0

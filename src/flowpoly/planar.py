@@ -2,10 +2,11 @@
 
 Graphs are drawn with vertices 1..n on a horizontal line and all arcs in
 the upper half-plane; the drawing is described combinatorially by the
-top-to-bottom in/out arc orders at each vertex.  Faces come from rotation
-systems: darts are (edge id, direction) pairs and the successor of a dart
-is the counterclockwise predecessor of its reverse at the head vertex, so
-every face is traced counterclockwise with its interior on the left.
+top-to-bottom in/out arc orders at each vertex, and its regions are read
+off them.  Only poset_to_flow_graph traces faces, from rotation systems:
+darts are (edge id, direction) pairs and the successor of a dart is the
+counterclockwise predecessor of its reverse at the head vertex, so every
+face is traced counterclockwise with its interior on the left.
 
 Both constructions below hand PlanarGraphData only the region labels and
 the edge sides (the regions below and above each edge).  It derives each
@@ -218,7 +219,11 @@ def arc_diagram(g, framing):
 
     The framing gives top-to-bottom arc orders; orders at vertices 1 and n
     may be omitted and are then chosen canonically.  Raises NotPlanarError
-    when two arcs are forced to cross.
+    when two arcs are forced to cross.  Otherwise the arcs nest, and each
+    arc but the lowest out of its tail has a region directly under it.
+    Above an arc lies the region under the next arc up at its tail, else at
+    its head, else TOP if its head is n, else the region above the top arc
+    out of its head (whose head lies farther right, so the search ends).
     """
     require_pruned(g)
     in_orders, out_orders = _full_orders(g, framing)
@@ -226,43 +231,25 @@ def arc_diagram(g, framing):
     if pair is not None:
         raise NotPlanarError(f"not planar in this arc order: edges {pair}", edge_pair=pair)
 
-    m = g.edge_count
-    # helper edges along the horizontal line, id m+a-1 for the segment (a, a+1)
-    line = {a: m + a - 1 for a in range(1, g.n)}
-    rotations = {}
-    for v in range(1, g.n + 1):
-        darts = []
-        if v < g.n:
-            darts.append((line[v], _FWD))
-        darts.extend((e, _FWD) for e in reversed(out_orders[v]))
-        darts.extend((e, _REV) for e in in_orders[v])
-        if v > 1:
-            darts.append((line[v - 1], _REV))
-        rotations[v] = darts
+    # the region under each arc, numbered by tail and from the bottom arc up
+    under = {}
+    for v in range(1, g.n):
+        for e in reversed(out_orders[v][:-1]):
+            under[e] = len(under)
 
-    faces, face_of = _trace_faces(rotations)
-    if len(faces) != m + 1:
-        raise NotPlanarError("not planar in this arc order: face count mismatch")
-    outer = face_of[(line[1], _REV)]
-    if any(face_of[(line[a], _REV)] != outer for a in line):
-        raise NotPlanarError("not planar in this arc order: line is not on the outer face")
+    def above(e):
+        while True:
+            tail, head = g.edges[e]
+            for order in (out_orders[tail], in_orders[head]):
+                i = order.index(e)
+                if i:
+                    return under[order[i - 1]]
+            if head == g.n:
+                return TOP
+            e = out_orders[head][0]
 
-    region_faces = [i for i, face in enumerate(faces) if all(d[0] < m for d in face)]
-    region_index = {f: r for r, f in enumerate(region_faces)}
-
-    edge_sides = []
-    for e in range(m):
-        above_face = face_of[(e, _FWD)]
-        below_face = face_of[(e, _REV)]
-        if above_face in region_index:
-            above = region_index[above_face]
-        elif above_face == outer:
-            above = TOP
-        else:
-            raise InternalCheckError(f"edge {e} has a line-touching region above it")
-        below = region_index.get(below_face, BOTTOM)
-        edge_sides.append((below, above))
-    return PlanarGraphData(g, tuple(region_index.values()), tuple(edge_sides))
+    edge_sides = tuple((under.get(e, BOTTOM), above(e)) for e in range(g.edge_count))
+    return PlanarGraphData(g, tuple(under.values()), edge_sides)
 
 
 # ---------------------------------------------------------------------------

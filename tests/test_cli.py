@@ -8,9 +8,10 @@ from hypothesis import given, seed, settings, strategies as st
 
 from flowpoly import asm, checks, cli, triangulations
 from flowpoly.cli import main
-from flowpoly.fixtures import planar_fixtures
+from flowpoly.fixtures import planar_fixtures, wedge_framing, wedge_graph
 from flowpoly.graphs import complete_graph, graph_to_json, path_graph, random_framing
 from flowpoly.posets import poset_to_json, skew_star, zigzag
+from test_triangulations import PLANAR_FIXTURES
 
 
 @pytest.fixture
@@ -389,6 +390,34 @@ def test_nonplanar_framing_request_exits(runner, tmp_path):
         main, ["triangulate", str(path), "--method", "dkk", "--framing", "planar"]
     )
     assert result.exit_code == 2
+
+
+def test_planar_framing_of_a_graph_saved_without_one(runner, tmp_path):
+    # the wedge's default id-order framing is not the arc order of its drawing;
+    # --framing planar draws it on one page and reports the wedge framing
+    g = wedge_graph()
+    path = tmp_path / "wedge.json"
+    path.write_text(json.dumps(graph_to_json(g)))
+    result = runner.invoke(main, ["triangulate", str(path), "--framing", "planar"])
+    assert result.exit_code == 0
+    assert json.loads(result.stdout)["framing"] == graph_to_json(g, wedge_framing())["framing"]
+
+
+# G_P fixtures with two interleaving arcs in vertex order: no one-page drawing
+NO_ONE_PAGE_DRAWING = ("gp-zigzag4", "gp-skew4-1", "gp-skew4-0")
+
+
+@pytest.mark.parametrize("name", [n for n in PLANAR_FIXTURES if n not in NO_ONE_PAGE_DRAWING])
+def test_planar_framing_of_a_drawable_fixture_is_its_own(runner, tmp_path, name):
+    pg = PLANAR_FIXTURES[name]
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(graph_to_json(pg.graph, pg.framing)))
+    results = [
+        runner.invoke(main, ["triangulate", str(path), "--framing", spec, "--no-check"])
+        for spec in ("planar", "file")
+    ]
+    assert [r.exit_code for r in results] == [0, 0]
+    assert results[0].stdout == results[1].stdout
 
 
 @pytest.mark.parametrize("method", ["canonical", "dkk", "ps"])

@@ -87,6 +87,9 @@ def test_unit_simplex_volume():
     assert simplex_normalized_volume(simplex + [(1,) * d], basis) == 0
 
 
+UNEQUAL = "points must all have the same number of coordinates"
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -103,8 +106,32 @@ def test_unit_simplex_volume():
             ),
             "lattice points must have integer coordinates",
         ),
+        (lambda: affine_dimension([(0,), (1, 5)]), UNEQUAL),
+        (lambda: lattice_basis([(0, 0), (1,)]), UNEQUAL),
+        (
+            lambda: simplex_normalized_volume([(0, 0, 0), (1, 0, 0), (0, 1, 5)], [(1, 0), (0, 1)]),
+            UNEQUAL,
+        ),
+        (
+            lambda: triangulation_checks(
+                [(0, 0), (1, 0), (0, 1), (1, 1, 7)],
+                [((0, 0), (1, 0), (0, 1)), ((1, 0), (0, 1), (1, 1, 7))],
+                2,
+            ),
+            UNEQUAL,
+        ),
     ],
-    ids=["affine-dimension", "lattice-basis", "determinant", "half-integer", "half-integer-checks"],
+    ids=[
+        "affine-dimension",
+        "lattice-basis",
+        "determinant",
+        "half-integer",
+        "half-integer-checks",
+        "unequal-affine-dimension",
+        "unequal-lattice-basis",
+        "unequal-simplex",
+        "unequal-checks",
+    ],
 )
 def test_refusals(call, message):
     with pytest.raises(InputError, match=f"^{message}$"):

@@ -17,7 +17,9 @@ from flowpoly.graphs import (
     parallel_edges,
     route_flow_vector,
 )
-from flowpoly.kostant import ehrhart_netflow, enumerate_integer_flows, flow_polytope_volume
+from flowpoly.kostant import (
+    ehrhart_netflow, enumerate_integer_flows, flow_ehrhart_value, flow_polytope_volume
+)
 from flowpoly.planar import (
     _BOT,
     _FWD,
@@ -39,6 +41,7 @@ from flowpoly.posets import (
     chain,
     count_linear_extensions,
     order_ideals,
+    order_polynomial,
     skew_star,
     zigzag,
 )
@@ -389,3 +392,42 @@ def test_sides_that_do_not_chain_name_the_vertex(edited):
     sides = tuple(edited.get(e, s) for e, s in enumerate(pg.edge_sides))
     with pytest.raises(InternalCheckError, match="^edge sides do not chain the in-edges at vertex 3$"):
         PlanarGraphData(FAN_IN, tuple(pg.regions), sides)
+
+
+def _no_face_tracing(rotations):
+    raise AssertionError("faces traced")
+
+
+def test_arc_regions_are_numbered_by_tail_from_the_bottom_arc_up():
+    # top to bottom, the arcs out of vertex 1 are 6, 7, 4 and 0, and out of
+    # vertex 3 they are 5 and 2: regions 0, 1, 2 lie under 4, 7, 6, and 3 under 5
+    pg = arc_diagram(wedge_graph(), wedge_framing())
+    assert pg.edge_sides == (
+        (BOTTOM, 0), (BOTTOM, 0), (BOTTOM, 3), (BOTTOM, 3), (0, 1), (3, 1), (2, TOP), (1, 2)
+    )
+
+
+@pytest.mark.parametrize("name", ARC_FIXTURES)
+def test_arc_fixtures_draw_without_tracing_faces(name, monkeypatch):
+    monkeypatch.setattr(planar, "_trace_faces", _no_face_tracing)
+    assert arc_diagram(*ARC_FIXTURES[name]) == PLANAR_FIXTURES[name]
+
+
+@seed(0xF4B)
+@settings(max_examples=60, deadline=2000)
+@given(noncrossing_arc_diagrams())
+def test_arc_diagrams_draw_without_tracing_faces(pg):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(planar, "_trace_faces", _no_face_tracing)
+        assert arc_diagram(pg.graph, Framing({}, {})) == pg
+
+
+@seed(0xE4B)
+@settings(max_examples=60, deadline=2000)
+@given(noncrossing_arc_diagrams())
+def test_arc_diagram_ehrhart_identity(pg):
+    # lattice points of t * F_G are the order-preserving maps of the region
+    # poset into a chain of t + 1 elements
+    poset = dual_poset(pg)
+    for t in range(4):
+        assert order_polynomial(poset, t + 1) == flow_ehrhart_value(pg.graph, t)
