@@ -2,11 +2,11 @@
 
 Graphs are drawn with vertices 1..n on a horizontal line and all arcs in
 the upper half-plane; the drawing is described combinatorially by the
-top-to-bottom in/out arc orders at each vertex, and its regions are read
-off them.  Only poset_to_flow_graph traces faces, from rotation systems:
-darts are (edge id, direction) pairs and the successor of a dart is the
-counterclockwise predecessor of its reverse at the head vertex, so every
-face is traced counterclockwise with its interior on the left.
+top-to-bottom in/out arc orders at each vertex.  Both planar drawings here,
+these arc diagrams and the upward Hasse drawings below, find the faces on
+the two sides of every edge by one rule, _sides: each face but the outer
+one has one lowest vertex, lies between two consecutive out-edges there,
+and is named by the first of them.
 
 Both constructions below hand PlanarGraphData only the region labels and
 the edge sides (the regions below and above each edge).  It derives each
@@ -19,15 +19,16 @@ arc, form a poset, whose covers dual_poset reads straight off the edge
 sides.  Conversely a poset with an upward-planar Hasse drawing (by default
 posets.default_embedding) yields a flow graph as the truncated dual of the
 augmented Hasse diagram; its faces are numbered source to sink by a
-topological sort that takes the ready face with the least sorted darts
-first.
+topological sort that takes the ready face bordering the least Hasse edge
+id first.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import pairwise
 
 from .errors import InputError, InternalCheckError, NotPlanarError
 from .graphs import (
@@ -56,13 +57,13 @@ class PlanarGraphData:
     """
 
     graph: DirectedMultigraph
-    labels: InitVar[tuple]
+    labels: tuple
     edge_sides: tuple
     regions: dict = field(init=False)
     framing: Framing = field(init=False)
 
-    def __post_init__(self, labels):
-        g = self.graph
+    def __post_init__(self):
+        g, labels = self.graph, self.labels
         if len(labels) != g.edge_count - g.n + 1:
             raise InternalCheckError(f"{len(labels)} regions, expected {g.edge_count - g.n + 1}")
         if len(self.edge_sides) != g.edge_count:
@@ -102,47 +103,27 @@ class PlanarGraphData:
 
 
 # ---------------------------------------------------------------------------
-# rotation systems and face tracing
-
-_FWD, _REV = 1, -1
+# the faces of an upward plane drawing
 
 
-def _trace_faces(rotations):
-    """Orbit decomposition of darts under next = CCW-predecessor of reverse.
+def _sides(vertices, in_orders, out_orders, outer):
+    """The faces before and after every edge of an upward plane drawing.
 
-    rotations: vertex -> CCW-ordered list of darts (edge id, direction)
-    based at that vertex.  Returns the list of faces, each a tuple of darts,
-    and the map from each dart to the index of its face.
+    The orders list the edges at each vertex in one direction across the
+    drawing, and vertices lists every tail after the tails of its own
+    in-edges.  Each face but the outer one lies between two consecutive
+    out-edges at its lowest vertex and is named by the first of them.  At
+    each vertex the face before its first in-edge continues past its first
+    out-edge, and the face after its last in-edge past its last out-edge;
+    at a vertex with no in-edges these are the two faces in outer.
     """
-    at_vertex = {}
-    position = {}
-    for v, darts in rotations.items():
-        for i, d in enumerate(darts):
-            if d in position:
-                raise InternalCheckError(f"dart {d} appears at two vertices")
-            position[d] = (v, i)
-        at_vertex[v] = darts
-    faces = []
-    face_of = {}
-    for start in position:
-        if start in face_of:
-            continue
-        face = []
-        d = start
-        while True:
-            face.append(d)
-            face_of[d] = len(faces)
-            rev = (d[0], -d[1])
-            if rev not in position:
-                raise InputError(f"rotation system lacks the reverse of dart {d}")
-            v, i = position[rev]
-            d = at_vertex[v][(i - 1) % len(at_vertex[v])]
-            if d == start:
-                break
-            if d in face_of:
-                raise InputError("face tracing failed to close; embedding inconsistent")
-        faces.append(tuple(face))
-    return faces, face_of
+    sides = {}
+    for v in vertices:
+        ins, outs = in_orders[v], out_orders[v]
+        first, last = (sides[ins[0]][0], sides[ins[-1]][1]) if ins else outer
+        for i, e in enumerate(outs):
+            sides[e] = (outs[i - 1] if i else first, e if i < len(outs) - 1 else last)
+    return sides
 
 
 # ---------------------------------------------------------------------------
@@ -220,10 +201,9 @@ def arc_diagram(g, framing):
     The framing gives top-to-bottom arc orders; orders at vertices 1 and n
     may be omitted and are then chosen canonically.  Raises NotPlanarError
     when two arcs are forced to cross.  Otherwise the arcs nest, and each
-    arc but the lowest out of its tail has a region directly under it.
-    Above an arc lies the region under the next arc up at its tail, else at
-    its head, else TOP if its head is n, else the region above the top arc
-    out of its head (whose head lies farther right, so the search ends).
+    arc but the lowest out of its tail has a region directly under it, the
+    face that _sides names by that arc.  The orders run top to bottom, so
+    the face before an arc is above it and the face after it is below it.
     """
     require_pruned(g)
     in_orders, out_orders = _full_orders(g, framing)
@@ -236,19 +216,11 @@ def arc_diagram(g, framing):
     for v in range(1, g.n):
         for e in reversed(out_orders[v][:-1]):
             under[e] = len(under)
-
-    def above(e):
-        while True:
-            tail, head = g.edges[e]
-            for order in (out_orders[tail], in_orders[head]):
-                i = order.index(e)
-                if i:
-                    return under[order[i - 1]]
-            if head == g.n:
-                return TOP
-            e = out_orders[head][0]
-
-    edge_sides = tuple((under.get(e, BOTTOM), above(e)) for e in range(g.edge_count))
+    sides = _sides(range(1, g.n), in_orders, out_orders, (TOP, BOTTOM))
+    edge_sides = tuple(
+        (under.get(below, below), under.get(above, above))
+        for above, below in (sides[e] for e in range(g.edge_count))
+    )
     return PlanarGraphData(g, tuple(under.values()), edge_sides)
 
 
@@ -320,6 +292,8 @@ def poset_to_flow_graph(p, emb=None):
     elements = p.elements
     if _BOT in elements or _TOPHAT in elements:
         raise InputError("poset uses a reserved internal label")
+    if not set(emb.bottom).union(emb.top) <= set(elements):
+        raise InputError("embedding names an unknown minimal or maximal element")
 
     hasse = []  # (x, y) pairs in hat(P), parallel to edge ids of the dual
     for a, b in p.covers:
@@ -340,7 +314,7 @@ def poset_to_flow_graph(p, emb=None):
             up[x].append(eid)
         if y in up:
             down[y].append(eid)
-    # sort per-element dart lists left-to-right following the embedding
+    # sort per-element edge lists left-to-right following the embedding
     for x in elements:
         up_rank = {y: i for i, y in enumerate(emb.up.get(x, ()))}
         down_rank = {y: i for i, y in enumerate(emb.down.get(x, ()))}
@@ -351,49 +325,38 @@ def poset_to_flow_graph(p, emb=None):
             key=lambda eid: down_rank.get(hasse[eid][0], len(down_rank))
         )
 
-    rotations = {}
-    for x in elements:
-        rotations[x] = [(e, _FWD) for e in reversed(up[x])] + [
-            (e, _REV) for e in down[x]
-        ]
-    bottom_links = [eid for eid, (x, _) in enumerate(hasse) if x == _BOT]
-    top_links = [eid for eid, (_, y) in enumerate(hasse) if y == _TOPHAT]
-    rotations[_BOT] = (
-        [(right, _FWD)]
-        + [(e, _FWD) for e in reversed(bottom_links)]
-        + [(left, _FWD)]
-    )
-    rotations[_TOPHAT] = (
-        [(left, _REV)] + [(e, _REV) for e in top_links] + [(right, _REV)]
-    )
+    if not all(up[x] and down[x] for x in elements):
+        raise InputError("embedding inconsistent: an element lacks a lower or an upper edge")
+    up[_BOT] = [left, *(eid for eid, (x, _) in enumerate(hasse) if x == _BOT), right]
+    down[_BOT] = []
+    down[_TOPHAT] = [left, *(eid for eid, (_, y) in enumerate(hasse) if y == _TOPHAT), right]
+    # the faces west and east of every edge; sorting by the size of the
+    # lower set gives a linear extension
+    lower = sorted(elements, key=lambda x: p._below[p._index[x]].bit_count())
+    sides = _sides([_BOT, *lower], down, up, ("outer", "outer"))
+    # with an edge below and above every element, the drawing is planar iff
+    # consecutive in-edges share the face between them
+    if any(
+        sides[a][1] != sides[b][0] for v in (*elements, _TOPHAT) for a, b in pairwise(down[v])
+    ):
+        raise InputError("embedding inconsistent: not an upward planar drawing")
 
-    faces, face_of = _trace_faces(rotations)
-    expected_faces = (len(hasse) + 2) - (len(elements) + 2) + 2
-    if len(faces) != expected_faces:
-        raise InputError("embedding inconsistent: wrong face count for a planar drawing")
-    outer = face_of[(left, _FWD)]
-    source = face_of[(left, _REV)]
-    sink = face_of[(right, _FWD)]
-    if outer in (source, sink):
-        raise InputError("embedding inconsistent: boundary faces collapse together")
-
-    # number the faces (except the outer one) by a topological sort of the
-    # west-to-east dual adjacency, the ready face with the least sorted darts first
-    dual_arcs = []  # (west face, east face, hasse edge id)
-    for eid in range(len(hasse)):
-        west, east = face_of[(eid, _FWD)], face_of[(eid, _REV)]
-        if outer in (west, east):
-            raise InputError("embedding inconsistent: a crossed edge borders the outside")
-        dual_arcs.append((west, east, eid))
-
-    inner_faces = [i for i in range(len(faces)) if i != outer]
-    indeg = dict.fromkeys(inner_faces, 0)
-    east_of = {i: [] for i in inner_faces}
+    # number the inner faces by a topological sort of the west-to-east dual
+    # adjacency, the ready face that borders the least edge id first (the
+    # two faces of one edge are never ready together)
+    dual_arcs = [(*sides[eid], eid) for eid in range(len(hasse))]
+    least_edge = {}
+    for west, east, eid in dual_arcs:
+        least_edge.setdefault(west, eid)
+        least_edge.setdefault(east, eid)
+    source, sink = sides[left][1], sides[right][0]
+    indeg = dict.fromkeys(least_edge, 0)
+    east_of = {i: [] for i in least_edge}
     for west, east, _ in dual_arcs:
         indeg[east] += 1
         east_of[west].append(east)
     number = {}
-    ready = [(sorted(faces[i]), i) for i in inner_faces if indeg[i] == 0]
+    ready = [(least_edge[i], i) for i in least_edge if indeg[i] == 0]
     heapq.heapify(ready)
     while ready:
         _, fce = heapq.heappop(ready)
@@ -401,15 +364,15 @@ def poset_to_flow_graph(p, emb=None):
         for east in east_of[fce]:
             indeg[east] -= 1
             if indeg[east] == 0:
-                heapq.heappush(ready, (sorted(faces[east]), east))
-    if len(number) != len(inner_faces):
+                heapq.heappush(ready, (least_edge[east], east))
+    if len(number) != len(least_edge):
         raise InputError("embedding inconsistent: dual adjacency is cyclic")
-    if number[source] != 1 or number[sink] != len(inner_faces):
+    if number[source] != 1 or number[sink] != len(number):
         raise InternalCheckError("dual source/sink are not extreme in the numbering")
 
     dual_arcs.sort(key=lambda t: (number[t[0]], number[t[1]], t[2]))
     g = DirectedMultigraph(
-        len(inner_faces), tuple((number[w], number[e]) for w, e, _ in dual_arcs)
+        len(number), tuple((number[w], number[e]) for w, e, _ in dual_arcs)
     )
 
     def to_label(x):
@@ -430,8 +393,16 @@ def poset_to_flow_graph(p, emb=None):
 
 
 def _exact(x):
-    """x itself if an int or a Fraction, else x converted exactly to a Fraction."""
-    return x if isinstance(x, (int, Fraction)) else Fraction(x)
+    """x itself if an int or a Fraction, else x, a finite number that is not
+    a string, converted exactly to a Fraction."""
+    if isinstance(x, (int, Fraction)):
+        return x
+    if not isinstance(x, str):
+        try:
+            return Fraction(x)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise InputError(f"{x!r} is not a finite number")
 
 
 def _check_flow(g, fl):

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, seed, settings
+from hypothesis import strategies as st
+from hypothesis.vendor.pretty import pretty
 
 from flowpoly import planar
 from flowpoly.errors import InputError, InternalCheckError, NotPlanarError
@@ -22,8 +24,6 @@ from flowpoly.kostant import (
 )
 from flowpoly.planar import (
     _BOT,
-    _FWD,
-    _REV,
     _TOPHAT,
     BOTTOM,
     TOP,
@@ -35,16 +35,19 @@ from flowpoly.planar import (
     poset_to_flow_graph,
 )
 from flowpoly.posets import (
+    HasseEmbedding,
     Poset,
     all_staircase_partitions,
     antichain,
     chain,
     count_linear_extensions,
+    default_embedding,
     order_ideals,
     order_polynomial,
     skew_star,
     zigzag,
 )
+from test_posets import shuffled_posets
 from test_triangulations import PLANAR_FIXTURES, noncrossing_arc_diagrams
 
 
@@ -124,6 +127,21 @@ def test_crossing_error_names_the_nesting_conflict(g, framing, pair):
 def test_poset_to_flow_graph_refuses_a_reserved_label():
     with pytest.raises(InputError, match="^poset uses a reserved internal label$"):
         poset_to_flow_graph(Poset((_BOT,), ()))
+
+
+@pytest.mark.parametrize(
+    "bottom, top, message",
+    [
+        ((1, 2, "zz"), (1, 2), "embedding names an unknown minimal or maximal element"),
+        ((1,), (1, 2), "embedding inconsistent: an element lacks a lower or an upper edge"),
+        ((2, 1), (1, 2), "embedding inconsistent: not an upward planar drawing"),
+    ],
+    ids=["unknown-element", "no-lower-edge", "crossing"],
+)
+def test_poset_to_flow_graph_refuses_an_inconsistent_embedding(bottom, top, message):
+    p, emb = antichain(2)
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        poset_to_flow_graph(p, HasseEmbedding(emb.up, emb.down, bottom, top))
 
 
 def test_wedge_dual_poset_shape():
@@ -258,11 +276,26 @@ def test_maps_convert_floats_exactly():
     assert flow_to_order_point(pg, tuple(map(float, fl))) == {1: Fraction(1, 4), 2: Fraction(1, 2)}
 
 
+@pytest.mark.parametrize("where", ["flow", "order", "total"])
+@pytest.mark.parametrize(
+    "value",
+    ["0", "x", None, float("nan"), float("inf"), float("-inf")],
+    ids=["str-0", "str-x", "none", "nan", "inf", "-inf"],
+)
+def test_maps_refuse_what_is_not_a_finite_number(where, value):
+    pg = poset_to_flow_graph(*chain(2))
+    with pytest.raises(InputError, match="is not a finite number$"):
+        if where == "flow":
+            flow_to_order_point(pg, (value, 0, 0))
+        elif where == "order":
+            order_to_flow_point(pg, {1: value, 2: 1})
+        else:
+            order_to_flow_point(pg, {1: 0, 2: 1}, total=value)
+
+
 def test_embedding_left_right_matters_but_stays_consistent():
     # both embeddings of the 2-antichain give isomorphic flow graphs
     p, emb = antichain(2)
-    from flowpoly.posets import HasseEmbedding
-
     flipped = HasseEmbedding(up=emb.up, down=emb.down, bottom=(2, 1), top=(2, 1))
     pg1 = poset_to_flow_graph(p, emb)
     pg2 = poset_to_flow_graph(p, flipped)
@@ -273,23 +306,95 @@ def test_embedding_left_right_matters_but_stays_consistent():
 # ---------------------------------------------------------------------------
 # the region boundaries and planar framing derived from the edge sides
 
+_FWD, _REV = 1, -1
+
+
+def _trace_faces(rotations):
+    """Orbit decomposition of darts under next = CCW-predecessor of reverse.
+
+    rotations: vertex -> CCW-ordered list of darts (edge id, direction)
+    based at that vertex, the reverse of every dart based somewhere.
+    Returns the list of faces, each a tuple of darts traced counterclockwise
+    with the interior on the left, and the map from each dart to the index
+    of its face.
+    """
+    position = {d: (v, i) for v, darts in rotations.items() for i, d in enumerate(darts)}
+    faces, face_of = [], {}
+    for start in position:
+        if start in face_of:
+            continue
+        face, d = [], start
+        while d not in face_of:
+            face.append(d)
+            face_of[d] = len(faces)
+            v, i = position[(d[0], -d[1])]
+            d = rotations[v][i - 1]
+        faces.append(tuple(face))
+    return faces, face_of
+
+
+def _hasse_edges(p, emb):
+    """The edges of the Hasse diagram of p + bottom + top, in the order
+    whose ids poset_to_flow_graph gives them."""
+    hasse = [*p.covers, *((_BOT, x) for x in emb.bottom), *((x, _TOPHAT) for x in emb.top)]
+    return hasse if p.elements else [*hasse, (_BOT, _TOPHAT)]
+
+
+def _hasse_faces(p, emb):
+    """The faces of the Hasse drawing of p + bottom + top, with an edge from
+    bottom to top at the far left and one at the far right, traced from its
+    rotation system: the faces and the face index of each dart, or None when
+    the system lacks the reverse of a dart, an element lacks an edge below
+    or above, or the face count is not that of a plane drawing,
+    #E - #V + 2."""
+    hasse = _hasse_edges(p, emb)
+    left, right = len(hasse), len(hasse) + 1
+    up, down = {x: [] for x in p.elements}, {x: [] for x in p.elements}
+    for eid, (x, y) in enumerate(hasse):
+        if x in up:
+            up[x].append(eid)
+        if y in down:
+            down[y].append(eid)
+    for x in p.elements:
+        up_rank = {y: i for i, y in enumerate(emb.up.get(x, ()))}
+        down_rank = {y: i for i, y in enumerate(emb.down.get(x, ()))}
+        up[x].sort(key=lambda eid: up_rank.get(hasse[eid][1], len(up_rank)))
+        down[x].sort(key=lambda eid: down_rank.get(hasse[eid][0], len(down_rank)))
+    rotations = {
+        x: [*((e, _FWD) for e in reversed(up[x])), *((e, _REV) for e in down[x])]
+        for x in p.elements
+    }
+    links = [eid for eid, (x, _) in enumerate(hasse) if x == _BOT]
+    rotations[_BOT] = [(right, _FWD), *((e, _FWD) for e in reversed(links)), (left, _FWD)]
+    links = [eid for eid, (_, y) in enumerate(hasse) if y == _TOPHAT]
+    rotations[_TOPHAT] = [(left, _REV), *((e, _REV) for e in links), (right, _REV)]
+    darts = {d for ds in rotations.values() for d in ds}
+    if any((e, -s) not in darts for e, s in darts):
+        return None
+    if not all(up[x] and down[x] for x in p.elements):
+        return None
+    faces, face_of = _trace_faces(rotations)
+    return (faces, face_of) if len(faces) == len(hasse) - len(p.elements) + 2 else None
+
 
 def _face_cycle_oracle(p, emb, pg, faces, face_of):
     """Regions and framing as poset_to_flow_graph built them from the faces
     of the Hasse drawing before PlanarGraphData derived them: each face's
     boundary cycle is one run of forward darts (its east side, traversed
     bottom to top) and one run of reversed darts (its west side, top to
-    bottom)."""
-    hasse = [*p.covers, *((_BOT, x) for x in emb.bottom), *((x, _TOPHAT) for x in emb.top)]
-    if not p.elements:
-        hasse.append((_BOT, _TOPHAT))
+    bottom).  Every face but the outer one must be one G_P vertex: the
+    tail of each G_P edge west of its Hasse edge, the head east of it."""
+    hasse = _hasse_edges(p, emb)
     hat = {BOTTOM: _BOT, TOP: _TOPHAT}
     dual_id = {
         hasse.index(tuple(hat.get(x, x) for x in sides)): i for i, sides in enumerate(pg.edge_sides)
     }
     number = {}
     for eid, i in dual_id.items():
-        number[face_of[(eid, _FWD)]], number[face_of[(eid, _REV)]] = pg.graph.edges[i]
+        for dart, v in zip(((eid, _FWD), (eid, _REV)), pg.graph.edges[i]):
+            assert number.setdefault(face_of[dart], v) == v
+    assert len(number) == len(faces) - 1
+    assert sorted(number.values()) == list(range(1, pg.graph.n + 1))
 
     regions = dict.fromkeys(p.elements, ())
     for i, eid in sorted((i, eid) for eid, i in dual_id.items()):
@@ -316,6 +421,23 @@ def _face_cycle_oracle(p, emb, pg, faces, face_of):
     return regions, Framing({v: in_orders[v] for v in inner}, {v: out_orders[v] for v in inner})
 
 
+def _check_traced_faces(p, emb):
+    """poset_to_flow_graph refuses the drawing exactly when its faces do
+    not trace, and otherwise gives the face-cycle oracle's regions and
+    framing; returns whether it drew."""
+    traced = _hasse_faces(p, emb)
+    if traced is None:
+        with pytest.raises(InputError):
+            poset_to_flow_graph(p, emb)
+        return False
+    pg = poset_to_flow_graph(p, emb)
+    regions, framing = _face_cycle_oracle(p, emb, pg, *traced)
+    assert list(pg.regions.items()) == list(regions.items())
+    assert list(pg.framing.in_orders.items()) == list(framing.in_orders.items())
+    assert list(pg.framing.out_orders.items()) == list(framing.out_orders.items())
+    return True
+
+
 ORACLE_POSETS = {
     **poset_fixtures(),
     **{
@@ -327,15 +449,45 @@ ORACLE_POSETS = {
 
 
 @pytest.mark.parametrize("name", ORACLE_POSETS)
-def test_poset_to_flow_graph_matches_the_face_cycle_framing(name, monkeypatch):
-    trace_faces, traced = planar._trace_faces, []
-    monkeypatch.setattr(planar, "_trace_faces", lambda rot: traced.append(trace_faces(rot)) or traced[0])
-    p, emb = ORACLE_POSETS[name]
-    pg = poset_to_flow_graph(p, emb)
-    regions, framing = _face_cycle_oracle(p, emb, pg, *traced[0])
-    assert list(pg.regions.items()) == list(regions.items())
-    assert list(pg.framing.in_orders.items()) == list(framing.in_orders.items())
-    assert list(pg.framing.out_orders.items()) == list(framing.out_orders.items())
+def test_poset_to_flow_graph_matches_the_face_cycle_framing(name):
+    assert _check_traced_faces(*ORACLE_POSETS[name])
+
+
+def test_poset_to_flow_graph_numbers_the_faces_least_hasse_edge_first():
+    # after vertex 3 two faces are ready: vertex 4 is the one bordering
+    # Hasse edge 2, the cover (2, 3) < (2, 4), and vertex 5 the other, whose
+    # least Hasse edge is 4
+    pg = poset_to_flow_graph(*skew_star(5, (1,)))
+    assert pg.graph.edges == (
+        (1, 2), (1, 2), (1, 3), (1, 5), (2, 3), (2, 4), (3, 4), (3, 5),
+        (4, 6), (4, 7), (5, 6), (5, 8), (6, 7), (6, 8), (7, 8), (7, 8),
+    )
+
+
+@st.composite
+def hasse_drawings(draw):
+    """Posets of up to 6 elements in their default drawing, or with every
+    cover, bottom and top order shuffled."""
+    _, p = draw(shuffled_posets(6))
+    emb = default_embedding(p)
+    if draw(st.booleans()):
+        def shuffled(xs):
+            return tuple(draw(st.permutations(xs)))
+
+        emb = HasseEmbedding(
+            {x: shuffled(ys) for x, ys in emb.up.items()},
+            {x: shuffled(ys) for x, ys in emb.down.items()},
+            shuffled(emb.bottom),
+            shuffled(emb.top),
+        )
+    return p, emb
+
+
+@seed(0xFACE)
+@settings(max_examples=60, deadline=2000)
+@given(hasse_drawings())
+def test_poset_to_flow_graph_numbers_the_traced_faces(drawing):
+    _check_traced_faces(*drawing)
 
 
 def _check_drawn(g, framing):
@@ -394,10 +546,6 @@ def test_sides_that_do_not_chain_name_the_vertex(edited):
         PlanarGraphData(FAN_IN, tuple(pg.regions), sides)
 
 
-def _no_face_tracing(rotations):
-    raise AssertionError("faces traced")
-
-
 def test_arc_regions_are_numbered_by_tail_from_the_bottom_arc_up():
     # top to bottom, the arcs out of vertex 1 are 6, 7, 4 and 0, and out of
     # vertex 3 they are 5 and 2: regions 0, 1, 2 lie under 4, 7, 6, and 3 under 5
@@ -408,18 +556,9 @@ def test_arc_regions_are_numbered_by_tail_from_the_bottom_arc_up():
 
 
 @pytest.mark.parametrize("name", ARC_FIXTURES)
-def test_arc_fixtures_draw_without_tracing_faces(name, monkeypatch):
-    monkeypatch.setattr(planar, "_trace_faces", _no_face_tracing)
-    assert arc_diagram(*ARC_FIXTURES[name]) == PLANAR_FIXTURES[name]
-
-
-@seed(0xF4B)
-@settings(max_examples=60, deadline=2000)
-@given(noncrossing_arc_diagrams())
-def test_arc_diagrams_draw_without_tracing_faces(pg):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(planar, "_trace_faces", _no_face_tracing)
-        assert arc_diagram(pg.graph, Framing({}, {})) == pg
+def test_planar_graph_data_pretty_prints_its_fields(name):
+    # Hypothesis reports a falsifying PlanarGraphData by its init fields
+    assert "edge_sides=" in pretty(arc_diagram(*ARC_FIXTURES[name]))
 
 
 @seed(0xE4B)
