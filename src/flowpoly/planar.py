@@ -343,13 +343,18 @@ def poset_to_flow_graph(p, emb=None):
 
     # number the inner faces by a topological sort of the west-to-east dual
     # adjacency, the ready face that borders the least edge id first (the
-    # two faces of one edge are never ready together)
+    # two faces of one edge are never ready together).  The checks above
+    # make the drawing a planar st-graph from 0hat to 1hat, so the dual over
+    # its inner faces is a planar st-graph too (Di Battista, Eades, Tamassia
+    # and Tollis, Graph Drawing, ch. 4): it has no cycle, and its one source
+    # and one sink are the faces east of left and west of right, the only
+    # faces bordered on one side by no Hasse edge.  So the sort numbers every
+    # face, that source first and that sink last.
     dual_arcs = [(*sides[eid], eid) for eid in range(len(hasse))]
     least_edge = {}
     for west, east, eid in dual_arcs:
         least_edge.setdefault(west, eid)
         least_edge.setdefault(east, eid)
-    source, sink = sides[left][1], sides[right][0]
     indeg = dict.fromkeys(least_edge, 0)
     east_of = {i: [] for i in least_edge}
     for west, east, _ in dual_arcs:
@@ -365,10 +370,6 @@ def poset_to_flow_graph(p, emb=None):
             indeg[east] -= 1
             if indeg[east] == 0:
                 heapq.heappush(ready, (least_edge[east], east))
-    if len(number) != len(least_edge):
-        raise InputError("embedding inconsistent: dual adjacency is cyclic")
-    if number[source] != 1 or number[sink] != len(number):
-        raise InternalCheckError("dual source/sink are not extreme in the numbering")
 
     dual_arcs.sort(key=lambda t: (number[t[0]], number[t[1]], t[2]))
     g = DirectedMultigraph(

@@ -10,8 +10,12 @@
   in-order, and out-edge j (framing out-order) takes b_j + 1 consecutive
   ones, each extended by itself, and flow b_j.  A prefix is the AND of
   through[e] over its edges: the routes extending it, for through[e] the
-  routes of g via e.  One dict of blocks and one flow list serve the walk,
-  and a leaf stays the mask of its routes until a caller decodes it;
+  routes of g via e.  A prefix reaching n is one route, so an edge into n
+  keeps no block: the walk carries the union of those routes and their
+  number down to the leaf, whose mask is the union, and a leaf is sound
+  when #E - #V + 2 routes arrived and the union has as many bits.  Each
+  vertex deals positions, once per number of arriving prefixes, and a leaf
+  stays the mask of its routes until a caller decodes it;
 * clique ("dkk"): maximal sets of pairwise coherent routes, found by
   Bron-Kerbosch with pivoting on bitmasks (one int per route set).  What
   the walk reports below a node (R, P, X) is R joined with cliques fixed by
@@ -24,12 +28,17 @@ composition, a prefix being the mask of the edges off it; a clique chooses
 b_e + 1, the arriving prefixes its routes continue along e, a prefix being
 the mask of its routes extending it.  Matching the leaf masks of two
 framings by flow gives the framing-change bijection, decoded at the end.
+Masks are decoded in one pass: a mask's tuple takes its leading items, those
+above the highest bit where it differs from the previous mask, off the
+previous tuple, and the low rest is decoded once per distinct value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from math import comb
+from operator import itemgetter, or_
 
 from .errors import ContractError, InputError, InternalCheckError
 from .graphs import (
@@ -130,19 +139,18 @@ def _arriving(framing, blocks, v):
     return [pre for e in framing.in_orders[v] for pre in blocks[e]]
 
 
-def _reduce(framing, through, blocks, flow, v, ins, composition):
-    """Reduce vertex v, at which the prefixes ins arrive, along composition b.
-
-    Out-edge j (framing out-order) takes the b_j + 1 prefixes from position
-    p = b_1 + ... + b_{j-1} on, each extended by that edge, and carries flow
-    b_j; consecutive out-edges share one prefix.  Only the entries of v's
-    out-edges are written, so a sibling tree overwrites exactly them.
-    """
+def _deal(arriving, composition):
+    """The reduction's deal along composition b, per out-edge (framing
+    out-order) the arriving items it takes and its flow: out-edge j takes the
+    b_j + 1 from position p = b_1 + ... + b_{j-1} on and carries flow b_j, so
+    consecutive out-edges share one.  The walk deals positions, the replay
+    the prefixes themselves."""
+    dealt = []
     p = 0
-    for e, b in zip(framing.out_orders[v], composition):
-        blocks[e] = [pre & through[e] for pre in ins[p : p + b + 1]]
-        flow[e] = b
+    for b in composition:
+        dealt.append((arriving[p : p + b + 1], b))
         p += b
+    return dealt
 
 
 def _leaf(g, blocks):
@@ -156,16 +164,16 @@ def _leaf(g, blocks):
 def _through(g, routes):
     """Per edge id the mask of the routes through it, route i of k being bit
     k-1-i; None unless routes lists distinct routes of g."""
-    through = [0] * g.edge_count
+    through, edges = [0] * g.edge_count, g.edges
     for b, route in enumerate(reversed(routes)):
         if not isinstance(route, tuple):
             return None
-        v = 1
+        v, bit = 1, 1 << b
         for e in route:  # (0.0, 4.0) is no route, though it equals (0, 4)
-            if not isinstance(e, int) or not 0 <= e < len(through) or g.edges[e][0] != v:
+            if not isinstance(e, int) or not 0 <= e < len(through) or edges[e][0] != v:
                 return None
-            through[e] |= 1 << b
-            v = g.edges[e][1]
+            through[e] |= bit
+            v = edges[e][1]
         if v != g.n:
             return None
     return through if len(set(routes)) == len(routes) else None
@@ -176,28 +184,59 @@ def _ps_masks(g, framing):
 
     Tree choices at each vertex run in colex composition order, so leaves
     come ordered by their compositions, vertex 2 first, each in colex order.
+    An edge into n keeps no block: its prefixes are single routes, so the
+    walk carries their union and number down to the leaf, which checks that
+    #E - #V + 2 of them arrived and no two were one route.
     """
     _validate_framed(g, framing)
     routes = enumerate_routes(g)
     through = _through(g, routes)
-    blocks, flow = {e: [through[e]] for e in g.out_edge_ids(1)}, [0] * g.edge_count
+    n, expected = g.n, g.edge_count - g.n + 2
+    blocks, flow = {}, [0] * g.edge_count
+    leaf = k = 0
+    for e in g.out_edge_ids(1):
+        if g.edges[e][1] == n:
+            leaf, k = leaf | through[e], k + 1
+        else:
+            blocks[e] = [through[e]]
     masks, flows = [], []
-    trees = {}  # (left, right) -> compositions of noncrossing_trees(left, right)
+    # (v, number of arriving prefixes) -> per composition, its deal steps:
+    # (out-edge, through mask, positions taken, flow) for an edge not into
+    # n, and for an edge into n the positions as a getter of a tuple (the
+    # first twice, which leaves a union as it is) and their number
+    deals = {}
 
-    def descend(v):
-        if v == g.n:
-            masks.append(sum(_leaf(g, blocks)))  # the one-route prefixes at n, joined
+    def descend(v, leaf, k):
+        if v == n:
+            if k != expected or leaf.bit_count() != k:
+                raise InternalCheckError("leaf does not have #E - #V + 2 distinct routes")
+            masks.append(leaf)
             flows.append(tuple(flow))
             return
         ins = _arriving(framing, blocks, v)
-        sides = (len(ins), len(framing.out_orders[v]))
-        if sides not in trees:
-            trees[sides] = [tree.composition for tree in noncrossing_trees(*sides)]
-        for composition in trees[sides]:
-            _reduce(framing, through, blocks, flow, v, ins, composition)
-            descend(v + 1)
+        key = (v, len(ins))
+        if key not in deals:
+            outs, deals[key] = framing.out_orders[v], []
+            for tree in noncrossing_trees(len(ins), len(outs)):
+                dealt, joined = [], []
+                for e, (taken, b) in zip(outs, _deal(range(len(ins)), tree.composition)):
+                    if g.edges[e][1] == n:
+                        joined.append((e, through[e], itemgetter(taken[0], *taken), len(taken), b))
+                    else:
+                        dealt.append((e, through[e], taken, b))
+                deals[key].append((dealt, joined))
+        for dealt, joined in deals[key]:
+            for e, t, taken, b in dealt:
+                blocks[e] = [ins[i] & t for i in taken]
+                flow[e] = b
+            union, count = leaf, k
+            for e, t, get, size, b in joined:
+                union |= reduce(or_, get(ins)) & t
+                count += size
+                flow[e] = b
+            descend(v + 1, union, count)
 
-    descend(2)
+    descend(2, leaf, k)
     del descend  # breaks its self-reference, so the walk's state is freed on return
     return routes, masks, flows
 
@@ -217,7 +256,9 @@ def _replay(g, framing, through, choose):
         composition = choose(v, ins)
         if min(composition) < 0 or sum(composition) != len(ins) - 1:
             raise InputError(f"flow not realizable: bad total at vertex {v}")
-        _reduce(framing, through, blocks, flow, v, ins, composition)
+        for e, (taken, b) in zip(framing.out_orders[v], _deal(ins, composition)):
+            blocks[e] = [pre & through[e] for pre in taken]
+            flow[e] = b
     return blocks, flow
 
 
@@ -300,17 +341,16 @@ def _maximal_cliques(adj):
     and the candidates depend on (P, X) alone, so the cliques reported
     below a node (R, P, X) are R | c for c in a set fixed by (P, X).  Many
     nodes share one (P, X), so each distinct pair is expanded once into its
-    steps, (candidate bit, child (P, X) or None at a leaf), and the cliques
-    are the unions of the bits along each path from the root to a leaf.
+    steps, (candidate bit, the child's steps or None at a leaf), and the
+    cliques are the unions of the bits along each path from the root to a
+    leaf.  A step holds its child's step list, not its (P, X), so each
+    distinct pair is kept once, as its key in steps.
     """
-    root = ((1 << len(adj)) - 1, 0)
-    steps = {}  # (p, x) -> [(bit, child key, or None for a leaf)]
-    todo = [root]
+    top, root = ((1 << len(adj)) - 1, 0), []
+    steps = {top: root}  # (p, x) -> [(bit, child's steps, or None at a leaf)]
+    todo = [(top, root)]
     while todo:
-        key = todo.pop()
-        if key in steps:
-            continue
-        p, x = key  # p is nonempty; a child whose P is empty is a leaf
+        (p, x), node = todo.pop()  # p is nonempty; a child whose P is empty is a leaf
         most, pivot_adj, rest = -1, 0, p | x
         while rest:
             u = rest.bit_length() - 1
@@ -318,7 +358,6 @@ def _maximal_cliques(adj):
             size = (adj[u] & p).bit_count()
             if size > most:
                 most, pivot_adj = size, adj[u]
-        node = steps[key] = []
         candidates = p & ~pivot_adj
         while candidates:
             v = candidates.bit_length() - 1
@@ -326,9 +365,11 @@ def _maximal_cliques(adj):
             candidates ^= bit
             p_v, x_v = p & adj[v], x & adj[v]
             if p_v:
-                child = (p_v, x_v)
+                child = steps.get((p_v, x_v))
+                if child is None:
+                    child = steps[p_v, x_v] = []
+                    todo.append(((p_v, x_v), child))
                 node.append((bit, child))
-                todo.append(child)
             elif not x_v:
                 node.append((bit, None))
             p ^= bit
@@ -336,8 +377,8 @@ def _maximal_cliques(adj):
     cliques = []
     walk = [(0, root)]
     while walk:
-        r, key = walk.pop()
-        for bit, child in steps[key]:
+        r, node = walk.pop()
+        for bit, child in node:
             if child is None:
                 cliques.append(r | bit)
             else:
@@ -388,13 +429,25 @@ def _items(mask, items):
 
 
 def _decode(masks, items):
-    """Each mask as the tuple of its items; the distinct high and low halves
-    of the masks, which consecutive cliques share, are each decoded once and
-    the halves joined."""
-    low = (1 << (len(items) // 2)) - 1
-    high = ((1 << len(items)) - 1) ^ low
-    halves = {h: _items(h, items) for h in {c & high for c in masks} | {c & low for c in masks}}
-    return [halves[c & high] + halves[c & low] for c in masks]
+    """Each mask as the tuple of its items, in one pass over the masks.
+
+    Item i of k is bit k-1-i, so a mask's tuple begins with the items of the
+    bits above the highest bit where it differs from the previous mask, which
+    are read off the previous tuple; the rest, the low part, is decoded once
+    per distinct value.  Any order of the masks gives the same tuples.
+    """
+    decoded, lows = [], {}
+    last, items_of_last = 0, ()
+    for mask in masks:
+        h = (mask ^ last).bit_length()
+        low = mask & ((1 << h) - 1)
+        tail = lows.get(low)
+        if tail is None:
+            tail = lows[low] = _items(low, items)
+        items_of_last = items_of_last[: (mask >> h).bit_count()] + tail
+        last = mask
+        decoded.append(items_of_last)
+    return decoded
 
 
 def dkk_maximal_cliques(g, framing):

@@ -196,21 +196,41 @@ def test_reduction_matches_the_tuple_prefix_oracle(name, g, fr):
     assert [(leaf.routes, leaf.flow) for leaf in leaves] == _tuple_prefix_reduction(g, fr)
 
 
-def test_leaf_refuses_a_repeated_route(monkeypatch):
-    # every block of two or more prefixes repeats its first one in place of
-    # its last, so some leaf has #E - #V + 2 routes with one of them twice
-    reduce_vertex = triangulations._reduce
+def _ps_with_a_repeat(monkeypatch, pick):
+    """ps_triangulation on K5 with a deal that gives out-edge pick(composition)
+    of each vertex, when it takes two or more prefixes, its first one again
+    in place of its last, so some leaf has #E - #V + 2 routes, one twice."""
+    deal = triangulations._deal
 
-    def repeating(framing, through, blocks, flow, v, ins, composition):
-        reduce_vertex(framing, through, blocks, flow, v, ins, composition)
-        for e in framing.out_orders[v]:
-            blocks[e][-1] = blocks[e][0]
+    def repeating(arriving, composition):
+        dealt = deal(arriving, composition)
+        j = pick(composition)
+        if j is not None and len(dealt[j][0]) > 1:
+            taken, b = dealt[j]
+            dealt[j] = ([*taken[:-1], taken[0]], b)
+        return dealt
 
-    monkeypatch.setattr(triangulations, "_reduce", repeating)
+    monkeypatch.setattr(triangulations, "_deal", repeating)
     g = complete_graph(5)
+    fr = id_order_framing(g)
+    heads = {v: [g.edges[e][1] for e in fr.out_orders[v]] for v in range(2, g.n)}
+    # on K5 the first of two or more out-edges never enters n, and every
+    # last out-edge does
+    assert all(h[-1] == g.n and (len(h) == 1 or h[0] != g.n) for h in heads.values())
     message = "leaf does not have #E - #V + 2 distinct routes"
     with pytest.raises(InternalCheckError, match=f"^{re.escape(message)}$"):
-        ps_triangulation(g, id_order_framing(g))
+        ps_triangulation(g, fr)
+
+
+def test_leaf_refuses_a_repeated_route(monkeypatch):
+    # the repeat is dealt to an edge that does not enter n and carried down
+    # in its block
+    _ps_with_a_repeat(monkeypatch, lambda composition: 0 if len(composition) > 1 else None)
+
+
+def test_leaf_refuses_a_repeated_route_on_an_edge_into_n(monkeypatch):
+    # the repeat lands in the union of an edge into n
+    _ps_with_a_repeat(monkeypatch, lambda composition: -1)
 
 
 def test_reduction_leaf_count_is_volume():
@@ -349,6 +369,35 @@ def test_maximal_cliques_match_brute_force_on_any_graph(adj):
     cliques = triangulations._maximal_cliques(adj)
     assert len(cliques) == len(set(cliques))
     assert set(cliques) == _brute_force_maximal_cliques(adj)
+
+
+@st.composite
+def mask_lists(draw):
+    """Masks over 0 to 10 route-like items, in drawn, ascending or
+    descending order, with repeats and the empty mask allowed."""
+    items = [(i, i + 1) for i in range(draw(st.integers(0, 10)))]
+    masks = draw(st.lists(st.integers(0, (1 << len(items)) - 1), max_size=30))
+    if masks:
+        masks += draw(st.lists(st.sampled_from(masks), max_size=5))
+    order = draw(st.sampled_from(["drawn", "ascending", "descending"]))
+    if order == "drawn":
+        masks = draw(st.permutations(masks))
+    else:
+        masks.sort(reverse=order == "descending")
+    return list(masks), items
+
+
+@seed(0xDEC)
+@settings(max_examples=60, deadline=2000)
+@given(mask_lists())
+@example(([], [(0, 1)]))
+@example(([0, 0b101, 0b101, 0, 0b111], [(0, 1), (1, 2), (2, 3)]))
+@example(([0b111, 0b110, 0b011, 0b001, 0], [(0, 1), (1, 2), (2, 3)]))
+def test_decode_matches_per_mask_items(masks_and_items):
+    # the decoder reads each mask against the previous one, so its order,
+    # repeats and the empty mask must not change any tuple
+    masks, items = masks_and_items
+    assert triangulations._decode(masks, items) == [triangulations._items(m, items) for m in masks]
 
 
 def test_flow_clique_roundtrip():
@@ -678,7 +727,9 @@ def _pruned_graphs(n, max_edges):
 def test_dkk_eq_ps_on_every_small_pruned_graph():
     # a census of the general-graph claim: on every pruned graph with five
     # vertices and at most seven edges, under two framings, the reduction
-    # leaves are the coherent cliques and they count the Kostant volume
+    # leaves are the coherent cliques and they count the Kostant volume.
+    # The census has edges 1 -> n and parallel edges into n, so it also
+    # holds the reduction to the tuple-prefix oracle on those
     graphs = list(_pruned_graphs(5, 7))
     assert len(graphs) == 539
     for g in graphs:
@@ -686,7 +737,9 @@ def test_dkk_eq_ps_on_every_small_pruned_graph():
         for name, fr in (("id-order", id_order_framing(g)), ("random 1", random_framing(g, 1))):
             failure = checks._reduction_failure(g, fr)
             assert failure is None, f"edges {g.edges}, {name} framing: {failure}"
-            count = len(triangulations._ps_masks(g, fr)[1])
+            leaves = [(leaf.routes, leaf.flow) for leaf in ps_triangulation(g, fr)]
+            assert leaves == _tuple_prefix_reduction(g, fr), f"edges {g.edges}, {name} framing"
+            count = len(leaves)
             assert count == volume, f"edges {g.edges}, {name} framing: {count} leaves, volume {volume}"
 
 
