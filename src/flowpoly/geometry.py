@@ -16,6 +16,10 @@ with no elimination.
 The sample-coverage check compiles each unimodular simplex once into its
 d + 1 barycentric weights, as sparse affine inequalities in integers on the
 sample point, and stops testing a simplex at the first negative weight.
+Those weights are the rows of the simplex's integer inverse.  The inverses
+come from one elimination per component of the dual graph (simplices
+joined by shared ridges) plus a rank-one update across each shared ridge:
+two simplices that share a ridge differ in one vertex.
 """
 
 from __future__ import annotations
@@ -52,8 +56,9 @@ def _bareiss(m):
         top = m[r]
         pivot = top[col]
         for i, row in enumerate(m):
-            if i != r:
-                f = row[col]
+            f = row[col]
+            # a row with f == 0 is unchanged when pivot == last
+            if i != r and (f or pivot != last):
                 # exact: every entry is a minor of the input (Sylvester's identity)
                 m[i] = [(pivot * a - f * b) // last for a, b in zip(row, top)]
         last = pivot
@@ -272,6 +277,88 @@ def _barycentric_rows(inv, origin):
     ]
 
 
+def _combine(row, f, other):
+    """The sparse row ``row + f * other``, its terms in column order."""
+    acc = dict(row[1])
+    for j, a in other[1]:
+        acc[j] = acc.get(j, 0) + f * a
+    return row[0] + f * other[0], [(j, a) for j, a in sorted(acc.items()) if a]
+
+
+def _compile(simplices, d):
+    """Each simplex's normalized volume, and its barycentric rows when unimodular.
+
+    ``simplices`` lists each simplex by its vertices' lattice coordinates.
+    The rows are those of `_barycentric_rows`, in the simplex's own vertex
+    order: the rows of the inverse of the matrix with columns (1, x) over
+    its vertices x.  A walk over the dual graph gets them with one
+    elimination per component.  A neighbour R + {b} of a unimodular
+    simplex R + {a} has volume |lam_a|, where lam are the weights of b in
+    R + {a}; when that is 1, its rows are row a times lam_a and each other
+    row v minus lam_a * lam_v times row a (Sherman–Morrison).  A simplex
+    reached only through non-unimodular ones starts a component of its own.
+    Rows that an update leaves unchanged are shared, not copied.
+    """
+    ids, masks, ridges = {}, [], {}
+    for k, s in enumerate(simplices):
+        bits = {1 << ids.setdefault(p, len(ids)) for p in s}
+        if len(s) != len(bits) or len(bits) != d + 1:
+            bits = set()  # repeated vertices or a wrong vertex count: volume 0
+        mask = sum(bits)
+        masks.append(mask)
+        for bit in bits:
+            ridges.setdefault(mask ^ bit, []).append(k)
+    points = list(ids)
+    vols = [0] * len(simplices)
+    compiled = [None] * len(simplices)
+    reached = [not mask for mask in masks]
+    for root, s in enumerate(simplices):
+        if reached[root]:
+            continue
+        reached[root] = True
+        origin = s[0]
+        # columns are the edge vectors, so the inverse maps a point to its
+        # barycentric weights lam_1..lam_d
+        m = [[p[i] - origin[i] for p in s[1:]] for i in range(d)]
+        vols[root], inv = _volume_and_inverse(m)
+        if inv is None:
+            continue
+        compiled[root] = _barycentric_rows(inv, origin)
+        stack = [root]
+        while stack:
+            k = stack.pop()
+            simplex = simplices[k]
+            # the rows are lam_1..lam_d, then lam_0
+            rows = {ids[p]: row for p, row in zip(simplex[1:] + simplex[:1], compiled[k])}
+            for a in rows:
+                ridge = masks[k] ^ (1 << a)
+                for t in ridges[ridge]:
+                    if reached[t]:
+                        continue
+                    reached[t] = True
+                    b = (masks[t] ^ ridge).bit_length() - 1
+                    x = points[b]
+                    lam = {
+                        v: c + sum(w * x[j] for j, w in terms) for v, (c, terms) in rows.items()
+                    }
+                    f = lam[a]
+                    vols[t] = abs(f)
+                    if vols[t] != 1:
+                        continue
+                    row_a = rows[a]
+                    new = {
+                        v: _combine(row, -f * lam[v], row_a) if lam[v] else row
+                        for v, row in rows.items()
+                        if v != a
+                    }
+                    # b == a when t repeats this simplex's vertex set
+                    new[b] = row_a if f == 1 else (-row_a[0], [(j, -w) for j, w in row_a[1]])
+                    simplex = simplices[t]
+                    compiled[t] = [new[ids[p]] for p in simplex[1:] + simplex[:1]]
+                    stack.append(t)
+    return vols, compiled
+
+
 def _contains(rows, num, den):
     """Whether num / den lies in the closed simplex: no weight is negative."""
     for c, terms in rows:
@@ -291,7 +378,9 @@ def triangulation_checks(polytope_vertices, simplices, expected_volume):
     seeded interior sample points lies in exactly one simplex.  Every sample
     is tested against every simplex; membership is decided by exact integer
     barycentric weights, compiled once per simplex and evaluated until the
-    first negative one.  When a sample lies in none or several simplices,
+    first negative one.  The volumes and weights come from one elimination
+    per component of the dual graph and a rank-one update across each shared
+    ridge (`_compile`).  When a sample lies in none or several simplices,
     the report's ``witness`` holds it and the simplices that contain it.
     """
     vertices = [tuple(p) for p in polytope_vertices]
@@ -319,20 +408,12 @@ def triangulation_checks(polytope_vertices, simplices, expected_volume):
     diffs = _differences(vertex_set, vertices[0])
     coords = {p: coordinates_in_basis(basis, v) for p, v in zip(vertex_set, diffs)}
 
-    compiled = []
-    total = 0
-    for idx, simplex in enumerate(simplices):
-        vol, inv = 0, None
-        if len(set(simplex)) == len(simplex) == d + 1:
-            origin = coords[simplex[0]]
-            # columns are the edge vectors, so the inverse maps a point to its
-            # barycentric weights lam_1..lam_d
-            m = [[coords[p][i] - origin[i] for p in simplex[1:]] for i in range(d)]
-            vol, inv = _volume_and_inverse(m)
-        total += vol
+    lattice = [[coords[p] for p in s] for s in simplices]
+    vols, compiled = _compile(lattice, d)
+    total = sum(vols)
+    for idx, vol in enumerate(vols):
         if vol != 1:
             failures.append(f"simplex {idx}: normalized volume {vol}, expected 1")
-        compiled.append(None if inv is None else _barycentric_rows(inv, coords[simplex[0]]))
     if total != expected_volume:
         failures.append(f"volume total {total} != expected {expected_volume}")
 
@@ -342,12 +423,9 @@ def triangulation_checks(polytope_vertices, simplices, expected_volume):
     if not failures and simplices:
         for _ in range(SAMPLE_COUNT):
             idx = rng.randrange(len(simplices))
-            weights = [rng.randint(1, 10 ** 6) for _ in simplices[idx]]
+            weights = [rng.randint(1, 10 ** 6) for _ in lattice[idx]]
             den = sum(weights)
-            num = [
-                sum(w * c for w, c in zip(weights, col))
-                for col in zip(*(coords[p] for p in simplices[idx]))
-            ]
+            num = [sum(w * c for w, c in zip(weights, col)) for col in zip(*lattice[idx])]
             containing = [j for j, rows in enumerate(compiled) if _contains(rows, num, den)]
             samples += 1
             if len(containing) != 1:

@@ -1,7 +1,9 @@
+import functools
 import itertools
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -9,6 +11,7 @@ from hypothesis import given, seed, settings, strategies as st
 from flowpoly.errors import InputError
 from flowpoly.geometry import (
     _barycentric_rows,
+    _compile,
     _contains,
     _volume_and_inverse,
     affine_dimension,
@@ -28,8 +31,10 @@ from flowpoly.graphs import (
     route_flow_vector,
 )
 from flowpoly.kostant import flow_polytope_volume
-from flowpoly.posets import antichain, order_polytope_vertices, skew_star
+from flowpoly.posets import antichain, count_linear_extensions, order_polytope_vertices, skew_star
 from flowpoly.triangulations import canonical_triangulation, dkk_triangulation
+
+KERNEL_SETTINGS = settings(max_examples=60, deadline=2000)
 
 
 def test_matrix_rank_basic():
@@ -169,6 +174,10 @@ def test_triangulation_checks_single_point():
 
 
 DOUBLED_TRIANGLE = [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (0, 2)]
+# a rectangle cut into unimodular, volume 2 and unimodular triangles; the
+# last shares an edge with the middle one only
+RECTANGLE = [(0, 0), (1, 0), (2, 0), (0, 1), (2, 1)]
+RECTANGLE_CUT = [((0, 0), (1, 0), (0, 1)), ((1, 0), (0, 1), (2, 1)), ((1, 0), (2, 1), (2, 0))]
 
 
 @pytest.mark.parametrize(
@@ -211,9 +220,24 @@ DOUBLED_TRIANGLE = [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (0, 2)]
             1,
             ["simplex 0: normalized volume 0, expected 1", "volume total 0 != expected 1"],
         ),
+        (RECTANGLE, RECTANGLE_CUT, 4, ["simplex 1: normalized volume 2, expected 1"]),
+        (
+            SQUARE,
+            DIAGONAL_CUT + [DIAGONAL_CUT[0][::-1]],
+            3,
+            ["sample from simplex 0 lies in simplices [0, 2]"],
+        ),
     ],
     ids=[
-        "missing", "overlap", "foreign-vertex", "repeated-vertex", "two-vertices", "volume-4", "flat"
+        "missing",
+        "overlap",
+        "foreign-vertex",
+        "repeated-vertex",
+        "two-vertices",
+        "volume-4",
+        "flat",
+        "behind-volume-2",
+        "repeated-vertex-set",
     ],
 )
 def test_triangulation_checks_catch_broken_squares(vertices, simplices, volume, failures):
@@ -301,13 +325,10 @@ def test_compiled_rows_match_fraction_oracle(case):
     simplices = lattice_simplices(vertices, simplices)
     rng = random.Random(0xA5C)
     points = boundary_heavy_points(simplices, 12, rng)
+    vols, compiled = _compile(simplices, len(simplices[0]) - 1)
+    assert vols == [1] * len(simplices)
     shared = 0
-    for s in simplices:
-        origin = s[0]
-        m = [[p[i] - origin[i] for p in s[1:]] for i in range(len(origin))]
-        vol, inv = _volume_and_inverse(m)
-        assert vol == 1
-        rows = _barycentric_rows(inv, origin)
+    for s, rows in zip(simplices, compiled):
         assert len(rows) == len(s)
         oracle = fraction_barycentric(s, [[Fraction(x, den) for x in num] for num, den in points])
         for (num, den), lam in zip(points, oracle):
@@ -320,6 +341,96 @@ def test_compiled_rows_match_fraction_oracle(case):
             shared += inside
     # boundary points lie in several closed simplices, so ">=" is exercised
     assert shared > len(points)
+
+
+# ---------------------------------------------------------------------------
+# the dual-graph walk against one elimination per simplex
+
+
+def eliminated(simplices, d):
+    """`_compile` by one [M | I] elimination per simplex, with no walk."""
+    vols, compiled = [], []
+    for s in simplices:
+        vol, inv = 0, None
+        if len(set(s)) == len(s) == d + 1:
+            m = [[p[i] - s[0][i] for p in s[1:]] for i in range(d)]
+            vol, inv = _volume_and_inverse(m)
+        vols.append(vol)
+        compiled.append(None if inv is None else _barycentric_rows(inv, s[0]))
+    return vols, compiled
+
+
+@functools.cache
+def oracle_case(name, variant):
+    """K5 or K6 DKK under id-order (variant 0) or `random_framing(g, variant)`,
+    or skew4 canonical for lam = (), (1,), (2, 1) by variant mod 3."""
+    if name == "skew4":
+        p, _ = skew_star(4, ((), (1,), (2, 1))[variant % 3])
+        simplices = [s.vertices for s in canonical_triangulation(p)]
+        return order_polytope_vertices(p), simplices, count_linear_extensions(p)
+    g = complete_graph(int(name[1:]))
+    fr = random_framing(g, variant) if variant else id_order_framing(g)
+    vertices = [route_flow_vector(g, r) for r in enumerate_routes(g)]
+    return vertices, dkk_triangulation(g, fr), flow_polytope_volume(g)
+
+
+@st.composite
+def corrupted_triangulations(draw):
+    """A K5, K6 or skew4 triangulation after one to three drawn corruptions."""
+    name = draw(st.sampled_from(["K5", "K6", "skew4"]))
+    vertices, simplices, volume = oracle_case(name, draw(st.integers(0, 3)))
+    simplices = [list(s) for s in simplices]
+    kinds = ["drop", "duplicate", "swap", "shuffle", "volume"]
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=3)):
+        k = draw(st.integers(0, len(simplices) - 1))
+        if kind == "drop" and len(simplices) > 1:
+            del simplices[k]
+        elif kind == "duplicate":
+            copy = draw(st.permutations(simplices[k]))
+            simplices.insert(draw(st.integers(0, len(simplices))), copy)
+        elif kind == "swap":
+            other = simplices[draw(st.integers(0, len(simplices) - 1))]
+            new = [p for p in other if p not in simplices[k]]
+            if new:
+                s = list(simplices[k])
+                s[draw(st.integers(0, len(s) - 1))] = draw(st.sampled_from(new))
+                simplices[k] = s
+        elif kind == "shuffle":
+            simplices = [draw(st.permutations(s)) for s in simplices]
+        elif kind == "volume":
+            volume += draw(st.sampled_from([-1, 1]))
+    return vertices, simplices, volume
+
+
+@seed(0xA5C)
+@KERNEL_SETTINGS
+@given(corrupted_triangulations())
+def test_walk_matches_elimination_oracle(case):
+    vertices, simplices, volume = case
+    report = triangulation_checks(vertices, simplices, volume)
+    with mock.patch("flowpoly.geometry._compile", eliminated):
+        oracle = triangulation_checks(vertices, simplices, volume)
+    assert report.to_json() == oracle.to_json()
+    assert report.witness == oracle.witness
+    lattice = lattice_simplices(vertices, simplices)
+    d = len(lattice_basis(vertices))
+    assert _compile(lattice, d) == eliminated(lattice, d)
+
+
+@pytest.mark.parametrize(
+    "case, eliminations",
+    [
+        (lambda: (*k6_dkk(), 10), 1),
+        (lambda: (RECTANGLE, RECTANGLE_CUT, 4), 2),
+        (lambda: (SQUARE, DIAGONAL_CUT + [DIAGONAL_CUT[0][::-1]], 3), 1),
+    ],
+    ids=["K6-dkk", "behind-volume-2", "repeated-vertex-set"],
+)
+def test_one_elimination_per_dual_graph_component(case, eliminations):
+    vertices, simplices, volume = case()
+    with mock.patch("flowpoly.geometry._volume_and_inverse", wraps=_volume_and_inverse) as spy:
+        triangulation_checks(vertices, simplices, volume)
+    assert spy.call_count == eliminations
 
 
 # ---------------------------------------------------------------------------
@@ -432,9 +543,6 @@ def unimodular_matrices(draw):
         elif op == "negate":
             m[i] = [-a for a in m[i]]
     return m
-
-
-KERNEL_SETTINGS = settings(max_examples=60, deadline=2000)
 
 
 @seed(0xA5C)
