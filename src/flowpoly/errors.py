@@ -18,7 +18,11 @@ class InternalCheckError(FlowpolyError):
 
 
 class NotPlanarError(InputError):
-    """An arc diagram cannot be drawn without crossings in the given order."""
+    """An arc diagram cannot be drawn without crossings in the given order.
+
+    edge_pair holds the ids, ascending, of two arcs that cross: the first
+    conflict met sweeping the vertices from left to right.
+    """
 
     def __init__(self, message, edge_pair=None):
         super().__init__(message)

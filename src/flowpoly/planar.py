@@ -2,11 +2,13 @@
 
 Graphs are drawn with vertices 1..n on a horizontal line and all arcs in
 the upper half-plane; the drawing is described combinatorially by the
-top-to-bottom in/out arc orders at each vertex.  Both planar drawings here,
-these arc diagrams and the upward Hasse drawings below, find the faces on
-the two sides of every edge by one rule, _sides: each face but the outer
-one has one lowest vertex, lies between two consecutive out-edges there,
-and is named by the first of them.
+top-to-bottom in/out arc orders at each vertex.  Its arcs cross nowhere
+exactly when they nest like parentheses, which one left-to-right sweep over
+a stack of open arcs decides.  Both planar drawings here, these arc
+diagrams and the upward Hasse drawings below, find the faces on the two
+sides of every edge by one rule, _sides: each face but the outer one has
+one lowest vertex, lies between two consecutive out-edges there, and is
+named by the first of them.
 
 Both constructions below hand PlanarGraphData only the region labels and
 the edge sides (the regions below and above each edge).  It derives each
@@ -131,85 +133,66 @@ def _sides(vertices, in_orders, out_orders, outer):
 
 
 def _full_orders(g, framing):
-    """Top-to-bottom arc orders at every vertex, defaulting the endpoints.
+    """Top-to-bottom arc orders at every vertex, defaulting the endpoints,
+    in one left-to-right sweep that also decides planarity.
 
-    Inner-vertex orders come from the framing.  At vertices 1 and n (and
-    at any vertex the framing omits) arcs are ordered with the farther
-    endpoint on top, parallel arcs following their order at the other end.
+    Inner-vertex orders come from the framing, each checked against its
+    vertex's edges before the sweep.  At vertices 1 and n (and at any vertex
+    the framing omits) arcs are ordered with the farther endpoint on top,
+    parallel arcs following their order at the other end.  The sweep keeps
+    the open arcs on a stack, outermost at the bottom: at each vertex the
+    in-arcs, read bottom up, close the arcs on top, then the out-arcs open,
+    top arc first.  The arcs nest like parentheses, so no two cross, exactly
+    when every in-arc is on top as it closes (Bernhart and Kainen, 1979);
+    else it and the top arc, opened later and still open, are a crossing
+    pair, and NotPlanarError names them.
     """
-    in_orders, out_orders = {}, {}
     for v in range(1, g.n + 1):
-        ins, outs = g.in_edge_ids(v), g.out_edge_ids(v)
-        in_orders[v] = framing.in_orders.get(v)
-        out_orders[v] = framing.out_orders.get(v)
-        if in_orders[v] is not None and sorted(in_orders[v]) != sorted(ins):
+        ins, outs = framing.in_orders.get(v), framing.out_orders.get(v)
+        if ins is not None and sorted(ins) != sorted(g.in_edge_ids(v)):
             raise InputError(f"in-order at vertex {v} does not match its edges")
-        if out_orders[v] is not None and sorted(out_orders[v]) != sorted(outs):
+        if outs is not None and sorted(outs) != sorted(g.out_edge_ids(v)):
             raise InputError(f"out-order at vertex {v} does not match its edges")
+    # each arc's place in its head's given in-order
+    head_rank = {
+        e: i for v in range(1, g.n + 1) for i, e in enumerate(framing.in_orders.get(v) or ())
+    }
+    in_orders, out_orders, opened, open_arcs = {}, {}, {}, []
     for v in range(1, g.n + 1):
-        if out_orders[v] is None:
-            ref = {}
-            for e in g.out_edge_ids(v):
-                head = g.edges[e][1]
-                other = in_orders.get(head)
-                ref[e] = other.index(e) if other is not None else e
-            out_orders[v] = tuple(
-                sorted(g.out_edge_ids(v), key=lambda e: (-g.edges[e][1], ref[e]))
+        ins = framing.in_orders.get(v)
+        if ins is None:
+            # farther tail on top, then the tail's out-order: the order they opened
+            ins = tuple(sorted(g.in_edge_ids(v), key=opened.__getitem__))
+        for e in reversed(ins):
+            if open_arcs[-1] != e:
+                pair = tuple(sorted((e, open_arcs[-1])))
+                raise NotPlanarError(f"not planar in this arc order: edges {pair}", edge_pair=pair)
+            open_arcs.pop()
+        outs = framing.out_orders.get(v)
+        if outs is None:
+            outs = tuple(
+                sorted(g.out_edge_ids(v), key=lambda e: (-g.edges[e][1], head_rank.get(e, e)))
             )
-        if in_orders[v] is None:
-            ref = {}
-            for e in g.in_edge_ids(v):
-                tail = g.edges[e][0]
-                other = out_orders.get(tail)
-                ref[e] = other.index(e) if other is not None else e
-            in_orders[v] = tuple(
-                sorted(g.in_edge_ids(v), key=lambda e: (g.edges[e][0], ref[e]))
-            )
+        for e in outs:
+            opened[e] = len(opened)
+        open_arcs.extend(outs)
+        in_orders[v], out_orders[v] = ins, outs
     return in_orders, out_orders
-
-
-def _crossing_pair(g, in_orders, out_orders):
-    """First pair of arcs that must cross under the given orders, or None."""
-    m = g.edge_count
-    for e in range(m):
-        for f in range(e + 1, m):
-            (u1, v1), (u2, v2) = g.edges[e], g.edges[f]
-            if u1 < u2 < v1 < v2 or u2 < u1 < v2 < v1:
-                return (e, f)
-            if (u1, v1) == (u2, v2):
-                # parallel arcs must nest the same way at both endpoints
-                order_tail = out_orders[u1].index(e) < out_orders[u1].index(f)
-                order_head = in_orders[v1].index(e) < in_orders[v1].index(f)
-                if order_tail != order_head:
-                    return (e, f)
-            elif u1 == u2:
-                # shared tail: the arc reaching farther must be on top
-                top_first = out_orders[u1].index(e) < out_orders[u1].index(f)
-                if top_first != (v1 > v2):
-                    return (e, f)
-            elif v1 == v2:
-                # shared head: the arc from farther left must be on top
-                top_first = in_orders[v1].index(e) < in_orders[v1].index(f)
-                if top_first != (u1 < u2):
-                    return (e, f)
-    return None
 
 
 def arc_diagram(g, framing):
     """Regions and edge sides of the upper-half-plane drawing of g.
 
     The framing gives top-to-bottom arc orders; orders at vertices 1 and n
-    may be omitted and are then chosen canonically.  Raises NotPlanarError
-    when two arcs are forced to cross.  Otherwise the arcs nest, and each
-    arc but the lowest out of its tail has a region directly under it, the
-    face that _sides names by that arc.  The orders run top to bottom, so
-    the face before an arc is above it and the face after it is below it.
+    may be omitted and are then chosen canonically.  The one stack sweep of
+    _full_orders fills in those orders and raises NotPlanarError at the
+    first two arcs that are forced to cross.  Otherwise the arcs nest, and
+    each arc but the lowest out of its tail has a region directly under it,
+    the face that _sides names by that arc.  The orders run top to bottom,
+    so the face before an arc is above it and the face after it is below it.
     """
     require_pruned(g)
     in_orders, out_orders = _full_orders(g, framing)
-    pair = _crossing_pair(g, in_orders, out_orders)
-    if pair is not None:
-        raise NotPlanarError(f"not planar in this arc order: edges {pair}", edge_pair=pair)
 
     # the region under each arc, numbered by tail and from the bottom arc up
     under = {}

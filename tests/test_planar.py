@@ -2,7 +2,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.vendor.pretty import pretty
 
@@ -122,6 +122,35 @@ def test_crossing_error_names_the_nesting_conflict(g, framing, pair):
     with pytest.raises(NotPlanarError, match=re.escape(f"edges {pair}") + "$") as exc:
         arc_diagram(g, framing)
     assert exc.value.edge_pair == pair
+
+
+@pytest.mark.parametrize(
+    "framing, message",
+    [
+        (Framing({3: (1,)}, {}), "in-order at vertex 3 does not match its edges"),
+        (Framing({}, {1: (0,)}), "out-order at vertex 1 does not match its edges"),
+        # the out-order at vertex 1 puts the shorter arc on top, but the
+        # malformed in-order is refused first
+        (Framing({3: (1,)}, {1: (0, 2)}), "in-order at vertex 3 does not match its edges"),
+    ],
+    ids=["in-order", "out-order", "before-a-crossing"],
+)
+def test_order_that_does_not_match_its_edges_is_refused(framing, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$") as exc:
+        arc_diagram(TRIANGLE, framing)
+    assert type(exc.value) is InputError
+
+
+def test_wide_drawings_are_drawn():
+    # 1,010 parallel arcs, and the fan 1 -> 2 plus 1,010 parallel arcs 2 -> 3
+    wide = 1010
+    pg = arc_diagram(parallel_edges(wide), Framing({}, {}))
+    assert len(pg.regions) == wide - 1
+    assert pg.framing == Framing({}, {})
+    fan = DirectedMultigraph(3, ((1, 2),) + ((2, 3),) * wide)
+    pg = arc_diagram(fan, Framing({}, {}))
+    assert len(pg.regions) == wide - 1
+    assert pg.framing == Framing({2: (0,)}, {2: tuple(range(1, wide + 1))})
 
 
 def test_poset_to_flow_graph_refuses_a_reserved_label():
@@ -522,6 +551,88 @@ def test_arc_fixture_framing_is_its_arc_order(name):
 @given(noncrossing_arc_diagrams())
 def test_arc_diagram_framing_is_its_arc_order(pg):
     _check_drawn(pg.graph, Framing({}, {}))
+
+
+@st.composite
+def one_page_drawings(draw):
+    """Pruned multigraphs on at most 6 vertices with at most 7 edges, and at
+    every vertex, with even odds, its one-page arc order (farther endpoint
+    on top, parallel arcs by id) or a shuffled one."""
+    n = draw(st.integers(2, 6))
+    edges = []
+    for v in range(2, n):
+        if all(h != v for _, h in edges):
+            edges.append((draw(st.integers(1, v - 1)), v))
+        if all(t != v for t, _ in edges):
+            edges.append((v, draw(st.integers(v + 1, n))))
+    assume(len(edges) <= 7)
+    pairs = [(t, h) for t in range(1, n) for h in range(t + 1, n + 1)]
+    edges += draw(st.lists(st.sampled_from(pairs), min_size=int(n == 2), max_size=7 - len(edges)))
+    g = DirectedMultigraph(n, tuple(draw(st.permutations(edges))))
+    in_orders, out_orders = {}, {}
+    for v in range(1, n + 1):
+        ins, outs = g.in_edge_ids(v), g.out_edge_ids(v)
+        in_orders[v] = tuple(sorted(ins, key=lambda e: (g.edges[e][0], e)))
+        out_orders[v] = tuple(sorted(outs, key=lambda e: (-g.edges[e][1], e)))
+        if draw(st.booleans()):
+            in_orders[v] = tuple(draw(st.permutations(ins)))
+        if draw(st.booleans()):
+            out_orders[v] = tuple(draw(st.permutations(outs)))
+    return g, Framing(in_orders, out_orders)
+
+
+def _one_page_is_plane(g, framing):
+    """Whether the arcs of g, drawn above the line in the framing's orders,
+    are free of crossings: with the spine edges (v, v + 1) added below every
+    arc, the rotation at v, counterclockwise, is the spine out, the out-arcs
+    bottom to top, the in-arcs top to bottom and the spine in, and the
+    traced faces satisfy Euler's formula V - E + F = 2."""
+    m, n = g.edge_count, g.n
+    rotations = {
+        v: [
+            *([(m + v - 1, _FWD)] if v < n else []),
+            *((e, _FWD) for e in reversed(framing.out_orders[v])),
+            *((e, _REV) for e in framing.in_orders[v]),
+            *([(m + v - 2, _REV)] if v > 1 else []),
+        ]
+        for v in range(1, n + 1)
+    }
+    faces, _ = _trace_faces(rotations)
+    return n - (m + n - 1) + len(faces) == 2
+
+
+def _conflict(g, framing, e, f):
+    """Whether arcs e and f cannot both be drawn in the framing's orders:
+    they interleave, parallel arcs nest one way at the tail and the other at
+    the head, or at a shared endpoint the arc reaching farther is not on top."""
+    (s, t), (u, w) = g.edges[e], g.edges[f]
+
+    def on_top(order):
+        return order.index(e) < order.index(f)
+
+    if s < u < t < w or u < s < w < t:
+        return True
+    if (s, t) == (u, w):
+        return on_top(framing.out_orders[s]) != on_top(framing.in_orders[t])
+    if s == u:
+        return on_top(framing.out_orders[s]) != (t > w)
+    if t == w:
+        return on_top(framing.in_orders[t]) != (s < u)
+    return False
+
+
+@seed(0x1BA6E)
+@settings(max_examples=60, deadline=2000)
+@given(one_page_drawings())
+def test_arc_diagram_refuses_exactly_the_drawings_with_a_crossing(drawing):
+    g, framing = drawing
+    if _one_page_is_plane(g, framing):
+        _check_drawn(g, framing)
+        return
+    with pytest.raises(NotPlanarError) as exc:
+        arc_diagram(g, framing)
+    e, f = exc.value.edge_pair
+    assert e < f and _conflict(g, framing, e, f)
 
 
 # four in-edges at vertex 3, top to bottom 3, 1, 4, 5, with sides
