@@ -10,9 +10,13 @@ from hypothesis import given, seed, settings, strategies as st
 
 from flowpoly.errors import InputError
 from flowpoly.geometry import (
+    SAMPLE_COUNT,
+    SAMPLE_SEED,
     _barycentric_rows,
     _compile,
-    _contains,
+    _containing,
+    _draw,
+    _row_index,
     _volume_and_inverse,
     affine_dimension,
     coordinates_in_basis,
@@ -319,6 +323,25 @@ def skew5_canonical():
     return order_polytope_vertices(p), [s.vertices for s in canonical_triangulation(p)]
 
 
+def contains(rows, num, den):
+    """Whether num / den lies in the closed simplex: no weight is negative.
+
+    The per-simplex test that `_containing` replaced, kept as its oracle.
+    """
+    for c, terms in rows:
+        lam = den * c
+        for j, a in terms:
+            lam += a * num[j]
+        if lam < 0:
+            return False
+    return True
+
+
+def indexed_containing(compiled, num, den):
+    """`_containing` over the distinct rows of ``compiled``."""
+    return _containing(_row_index(compiled), (1 << len(compiled)) - 1, num, den)
+
+
 @pytest.mark.parametrize("case", [k6_dkk, skew5_canonical], ids=["K6-dkk", "skew5-21-canonical"])
 def test_compiled_rows_match_fraction_oracle(case):
     vertices, simplices = case()
@@ -327,20 +350,49 @@ def test_compiled_rows_match_fraction_oracle(case):
     points = boundary_heavy_points(simplices, 12, rng)
     vols, compiled = _compile(simplices, len(simplices[0]) - 1)
     assert vols == [1] * len(simplices)
-    shared = 0
-    for s, rows in zip(simplices, compiled):
+    inside = [[] for _ in points]
+    for k, (s, rows) in enumerate(zip(simplices, compiled)):
         assert len(rows) == len(s)
         oracle = fraction_barycentric(s, [[Fraction(x, den) for x in num] for num, den in points])
-        for (num, den), lam in zip(points, oracle):
-            inside = min(lam) >= 0
-            assert _contains(rows, num, den) == inside
+        for i, ((num, den), lam) in enumerate(zip(points, oracle)):
+            if min(lam) >= 0:
+                inside[i].append(k)
             # each compiled row is den times the matching oracle weight
             assert [c * den + sum(a * num[j] for j, a in terms) for c, terms in rows] == [
                 x * den for x in lam[1:] + lam[:1]
             ]
-            shared += inside
+    assert [indexed_containing(compiled, num, den) for num, den in points] == inside
     # boundary points lie in several closed simplices, so ">=" is exercised
-    assert shared > len(points)
+    assert sum(map(len, inside)) > len(points)
+
+
+@seed(0xA5C)
+@KERNEL_SETTINGS
+@given(
+    st.sampled_from(["K5", "K6", "skew4"]),
+    st.integers(0, 3),
+    st.randoms(use_true_random=False),
+)
+def test_row_index_matches_per_simplex_test(name, variant, rng):
+    vertices, simplices, _ = oracle_case(name, variant)
+    lattice = lattice_simplices(vertices, simplices)
+    _, compiled = _compile(lattice, len(lattice_basis(vertices)))
+    for num, den in boundary_heavy_points(lattice, 8, rng):
+        expected = [j for j, rows in enumerate(compiled) if contains(rows, num, den)]
+        assert indexed_containing(compiled, num, den) == expected
+
+
+def test_draw_matches_randint_expression():
+    """`_draw` gives the points the randint expression gave, on one K6 case."""
+    vertices, simplices, _ = oracle_case("K6", 2)
+    lattice = lattice_simplices(vertices, simplices)
+    old, new = random.Random(SAMPLE_SEED), random.Random(SAMPLE_SEED)
+    for _ in range(SAMPLE_COUNT):
+        idx = old.randrange(len(lattice))
+        weights = [old.randint(1, 10 ** 6) for _ in lattice[idx]]
+        den = sum(weights)
+        num = [sum(w * c for w, c in zip(weights, col)) for col in zip(*lattice[idx])]
+        assert _draw(new, lattice) == (idx, num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -463,14 +515,20 @@ def test_broken_k6_mixes():
         assert (report.witness.simplex, report.witness.containing) == (origin, tuple(containing))
 
 
-@pytest.mark.parametrize("framing", ["id-order", 7])
+@pytest.mark.parametrize("framing", ["id-order", 7, 1])
 def test_k7_dkk_passes_triangulation_checks(framing):
     g = complete_graph(7)
     fr = id_order_framing(g) if framing == "id-order" else random_framing(g, framing)
     vertices = [route_flow_vector(g, r) for r in enumerate_routes(g)]
-    report = triangulation_checks(vertices, dkk_triangulation(g, fr), flow_polytope_volume(g))
+    simplices = dkk_triangulation(g, fr)
+    report = triangulation_checks(vertices, simplices, flow_polytope_volume(g))
     assert report.passed and report.simplex_count == 140 and report.dimension == 15
     assert report.sample_count == 200 and report.witness is None
+    # a repeated simplex passes the volume check with the volume raised to
+    # match, and overlaps its copy
+    report = triangulation_checks(vertices, simplices + [simplices[1]], 141)
+    assert report.failures == ["sample from simplex 1 lies in simplices [1, 140]"]
+    assert report.sample_count == 31 and report.witness.containing == (1, 140)
 
 
 def test_dkk_simplices_are_unimodular():
