@@ -13,16 +13,22 @@ form, computed once per polytope.  Because the basis is in row echelon
 form, coordinates in it follow by forward substitution on the pivot columns,
 with no elimination.
 
-The sample-coverage check compiles each unimodular simplex once into its
-d + 1 barycentric weights, as sparse affine functionals in integers on the
-sample point.  Those weights are the rows of the simplex's integer inverse.
-The inverses come from one elimination per component of the dual graph
-(simplices joined by shared ridges) plus a rank-one update across each
-shared ridge: two simplices that share a ridge differ in one vertex.  Each
-row is the functional of a facet hyperplane, and the simplices share most
-of them, so the rows are indexed by value, each with the mask of the
-simplices that have it.  A sample evaluates every distinct row once, and
-the simplices that contain it are those with no negative row.
+Entries that are not ints or Fractions are made exact where they enter
+(`_exact`): at the points of `affine_dimension` and `triangulation_checks`,
+and where a row reaches the elimination kernel.
+
+The sample-coverage check treats each unimodular simplex as its homogeneous
+matrix H, whose column for vertex x is (1, x) in lattice coordinates.  The
+rows of the integer inverse H^-1 are the simplex's barycentric weights, kept
+as dense tuples (c, a_1, ..., a_d): the weight at a point b is the dot
+product of the row with (1, b).  The inverses come from one elimination per
+component of the dual graph (simplices joined by shared ridges) plus a
+rank-one update across each shared ridge: two simplices that share a ridge
+differ in one vertex.  Each row is the functional of a facet hyperplane, and
+the simplices share most of them, so the rows are indexed by value, each
+with the mask of the simplices that have it.  A sample evaluates every
+distinct row once, and the simplices that contain it are those with no
+negative row.
 """
 
 from __future__ import annotations
@@ -72,11 +78,32 @@ def _bareiss(m):
     return pivots, last, sign
 
 
+def _exact(x):
+    """x itself if an int or a Fraction, else x, a finite number that is not
+    a string, converted exactly to a Fraction."""
+    if isinstance(x, (int, Fraction)):
+        return x
+    if not isinstance(x, str):
+        try:
+            return Fraction(x)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise InputError(f"{x!r} is not a finite number")
+
+
 def _integer_rows(rows):
-    """Each row scaled by the lcm of its denominators, and the product of the scales."""
+    """Each row scaled by the lcm of its denominators, and the product of the scales.
+
+    A row with an entry that has no denominator (a float, say) is made
+    exact first (`_exact`).
+    """
     out, scale = [], 1
     for row in rows:
-        den = math.lcm(*(x.denominator for x in row))
+        try:
+            den = math.lcm(*(x.denominator for x in row))
+        except AttributeError:
+            row = list(map(_exact, row))
+            den = math.lcm(*(x.denominator for x in row))
         out.append([int(x * den) for x in row])
         scale *= den
     return out, scale
@@ -138,7 +165,7 @@ def _differences(points, base):
 
 
 def affine_dimension(points):
-    points = [tuple(p) for p in points]
+    points = [tuple(map(_exact, p)) for p in points]
     if not points:
         raise InputError("affine dimension of an empty point set is undefined")
     return matrix_rank(_differences(points[1:], points[0]))
@@ -192,7 +219,10 @@ def simplex_normalized_volume(simplex, basis):
     """|det| of the simplex's edge vectors in lattice-basis coordinates.
 
     Returns 0 for degenerate simplices (repeated vertices, wrong vertex
-    count for the lattice rank, or affinely dependent vertices).
+    count for the lattice rank, or affinely dependent vertices).  The
+    vertices are not converted on entry, as this is called once per simplex:
+    integral floats stay exact through the differences and are made exact
+    where they reach `_integer_rows`.
     """
     simplex = [tuple(p) for p in simplex]
     d = len(basis)
@@ -262,40 +292,15 @@ def _volume_and_inverse(m):
     return 1, [[last * x for x in row[d:]] for row in aug]
 
 
-def _barycentric_rows(inv, origin):
-    """A unimodular simplex's barycentric weights as sparse affine rows.
-
-    ``inv`` is the integer inverse of the simplex's edge matrix and
-    ``origin`` its first vertex.  Row ``(c, terms)`` gives the weight of the
-    point num / den, scaled by den, as ``den * c + sum(a * num[j] for j, a in
-    terms)``: first lam_1..lam_d (the rows of inv with the origin folded into
-    c), then lam_0 = den - sum(lam_i) (minus the column sums of inv).
-    """
-    rows = inv + [[-sum(col) for col in zip(*inv)]]
-    return [
-        (
-            int(k == len(inv)) - sum(a * o for a, o in zip(row, origin)),
-            [(j, a) for j, a in enumerate(row) if a],
-        )
-        for k, row in enumerate(rows)
-    ]
-
-
-def _combine(row, f, other):
-    """The sparse row ``row + f * other``, its terms in column order."""
-    acc = dict(row[1])
-    for j, a in other[1]:
-        acc[j] = acc.get(j, 0) + f * a
-    return row[0] + f * other[0], [(j, a) for j, a in sorted(acc.items()) if a]
-
-
 def _compile(simplices, d):
     """Each simplex's normalized volume, and its barycentric rows when unimodular.
 
     ``simplices`` lists each simplex by its vertices' lattice coordinates.
-    The rows are those of `_barycentric_rows`, in the simplex's own vertex
-    order: the rows of the inverse of the matrix with columns (1, x) over
-    its vertices x.  A walk over the dual graph gets them with one
+    A simplex is its homogeneous matrix H, whose column for vertex x is
+    (1, x), and its rows are the rows of H^-1, in the simplex's own vertex
+    order: row v is the dense tuple (c, a_1, ..., a_d), and the weight of
+    vertex v at a point b is ``c + sum(a_j * b_j)``, the dot product of the
+    row with (1, b).  A walk over the dual graph gets them with one
     elimination per component.  A neighbour R + {b} of a unimodular
     simplex R + {a} has volume |lam_a|, where lam are the weights of b in
     R + {a}; when that is 1, its rows are row a times lam_a and each other
@@ -312,7 +317,7 @@ def _compile(simplices, d):
         masks.append(mask)
         for bit in bits:
             ridges.setdefault(mask ^ bit, []).append(k)
-    points = list(ids)
+    points = [(1, *p) for p in ids]
     vols = [0] * len(simplices)
     compiled = [None] * len(simplices)
     reached = [not mask for mask in masks]
@@ -320,73 +325,64 @@ def _compile(simplices, d):
         if reached[root]:
             continue
         reached[root] = True
-        origin = s[0]
-        # columns are the edge vectors, so the inverse maps a point to its
-        # barycentric weights lam_1..lam_d
-        m = [[p[i] - origin[i] for p in s[1:]] for i in range(d)]
-        vols[root], inv = _volume_and_inverse(m)
+        vols[root], inv = _volume_and_inverse([[1] * (d + 1), *map(list, zip(*s))])
         if inv is None:
             continue
-        compiled[root] = _barycentric_rows(inv, origin)
+        compiled[root] = list(map(tuple, inv))
         stack = [root]
         while stack:
             k = stack.pop()
-            simplex = simplices[k]
-            # the rows are lam_1..lam_d, then lam_0
-            rows = {ids[p]: row for p, row in zip(simplex[1:] + simplex[:1], compiled[k])}
-            for a in rows:
+            rows = {ids[p]: row for p, row in zip(simplices[k], compiled[k])}
+            for a, row_a in rows.items():
                 ridge = masks[k] ^ (1 << a)
                 for t in ridges[ridge]:
                     if reached[t]:
                         continue
                     reached[t] = True
                     b = (masks[t] ^ ridge).bit_length() - 1
-                    x = points[b]
-                    lam = {
-                        v: c + sum(w * x[j] for j, w in terms) for v, (c, terms) in rows.items()
-                    }
-                    f = lam[a]
+                    h = points[b]
+                    f = sum(map(mul, row_a, h))
                     vols[t] = abs(f)
                     if vols[t] != 1:
                         continue
-                    row_a = rows[a]
-                    new = {
-                        v: _combine(row, -f * lam[v], row_a) if lam[v] else row
-                        for v, row in rows.items()
-                        if v != a
-                    }
                     # b == a when t repeats this simplex's vertex set
-                    new[b] = row_a if f == 1 else (-row_a[0], [(j, -w) for j, w in row_a[1]])
-                    simplex = simplices[t]
-                    compiled[t] = [new[ids[p]] for p in simplex[1:] + simplex[:1]]
+                    new = {b: row_a if f == 1 else tuple(-x for x in row_a)}
+                    for v, row in rows.items():
+                        if v != a:
+                            g = f * sum(map(mul, row, h))
+                            new[v] = tuple(x - g * y for x, y in zip(row, row_a)) if g else row
+                    compiled[t] = [new[ids[p]] for p in simplices[t]]
                     stack.append(t)
     return vols, compiled
 
 
 def _row_index(compiled):
-    """Each distinct barycentric row once, with the int mask of the simplices that have it.
+    """Each distinct row of `_compile` once, as ``(c, terms, mask)``.
 
-    A unimodular simplex's row is the primitive affine functional of one of
-    its facet hyperplanes, oriented into the simplex, and the simplices of a
-    triangulation share few of those hyperplanes: K8 DKK has 129,360 rows
-    but 110 distinct ones.  A simplex contains a point exactly when none of
-    its rows is negative there, so one evaluation of each distinct row
-    decides every simplex.
+    ``terms`` lists the row's nonzero a_j as pairs (j, a_j), and ``mask``
+    is the int mask of the simplices that have the row.  Row v of a
+    unimodular simplex's H^-1 is the primitive affine functional of the
+    facet hyperplane opposite v, oriented into the simplex, and the
+    simplices of a triangulation share few of those hyperplanes: K8 DKK has
+    129,360 rows but 110 distinct ones.  A simplex contains a point exactly
+    when none of its rows is negative there, so one evaluation of each
+    distinct row decides every simplex.
     """
     index = {}
     for k, rows in enumerate(compiled):
         bit = 1 << k
-        for c, terms in rows:
-            key = (c, tuple(terms))
-            index[key] = index.get(key, 0) | bit
-    return [(c, terms, mask) for (c, terms), mask in index.items()]
+        for row in rows:
+            index[row] = index.get(row, 0) | bit
+    return [
+        (row[0], [(j, a) for j, a in enumerate(row[1:]) if a], mask) for row, mask in index.items()
+    ]
 
 
 def _containing(index, every, num, den):
     """Ascending indices of the simplices that contain num / den.
 
-    Every distinct row is evaluated once, scaled by den as in
-    `_barycentric_rows`; the simplices left are those in ``every`` that
+    Every distinct row is evaluated once, at (den, num): den times its
+    weight at num / den.  The simplices left are those in ``every`` that
     have no negative row.
     """
     outside = 0
@@ -422,66 +418,61 @@ def triangulation_checks(polytope_vertices, simplices, expected_volume):
 
     Verifies vertex membership, unimodularity of each simplex, the total
     volume against an independently computed value, and that each of 200
-    seeded interior sample points lies in exactly one simplex.  Every sample
-    is decided against every simplex by exact integer barycentric weights,
-    compiled once per simplex.  The volumes and weights come from one
-    elimination per component of the dual graph and a rank-one update across
-    each shared ridge (`_compile`).  The weights are indexed by value
-    (`_row_index`), and each sample evaluates every distinct one once: the
-    simplices that contain it are those with no negative weight
-    (`_containing`).  When a sample lies in none or several simplices,
-    the report's ``witness`` holds it and the simplices that contain it.
+    seeded interior sample points lies in exactly one simplex.  The vertices
+    are made exact first (`_exact`), so the report holds no float.  Every
+    sample is decided against every simplex by exact integer barycentric
+    weights: the rows of the inverse of the simplex's homogeneous matrix H,
+    whose columns are (1, x) over its vertices x in lattice coordinates.
+    The volumes and rows come from one elimination per component of the
+    dual graph and a rank-one update across each shared ridge (`_compile`).
+    The rows are indexed by value (`_row_index`), and each sample evaluates
+    every distinct one once: the simplices that contain it are those with
+    no negative weight (`_containing`).  When a sample lies in none or
+    several simplices, the report's ``witness`` holds it and the simplices
+    that contain it.
+
+    The samples are drawn only from the listed simplices, so a region that
+    no simplex covers is never sampled: only the volume total catches a
+    missing simplex.
     """
-    vertices = [tuple(p) for p in polytope_vertices]
+    vertices = [tuple(map(_exact, p)) for p in polytope_vertices]
     vertex_set = set(vertices)
     simplices = [tuple(tuple(p) for p in s) for s in simplices]
     basis = lattice_basis(vertices)
     d = len(basis)
     failures = []
-
     for idx, simplex in enumerate(simplices):
         extra = [p for p in simplex if p not in vertex_set]
         if extra:
             failures.append(f"simplex {idx}: {len(extra)} vertices are not polytope vertices")
-    if failures:
-        return TriangulationReport(
-            simplex_count=len(simplices),
-            dimension=d,
-            volume_total=0,
-            expected_volume=expected_volume,
-            sample_count=0,
-            failures=failures,
-        )
 
-    # vertex -> integer lattice coordinates relative to vertices[0]
-    diffs = _differences(vertex_set, vertices[0])
-    coords = {p: coordinates_in_basis(basis, v) for p, v in zip(vertex_set, diffs)}
-
-    lattice = [[coords[p] for p in s] for s in simplices]
-    vols, compiled = _compile(lattice, d)
-    total = sum(vols)
-    for idx, vol in enumerate(vols):
-        if vol != 1:
-            failures.append(f"simplex {idx}: normalized volume {vol}, expected 1")
-    if total != expected_volume:
-        failures.append(f"volume total {total} != expected {expected_volume}")
-
-    rng = random.Random(SAMPLE_SEED)
-    samples = 0
+    total = samples = 0
     witness = None
-    if not failures and simplices:
-        index = _row_index(compiled)
-        every = (1 << len(simplices)) - 1
-        for _ in range(SAMPLE_COUNT):
-            idx, num, den = _draw(rng, lattice)
-            containing = _containing(index, every, num, den)
-            samples += 1
-            if len(containing) != 1:
-                failures.append(
-                    f"sample from simplex {idx} lies in simplices {containing}"
-                )
-                witness = SampleWitness(idx, (tuple(num), den), tuple(containing))
-                break
+    if not failures:
+        # vertex -> integer lattice coordinates relative to vertices[0]; a
+        # simplex vertex such as (1.0, 0) finds those of its equal vertex
+        diffs = _differences(vertex_set, vertices[0])
+        coords = {p: coordinates_in_basis(basis, v) for p, v in zip(vertex_set, diffs)}
+        lattice = [[coords[p] for p in s] for s in simplices]
+        vols, compiled = _compile(lattice, d)
+        total = sum(vols)
+        for idx, vol in enumerate(vols):
+            if vol != 1:
+                failures.append(f"simplex {idx}: normalized volume {vol}, expected 1")
+        if total != expected_volume:
+            failures.append(f"volume total {total} != expected {expected_volume}")
+        if not failures and simplices:
+            rng = random.Random(SAMPLE_SEED)
+            index = _row_index(compiled)
+            every = (1 << len(simplices)) - 1
+            for _ in range(SAMPLE_COUNT):
+                idx, num, den = _draw(rng, lattice)
+                containing = _containing(index, every, num, den)
+                samples += 1
+                if len(containing) != 1:
+                    failures.append(f"sample from simplex {idx} lies in simplices {containing}")
+                    witness = SampleWitness(idx, (tuple(num), den), tuple(containing))
+                    break
 
     return TriangulationReport(
         simplex_count=len(simplices),

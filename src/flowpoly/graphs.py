@@ -305,6 +305,16 @@ def graph_to_json(g, framing=None):
     return data
 
 
+def _edge_ids(ids):
+    """A framing order's edge ids as ints, by the rule the endpoints follow:
+    integral numbers such as 0.0 are read as ints, anything else is refused."""
+    given = tuple(ids)
+    ids = tuple(map(int, given))
+    if ids != given:
+        raise InputError("framing edge ids must be integers")
+    return ids
+
+
 def graph_from_json(data):
     """Parse the graph JSON schema; absent framing defaults to id-order.
     An unpruned graph is refused before the framing, which lists every
@@ -326,8 +336,8 @@ def graph_from_json(data):
             v = int(key)
             if not 1 < v < g.n:
                 raise InputError(f"framing names vertex {v}, which is not an inner vertex")
-            in_orders[v] = tuple(spec["in"])
-            out_orders[v] = tuple(spec["out"])
+            in_orders[v] = _edge_ids(spec["in"])
+            out_orders[v] = _edge_ids(spec["out"])
         return g, Framing.validate(g, Framing(in_orders, out_orders))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise InputError(f"malformed framing JSON: {exc}") from exc

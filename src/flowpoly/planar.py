@@ -33,6 +33,7 @@ from fractions import Fraction
 from itertools import pairwise
 
 from .errors import InputError, InternalCheckError, NotPlanarError
+from .geometry import _exact
 from .graphs import (
     DirectedMultigraph, Framing, enumerate_routes, require_pruned, route_flow_vector
 )
@@ -374,19 +375,6 @@ def poset_to_flow_graph(p, emb=None):
 
 # ---------------------------------------------------------------------------
 # the volume-preserving maps
-
-
-def _exact(x):
-    """x itself if an int or a Fraction, else x, a finite number that is not
-    a string, converted exactly to a Fraction."""
-    if isinstance(x, (int, Fraction)):
-        return x
-    if not isinstance(x, str):
-        try:
-            return Fraction(x)
-        except (TypeError, ValueError, OverflowError):
-            pass
-    raise InputError(f"{x!r} is not a finite number")
 
 
 def _check_flow(g, fl):

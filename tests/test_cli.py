@@ -308,6 +308,38 @@ def test_malformed_framing_exits_2(runner, tmp_path, framing):
     assert result.stderr.startswith("input error: ")
 
 
+K3_FLAGS = [["--framing", "planar"], ["--method", "ps"]]
+
+
+def k3_file(tmp_path, in_ids, out_ids):
+    """K3 (edges 0, 1, 2 are 12, 23, 13) with the framing at vertex 2 as given."""
+    path = tmp_path / "k3.json"
+    framing = {"2": {"in": in_ids, "out": out_ids}}
+    data = {"n": 3, "edges": [[1, 2], [2, 3], [1, 3]], "framing": framing}
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("ids", [([0.0], [1]), ([0], [True])], ids=["float", "bool"])
+@pytest.mark.parametrize("flags", K3_FLAGS, ids=["planar", "ps"])
+def test_integral_edge_ids_read_as_ints(runner, tmp_path, ids, flags):
+    results = [
+        runner.invoke(main, ["triangulate", k3_file(tmp_path, *spec)] + flags)
+        for spec in (([0], [1]), ids)
+    ]
+    assert [r.exit_code for r in results] == [0, 0]
+    assert results[1].stdout == results[0].stdout
+
+
+@pytest.mark.parametrize("in_ids", [[0.5], ["0"]], ids=["half", "string"])
+@pytest.mark.parametrize("flags", K3_FLAGS, ids=["planar", "ps"])
+def test_non_integral_edge_ids_exit_2(runner, tmp_path, in_ids, flags):
+    result = runner.invoke(main, ["triangulate", k3_file(tmp_path, in_ids, [1])] + flags)
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert result.stderr == "input error: framing edge ids must be integers\n"
+
+
 SKEW3 = poset_to_json(*skew_star(3))
 
 

@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from operator import mul
 from unittest import mock
 
 import pytest
@@ -12,7 +13,6 @@ from flowpoly.errors import InputError
 from flowpoly.geometry import (
     SAMPLE_COUNT,
     SAMPLE_SEED,
-    _barycentric_rows,
     _compile,
     _containing,
     _draw,
@@ -129,6 +129,19 @@ UNEQUAL = "points must all have the same number of coordinates"
             ),
             UNEQUAL,
         ),
+        (lambda: affine_dimension([(0,), ("1",)]), "'1' is not a finite number"),
+        (lambda: determinant([[float("nan")]]), "nan is not a finite number"),
+        (lambda: matrix_rank([[1, None]]), "None is not a finite number"),
+        (
+            lambda: triangulation_checks([(0, 0), (float("inf"), 0), (0, 1)], [], 1),
+            "inf is not a finite number",
+        ),
+        (
+            lambda: triangulation_checks(
+                [(0, 0), (1.5, 0), (0, 1)], [((0, 0), (1.5, 0), (0, 1))], 1
+            ),
+            "lattice points must have integer coordinates",
+        ),
     ],
     ids=[
         "affine-dimension",
@@ -140,6 +153,11 @@ UNEQUAL = "points must all have the same number of coordinates"
         "unequal-lattice-basis",
         "unequal-simplex",
         "unequal-checks",
+        "string-affine-dimension",
+        "nan-determinant",
+        "none-matrix-rank",
+        "infinite-checks",
+        "half-integer-float-checks",
     ],
 )
 def test_refusals(call, message):
@@ -151,6 +169,15 @@ def test_lattice_basis_takes_integral_values_only():
     assert lattice_basis([(0,), (Fraction(2),)]) == lattice_basis([(0,), (2.0,)]) == [(2,)]
     with pytest.raises(InputError, match="^lattice points must have integer coordinates$"):
         hermite_row_basis([[2.5, 0]])
+
+
+def test_integral_floats_give_exact_results():
+    floats = [[1.0, 2.0], [3.0, 4.0]]
+    assert determinant(floats) == Fraction(-2) and matrix_rank(floats) == 2
+    assert affine_dimension([(0.0, 0.0), (2.0, 2.0), (1.0, 1.0)]) == 1
+    simplex = [(0.0, 0.0), (1.0, 0.0), (0.0, 2.0)]
+    volume = simplex_normalized_volume(simplex, [(1, 0), (0, 1)])
+    assert volume == 2 and type(volume) is int
 
 
 def test_coordinates_in_basis_detects_outside_vectors():
@@ -175,6 +202,28 @@ def test_triangulation_checks_single_point():
     report = triangulation_checks([(1, 2)], [((1, 2),)], 1)
     assert report.passed and report.dimension == 0 and report.volume_total == 1
     assert report.sample_count == 200
+
+
+FLOAT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
+
+
+@pytest.mark.parametrize(
+    "simplices, volume",
+    [(DIAGONAL_CUT, 2), (DIAGONAL_CUT + [DIAGONAL_CUT[0]], 3), (DIAGONAL_CUT[:1], 2)],
+    ids=["pass", "overlap", "missing"],
+)
+@pytest.mark.parametrize("float_simplices", [False, True], ids=["int-simplices", "float-simplices"])
+def test_float_square_report_holds_ints_only(simplices, volume, float_simplices):
+    expected = triangulation_checks(SQUARE, simplices, volume)
+    if float_simplices:
+        simplices = [[tuple(map(float, p)) for p in s] for s in simplices]
+    report = triangulation_checks(FLOAT_SQUARE, simplices, volume)
+    assert report.to_json() == expected.to_json() and report.witness == expected.witness
+    numbers = [report.simplex_count, report.dimension, report.volume_total, report.sample_count]
+    if report.witness:
+        witness = report.witness
+        numbers += [witness.simplex, *witness.point[0], witness.point[1], *witness.containing]
+    assert all(type(x) is int for x in numbers)
 
 
 DOUBLED_TRIANGLE = [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (0, 2)]
@@ -311,6 +360,7 @@ def boundary_heavy_points(simplices, count, rng):
     return points
 
 
+@functools.cache
 def k6_dkk():
     g = complete_graph(6)
     return [route_flow_vector(g, r) for r in enumerate_routes(g)], dkk_triangulation(
@@ -318,9 +368,15 @@ def k6_dkk():
     )
 
 
+@functools.cache
 def skew5_canonical():
     p, _ = skew_star(5, (2, 1))
     return order_polytope_vertices(p), [s.vertices for s in canonical_triangulation(p)]
+
+
+def weight(row, num, den):
+    """den times the weight of the dense row (c, a_1, ..., a_d) at num / den."""
+    return sum(map(mul, row, (den, *num)))
 
 
 def contains(rows, num, den):
@@ -328,13 +384,7 @@ def contains(rows, num, den):
 
     The per-simplex test that `_containing` replaced, kept as its oracle.
     """
-    for c, terms in rows:
-        lam = den * c
-        for j, a in terms:
-            lam += a * num[j]
-        if lam < 0:
-            return False
-    return True
+    return all(weight(row, num, den) >= 0 for row in rows)
 
 
 def indexed_containing(compiled, num, den):
@@ -358,9 +408,7 @@ def test_compiled_rows_match_fraction_oracle(case):
             if min(lam) >= 0:
                 inside[i].append(k)
             # each compiled row is den times the matching oracle weight
-            assert [c * den + sum(a * num[j] for j, a in terms) for c, terms in rows] == [
-                x * den for x in lam[1:] + lam[:1]
-            ]
+            assert [weight(row, num, den) for row in rows] == [x * den for x in lam]
     assert [indexed_containing(compiled, num, den) for num, den in points] == inside
     # boundary points lie in several closed simplices, so ">=" is exercised
     assert sum(map(len, inside)) > len(points)
@@ -399,16 +447,20 @@ def test_draw_matches_randint_expression():
 # the dual-graph walk against one elimination per simplex
 
 
+def homogeneous(s):
+    """The matrix H of a simplex: one column (1, x) per vertex x."""
+    return [[1] * len(s), *map(list, zip(*s))]
+
+
 def eliminated(simplices, d):
-    """`_compile` by one [M | I] elimination per simplex, with no walk."""
+    """`_compile` by one [H | I] elimination per simplex, with no walk."""
     vols, compiled = [], []
     for s in simplices:
         vol, inv = 0, None
         if len(set(s)) == len(s) == d + 1:
-            m = [[p[i] - s[0][i] for p in s[1:]] for i in range(d)]
-            vol, inv = _volume_and_inverse(m)
+            vol, inv = _volume_and_inverse(homogeneous(s))
         vols.append(vol)
-        compiled.append(None if inv is None else _barycentric_rows(inv, s[0]))
+        compiled.append(None if inv is None else list(map(tuple, inv)))
     return vols, compiled
 
 
@@ -467,6 +519,23 @@ def test_walk_matches_elimination_oracle(case):
     lattice = lattice_simplices(vertices, simplices)
     d = len(lattice_basis(vertices))
     assert _compile(lattice, d) == eliminated(lattice, d)
+
+
+@seed(0xA5C)
+@KERNEL_SETTINGS
+@given(corrupted_triangulations() | st.sampled_from([k6_dkk, skew5_canonical]).map(lambda f: f()))
+def test_walk_rows_invert_the_homogeneous_matrix(case):
+    """Row i of a unimodular simplex's compiled rows is 1 at its vertex i and
+    0 at its other vertices: together the rows are H^-1."""
+    vertices, simplices = case[:2]
+    lattice = lattice_simplices(vertices, simplices)
+    vols, compiled = _compile(lattice, len(lattice_basis(vertices)))
+    unimodular = [k for k, vol in enumerate(vols) if vol == 1]
+    assert unimodular == [k for k, rows in enumerate(compiled) if rows is not None]
+    for k in unimodular:
+        for i, w in enumerate(lattice[k]):
+            unit = [int(j == i) for j in range(len(lattice[k]))]
+            assert [weight(row, w, 1) for row in compiled[k]] == unit
 
 
 @pytest.mark.parametrize(
