@@ -19,6 +19,7 @@ from .errors import FlowpolyError, InputError
 from .geometry import triangulation_checks
 from .graphs import (
     Framing,
+    _framing_to_json,
     enumerate_routes,
     graph_from_json,
     id_order_framing,
@@ -28,20 +29,15 @@ from .graphs import (
 from .kostant import flow_ehrhart_value, flow_polytope_volume
 from .planar import arc_diagram
 from .posets import (
+    _chain_sums,
+    _ideal_vertices,
+    _lattice,
     count_linear_extensions,
     order_ideals,
     order_polynomial,
-    order_polytope_vertices,
     poset_from_json,
 )
-from .triangulations import (
-    _clique_masks,
-    _decode,
-    _ps_masks,
-    canonical_triangulation,
-    dkk_triangulation,
-    triangulation_to_json,
-)
+from .triangulations import _clique_masks, _decode, _items, _ps_masks
 
 
 def _load_json(path):
@@ -69,6 +65,9 @@ def _exit_codes(command):
         except RecursionError:  # the walks recurse once per vertex or poset element
             message = f"input nests deeper than the recursion limit ({sys.getrecursionlimit()})"
             click.echo(f"input error: {message}", err=True)
+            code = 2
+        except MemoryError:
+            click.echo("input error: out of memory", err=True)
             code = 2
         if code:
             sys.exit(code)
@@ -215,33 +214,48 @@ def poset_ehrhart(path, m_max):
 def triangulate(path, method, framing_spec, check):
     """Emit a triangulation as JSON; exit 1 if its geometry checks fail."""
     data = _load_json(path)
+    framing = flows = None
     if method == "canonical":
         p, _ = poset_from_json(data)
-        simplices = [s.vertices for s in canonical_triangulation(p)]
-        vertices = order_polytope_vertices(p)
+        vertex = _ideal_vertices(p)
+        vertices = sorted(vertex.values())
+        bit = {v: 1 << len(vertices) - 1 - i for i, v in enumerate(vertices)}
+        masks = _chain_sums(_lattice(p._below), bit[vertex[0]], lambda i, up: bit[vertex[up]])
         volume = count_linear_extensions(p)
-        out = triangulation_to_json("canonical", None, simplices)
     else:
         g, framing = graph_from_json(data)
         framing = _resolve_framing(g, framing, framing_spec)
         if method == "dkk":
-            simplices = dkk_triangulation(g, framing)
-            out = triangulation_to_json("dkk", framing, simplices, g)
+            routes, _, masks = _clique_masks(g, framing)
         else:
             routes, masks, flows = _ps_masks(g, framing)
-            simplices = _decode(masks, [route_flow_vector(g, r) for r in routes])
-            out = triangulation_to_json("ps", framing, simplices, g)
-            out["flows"] = flows
-        vertices = [route_flow_vector(g, r) for r in enumerate_routes(g)]
+        vertices = [route_flow_vector(g, r) for r in routes]
         volume = flow_polytope_volume(g)
+        framing = _framing_to_json(g, framing)
+    report = triangulation_checks(vertices, _decode(masks, vertices), volume) if check else None
+    # json.dumps of the output, written one simplex and one flow at a time: each
+    # simplex decoded from its own mask, its vertices sorted, each vertex's text made once
+    rank = {v: r for r, v in enumerate(sorted(vertices))}
+    items = [(rank[v], json.dumps(v)) for v in vertices]
+    lists = {"simplices": (
+        "[" + ", ".join([text for _, text in sorted(_items(mask, items))]) + "]" for mask in masks
+    )}
+    if flows is not None:
+        lists["flows"] = map(json.dumps, flows)
+    write = sys.stdout.write
+    write(json.dumps({"method": method, "framing": framing})[:-1])
+    for key, texts in lists.items():
+        write(f', "{key}": [')
+        for k, text in enumerate(texts):
+            write(f", {text}" if k else text)
+        write("]")
     if check:
-        report = triangulation_checks(vertices, simplices, volume)
-        out["checks"] = report.to_json()
-        if not report.passed:
-            click.echo(json.dumps(out))
-            click.echo("triangulation checks failed", err=True)
-            return 1
-    click.echo(json.dumps(out))
+        write(', "checks": ' + json.dumps(report.to_json()))
+    write("}\n")
+    sys.stdout.flush()
+    if check and not report.passed:
+        click.echo("triangulation checks failed", err=True)
+        return 1
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ form, coordinates in it follow by forward substitution on the pivot columns,
 with no elimination.
 
 Entries that are not ints or Fractions are made exact where they enter
-(`_exact`): at the points of `affine_dimension` and `triangulation_checks`,
-and where a row reaches the elimination kernel.
+(`_exact`): at the points of `affine_dimension`, `lattice_basis` and
+`triangulation_checks`, and where a row reaches the elimination kernel.
 
 The sample-coverage check treats each unimodular simplex as its homogeneous
 matrix H, whose column for vertex x is (1, x) in lattice coordinates.  The
@@ -173,7 +173,7 @@ def affine_dimension(points):
 
 def lattice_basis(points):
     """Hermite basis of the lattice spanned by all vertex differences."""
-    points = list(points)
+    points = [tuple(map(_exact, p)) for p in points]
     if not points:
         raise InputError("need at least one point")
     return hermite_row_basis(_differences(points[1:], points[0]))
@@ -219,10 +219,10 @@ def simplex_normalized_volume(simplex, basis):
     """|det| of the simplex's edge vectors in lattice-basis coordinates.
 
     Returns 0 for degenerate simplices (repeated vertices, wrong vertex
-    count for the lattice rank, or affinely dependent vertices).  The
-    vertices are not converted on entry, as this is called once per simplex:
-    integral floats stay exact through the differences and are made exact
-    where they reach `_integer_rows`.
+    count for the lattice rank, or affinely dependent vertices).  As this is
+    called once per simplex, the vertices are made exact only when their
+    lattice coordinates raise TypeError (0.5, nan, "1"): integral floats
+    stay exact and are made exact where they reach `_integer_rows`.
     """
     simplex = [tuple(p) for p in simplex]
     d = len(basis)
@@ -230,7 +230,10 @@ def simplex_normalized_volume(simplex, basis):
         return 0
     if len(simplex) != d + 1:
         return 0
-    rows = [coordinates_in_basis(basis, v) for v in _differences(simplex[1:], simplex[0])]
+    try:
+        rows = [coordinates_in_basis(basis, v) for v in _differences(simplex[1:], simplex[0])]
+    except TypeError:  # made exact, or refused
+        return simplex_normalized_volume([tuple(map(_exact, p)) for p in simplex], basis)
     vol = abs(determinant(rows))
     if vol.denominator != 1:
         raise InternalCheckError("simplex volume is not integral in the chosen lattice")
@@ -292,32 +295,32 @@ def _volume_and_inverse(m):
     return 1, [[last * x for x in row[d:]] for row in aug]
 
 
-def _compile(simplices, d):
+def _compile(coords, simplices, d):
     """Each simplex's normalized volume, and its barycentric rows when unimodular.
 
-    ``simplices`` lists each simplex by its vertices' lattice coordinates.
-    A simplex is its homogeneous matrix H, whose column for vertex x is
-    (1, x), and its rows are the rows of H^-1, in the simplex's own vertex
-    order: row v is the dense tuple (c, a_1, ..., a_d), and the weight of
-    vertex v at a point b is ``c + sum(a_j * b_j)``, the dot product of the
-    row with (1, b).  A walk over the dual graph gets them with one
-    elimination per component.  A neighbour R + {b} of a unimodular
+    ``simplices`` lists each simplex by its vertex ids, and ``coords[v]``
+    are the lattice coordinates of vertex v.  A simplex is its homogeneous
+    matrix H, whose column for vertex x is (1, x), and its rows are the rows
+    of H^-1, in its own vertex order: row v is the dense tuple (c, a_1, ...,
+    a_d), and the weight of v at a point b is ``c + sum(a_j * b_j)``, the
+    dot product of the row with (1, b).  A walk over the dual graph gets
+    them with one elimination per component.  A neighbour R + {b} of a unimodular
     simplex R + {a} has volume |lam_a|, where lam are the weights of b in
     R + {a}; when that is 1, its rows are row a times lam_a and each other
     row v minus lam_a * lam_v times row a (Sherman–Morrison).  A simplex
     reached only through non-unimodular ones starts a component of its own.
     Rows that an update leaves unchanged are shared, not copied.
     """
-    ids, masks, ridges = {}, [], {}
+    masks, ridges = [], {}
     for k, s in enumerate(simplices):
-        bits = {1 << ids.setdefault(p, len(ids)) for p in s}
+        bits = {1 << v for v in s}
         if len(s) != len(bits) or len(bits) != d + 1:
             bits = set()  # repeated vertices or a wrong vertex count: volume 0
         mask = sum(bits)
         masks.append(mask)
         for bit in bits:
             ridges.setdefault(mask ^ bit, []).append(k)
-    points = [(1, *p) for p in ids]
+    points = [(1, *p) for p in coords]
     vols = [0] * len(simplices)
     compiled = [None] * len(simplices)
     reached = [not mask for mask in masks]
@@ -325,14 +328,14 @@ def _compile(simplices, d):
         if reached[root]:
             continue
         reached[root] = True
-        vols[root], inv = _volume_and_inverse([[1] * (d + 1), *map(list, zip(*s))])
+        vols[root], inv = _volume_and_inverse([list(r) for r in zip(*map(points.__getitem__, s))])
         if inv is None:
             continue
         compiled[root] = list(map(tuple, inv))
         stack = [root]
         while stack:
             k = stack.pop()
-            rows = {ids[p]: row for p, row in zip(simplices[k], compiled[k])}
+            rows = dict(zip(simplices[k], compiled[k]))
             for a, row_a in rows.items():
                 ridge = masks[k] ^ (1 << a)
                 for t in ridges[ridge]:
@@ -351,7 +354,7 @@ def _compile(simplices, d):
                         if v != a:
                             g = f * sum(map(mul, row, h))
                             new[v] = tuple(x - g * y for x, y in zip(row, row_a)) if g else row
-                    compiled[t] = [new[ids[p]] for p in simplices[t]]
+                    compiled[t] = [new[v] for v in simplices[t]]
                     stack.append(t)
     return vols, compiled
 
@@ -401,16 +404,17 @@ def _containing(index, every, num, den):
     return containing
 
 
-def _draw(rng, lattice):
+def _draw(rng, coords, simplices):
     """A random simplex's index and a point num / den in its interior.
 
     The point's barycentric weights are drawn from 1..10**6 and den is their
     sum.  ``randint(1, 10**6)`` is ``randrange(1, 10**6 + 1)``, so calling
     the latter directly draws the same stream.
     """
-    idx = rng.randrange(len(lattice))
-    weights = [rng.randrange(1, 10**6 + 1) for _ in lattice[idx]]
-    return idx, [sum(map(mul, weights, col)) for col in zip(*lattice[idx])], sum(weights)
+    idx = rng.randrange(len(simplices))
+    weights = [rng.randrange(1, 10**6 + 1) for _ in simplices[idx]]
+    columns = zip(*map(coords.__getitem__, simplices[idx]))
+    return idx, [sum(map(mul, weights, col)) for col in columns], sum(weights)
 
 
 def triangulation_checks(polytope_vertices, simplices, expected_volume):
@@ -419,7 +423,8 @@ def triangulation_checks(polytope_vertices, simplices, expected_volume):
     Verifies vertex membership, unimodularity of each simplex, the total
     volume against an independently computed value, and that each of 200
     seeded interior sample points lies in exactly one simplex.  The vertices
-    are made exact first (`_exact`), so the report holds no float.  Every
+    are made exact first (`_exact`), so the report holds no float, and each
+    simplex vertex is looked up once, as its id in the vertex list.  Every
     sample is decided against every simplex by exact integer barycentric
     weights: the rows of the inverse of the simplex's homogeneous matrix H,
     whose columns are (1, x) over its vertices x in lattice coordinates.
@@ -436,25 +441,23 @@ def triangulation_checks(polytope_vertices, simplices, expected_volume):
     missing simplex.
     """
     vertices = [tuple(map(_exact, p)) for p in polytope_vertices]
-    vertex_set = set(vertices)
-    simplices = [tuple(tuple(p) for p in s) for s in simplices]
     basis = lattice_basis(vertices)
     d = len(basis)
+    # a simplex vertex such as (1.0, 0) finds the id of its equal vertex
+    ids = {p: v for v, p in enumerate(vertices)}
+    simplices = [[ids.get(tuple(p)) for p in s] for s in simplices]
     failures = []
     for idx, simplex in enumerate(simplices):
-        extra = [p for p in simplex if p not in vertex_set]
+        extra = simplex.count(None)
         if extra:
-            failures.append(f"simplex {idx}: {len(extra)} vertices are not polytope vertices")
+            failures.append(f"simplex {idx}: {extra} vertices are not polytope vertices")
 
     total = samples = 0
     witness = None
     if not failures:
-        # vertex -> integer lattice coordinates relative to vertices[0]; a
-        # simplex vertex such as (1.0, 0) finds those of its equal vertex
-        diffs = _differences(vertex_set, vertices[0])
-        coords = {p: coordinates_in_basis(basis, v) for p, v in zip(vertex_set, diffs)}
-        lattice = [[coords[p] for p in s] for s in simplices]
-        vols, compiled = _compile(lattice, d)
+        # per id, integer lattice coordinates relative to vertices[0]
+        coords = [coordinates_in_basis(basis, v) for v in _differences(vertices, vertices[0])]
+        vols, compiled = _compile(coords, simplices, d)
         total = sum(vols)
         for idx, vol in enumerate(vols):
             if vol != 1:
@@ -466,7 +469,7 @@ def triangulation_checks(polytope_vertices, simplices, expected_volume):
             index = _row_index(compiled)
             every = (1 << len(simplices)) - 1
             for _ in range(SAMPLE_COUNT):
-                idx, num, den = _draw(rng, lattice)
+                idx, num, den = _draw(rng, coords, simplices)
                 containing = _containing(index, every, num, den)
                 samples += 1
                 if len(containing) != 1:

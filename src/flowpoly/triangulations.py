@@ -44,7 +44,6 @@ from .errors import ContractError, InputError, InternalCheckError
 from .graphs import (
     Framing,
     _coherent,
-    _framing_to_json,
     _passes,
     enumerate_routes,
     require_pruned,
@@ -94,17 +93,6 @@ class NoncrossingTree:
                 f"composition {c} does not encode a tree "
                 f"on {self.left}+{self.right} vertices"
             )
-
-    def edge_pairs(self):
-        """(left index, right index) pairs; right j takes b_j + 1 lefts,
-        consecutive rights sharing one left."""
-        pairs = []
-        p = 0
-        for j, b in enumerate(self.composition):
-            for li in range(p, p + b + 1):
-                pairs.append((li, j))
-            p += b
-        return pairs
 
 
 def noncrossing_trees(left, right):
@@ -516,14 +504,3 @@ def compare_triangulations(a, b):
         only_in_a=sorted(ka - kb),
         only_in_b=sorted(kb - ka),
     )
-
-
-def triangulation_to_json(method, framing, simplices, graph=None):
-    data = {
-        "method": method,
-        "framing": None,
-        "simplices": [[list(v) for v in sorted(s)] for s in simplices],
-    }
-    if framing is not None and graph is not None:
-        data["framing"] = _framing_to_json(graph, framing)
-    return data

@@ -9,8 +9,26 @@ from hypothesis import given, seed, settings, strategies as st
 from flowpoly import asm, checks, cli, triangulations
 from flowpoly.cli import main
 from flowpoly.fixtures import planar_fixtures, wedge_framing, wedge_graph
-from flowpoly.graphs import complete_graph, graph_to_json, path_graph, random_framing
-from flowpoly.posets import poset_to_json, skew_star, zigzag
+from flowpoly.geometry import triangulation_checks
+from flowpoly.graphs import (
+    complete_graph,
+    enumerate_routes,
+    graph_from_json,
+    graph_to_json,
+    path_graph,
+    random_framing,
+    route_flow_vector,
+)
+from flowpoly.kostant import flow_polytope_volume
+from flowpoly.posets import (
+    count_linear_extensions,
+    order_polytope_vertices,
+    poset_from_json,
+    poset_to_json,
+    skew_star,
+    zigzag,
+)
+from flowpoly.triangulations import canonical_triangulation, dkk_triangulation, ps_triangulation
 from test_triangulations import PLANAR_FIXTURES
 
 
@@ -137,6 +155,103 @@ def test_counts_and_dkk_eq_ps_decode_no_route_tuple(runner, tmp_path, monkeypatc
         assert (result.exit_code, result.output) == (0, before.output)
     assert json.loads(expected[1].output) == {"volume": {"kostant": 10, "ps": 10, "dkk": 10}}
     assert asm.family_report(4, (1,)) == report
+
+
+def nested_triangulation_json(data, method, check):
+    """The stdout of `triangulate` as the CLI built it before it wrote from
+    masks: the whole output as nested lists, then one json.dumps."""
+    flows = None
+    if method == "canonical":
+        p, _ = poset_from_json(data)
+        framing, simplices = None, [s.vertices for s in canonical_triangulation(p)]
+        vertices, volume = order_polytope_vertices(p), count_linear_extensions(p)
+    else:
+        g, fr = graph_from_json(data)
+        framing = graph_to_json(g, fr)["framing"]
+        if method == "dkk":
+            simplices = dkk_triangulation(g, fr)
+        else:
+            leaves = ps_triangulation(g, fr)
+            simplices = [[route_flow_vector(g, r) for r in leaf.routes] for leaf in leaves]
+            flows = [leaf.flow for leaf in leaves]
+        vertices = [route_flow_vector(g, r) for r in enumerate_routes(g)]
+        volume = flow_polytope_volume(g)
+    out = {
+        "method": method,
+        "framing": framing,
+        "simplices": [[list(v) for v in sorted(s)] for s in simplices],
+    }
+    if flows is not None:
+        out["flows"] = flows
+    if check:
+        out["checks"] = triangulation_checks(vertices, simplices, volume).to_json()
+    return json.dumps(out) + "\n"
+
+
+TRIANGULATE_CASES = [
+    (f"K{n}-{method}-{saved}", method, graph_to_json(g, fr))
+    for n in (5, 6)
+    for g in [complete_graph(n)]
+    for saved, fr in (("file", None), ("random", random_framing(g, 3)))
+    for method in ("dkk", "ps")
+] + [("skew4-canonical", "canonical", poset_to_json(*skew_star(4)))]
+
+
+@pytest.mark.parametrize(
+    "method, data", [case[1:] for case in TRIANGULATE_CASES], ids=[c[0] for c in TRIANGULATE_CASES]
+)
+def test_triangulate_output_is_byte_identical_to_the_nested_builder(runner, tmp_path, method, data):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(data))
+    for check in (True, False):
+        flag = "--check" if check else "--no-check"
+        result = runner.invoke(main, ["triangulate", str(path), "--method", method, flag])
+        assert (result.exit_code, result.stderr) == (0, "")
+        assert result.stdout == nested_triangulation_json(data, method, check)
+
+
+def test_failed_checks_still_write_the_whole_output(runner, k5_path, monkeypatch):
+    expected = json.loads(runner.invoke(main, ["triangulate", k5_path]).stdout)
+    monkeypatch.setattr(cli, "flow_polytope_volume", lambda g: 3)
+    result = runner.invoke(main, ["triangulate", k5_path])
+    assert (result.exit_code, result.stderr) == (1, "triangulation checks failed\n")
+    failures = ["volume total 2 != expected 3"]  # and no sample drawn
+    expected["checks"].update(expected_volume=3, sample_count=0, passed=False, failures=failures)
+    assert json.loads(result.stdout) == expected
+
+
+def test_triangulate_decodes_no_mask_list(runner, tmp_path, poset_path, monkeypatch):
+    # without the checks, each simplex is decoded from its own mask as it is
+    # written: with every module's _decode refusing, the output is the same
+    g = complete_graph(6)
+    path = tmp_path / "k6.json"
+    path.write_text(json.dumps(graph_to_json(g, random_framing(g, 3))))
+    commands = [["triangulate", str(path), "--method", method] for method in ("dkk", "ps")]
+    commands.append(["triangulate", poset_path, "--method", "canonical"])
+    commands = [command + ["--no-check"] for command in commands]
+    expected = [runner.invoke(main, command) for command in commands]
+
+    def refuse(*args):
+        raise AssertionError("a list of masks was decoded")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "flowpoly" and hasattr(module, "_decode"):
+            monkeypatch.setattr(module, "_decode", refuse)
+    for command, before in zip(commands, expected):
+        assert before.exit_code == 0
+        result = runner.invoke(main, command)
+        assert (result.exit_code, result.stdout) == (0, before.stdout)
+
+
+def test_out_of_memory_exits_2(runner, k5_path, monkeypatch):
+    def exhaust(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_clique_masks", exhaust)
+    result = runner.invoke(main, ["triangulate", k5_path, "--method", "dkk"])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert result.stderr.startswith("input error: out of memory")
 
 
 def test_verify_asm_family_single_n(runner):

@@ -97,6 +97,7 @@ def test_unit_simplex_volume():
 
 
 UNEQUAL = "points must all have the same number of coordinates"
+UNIT = [(1, 0), (0, 1)]
 
 
 @pytest.mark.parametrize(
@@ -142,6 +143,21 @@ UNEQUAL = "points must all have the same number of coordinates"
             ),
             "lattice points must have integer coordinates",
         ),
+        (lambda: lattice_basis([(0, 0), (float("nan"), 0)]), "nan is not a finite number"),
+        (lambda: lattice_basis([(0, 0), (float("inf"), 0)]), "inf is not a finite number"),
+        (lambda: lattice_basis([(0, 0), ("1", 0)]), "'1' is not a finite number"),
+        (
+            lambda: simplex_normalized_volume([(0, 0), (float("nan"), 0), (0, 1)], UNIT),
+            "nan is not a finite number",
+        ),
+        (
+            lambda: simplex_normalized_volume([(0, 0), (float("inf"), 0), (0, 1)], UNIT),
+            "inf is not a finite number",
+        ),
+        (
+            lambda: simplex_normalized_volume([(0, 0), ("1", 0), (0, 1)], UNIT),
+            "'1' is not a finite number",
+        ),
     ],
     ids=[
         "affine-dimension",
@@ -158,6 +174,12 @@ UNEQUAL = "points must all have the same number of coordinates"
         "none-matrix-rank",
         "infinite-checks",
         "half-integer-float-checks",
+        "nan-lattice-basis",
+        "infinite-lattice-basis",
+        "string-lattice-basis",
+        "nan-simplex",
+        "infinite-simplex",
+        "string-simplex",
     ],
 )
 def test_refusals(call, message):
@@ -176,8 +198,11 @@ def test_integral_floats_give_exact_results():
     assert determinant(floats) == Fraction(-2) and matrix_rank(floats) == 2
     assert affine_dimension([(0.0, 0.0), (2.0, 2.0), (1.0, 1.0)]) == 1
     simplex = [(0.0, 0.0), (1.0, 0.0), (0.0, 2.0)]
-    volume = simplex_normalized_volume(simplex, [(1, 0), (0, 1)])
+    volume = simplex_normalized_volume(simplex, UNIT)
     assert volume == 2 and type(volume) is int
+    # a float off the integers is made exact, as its Fraction twin is
+    for half in (0.5, Fraction(1, 2)):
+        assert simplex_normalized_volume([(0, 0), (half, 0), (0, 2)], UNIT) == 1
 
 
 def test_coordinates_in_basis_detects_outside_vectors():
@@ -341,11 +366,18 @@ def fraction_barycentric(simplex, points):
     return weights
 
 
-def lattice_simplices(vertices, simplices):
+def lattice_ids(vertices, simplices):
+    """Per vertex id the lattice coordinates, and each simplex as its vertices' ids."""
     basis = lattice_basis(vertices)
     base = vertices[0]
-    coords = {p: coordinates_in_basis(basis, [x - b for x, b in zip(p, base)]) for p in vertices}
-    return [[coords[p] for p in s] for s in simplices]
+    coords = [coordinates_in_basis(basis, [x - b for x, b in zip(p, base)]) for p in vertices]
+    ids = {p: v for v, p in enumerate(vertices)}
+    return coords, [[ids[p] for p in s] for s in simplices]
+
+
+def lattice_simplices(coords, simplices):
+    """Each simplex of vertex ids by its vertices' lattice coordinates."""
+    return [[coords[v] for v in s] for s in simplices]
 
 
 def boundary_heavy_points(simplices, count, rng):
@@ -395,10 +427,11 @@ def indexed_containing(compiled, num, den):
 @pytest.mark.parametrize("case", [k6_dkk, skew5_canonical], ids=["K6-dkk", "skew5-21-canonical"])
 def test_compiled_rows_match_fraction_oracle(case):
     vertices, simplices = case()
-    simplices = lattice_simplices(vertices, simplices)
+    coords, ids = lattice_ids(vertices, simplices)
+    simplices = lattice_simplices(coords, ids)
     rng = random.Random(0xA5C)
     points = boundary_heavy_points(simplices, 12, rng)
-    vols, compiled = _compile(simplices, len(simplices[0]) - 1)
+    vols, compiled = _compile(coords, ids, len(simplices[0]) - 1)
     assert vols == [1] * len(simplices)
     inside = [[] for _ in points]
     for k, (s, rows) in enumerate(zip(simplices, compiled)):
@@ -423,9 +456,9 @@ def test_compiled_rows_match_fraction_oracle(case):
 )
 def test_row_index_matches_per_simplex_test(name, variant, rng):
     vertices, simplices, _ = oracle_case(name, variant)
-    lattice = lattice_simplices(vertices, simplices)
-    _, compiled = _compile(lattice, len(lattice_basis(vertices)))
-    for num, den in boundary_heavy_points(lattice, 8, rng):
+    coords, ids = lattice_ids(vertices, simplices)
+    _, compiled = _compile(coords, ids, len(lattice_basis(vertices)))
+    for num, den in boundary_heavy_points(lattice_simplices(coords, ids), 8, rng):
         expected = [j for j, rows in enumerate(compiled) if contains(rows, num, den)]
         assert indexed_containing(compiled, num, den) == expected
 
@@ -433,14 +466,15 @@ def test_row_index_matches_per_simplex_test(name, variant, rng):
 def test_draw_matches_randint_expression():
     """`_draw` gives the points the randint expression gave, on one K6 case."""
     vertices, simplices, _ = oracle_case("K6", 2)
-    lattice = lattice_simplices(vertices, simplices)
+    coords, ids = lattice_ids(vertices, simplices)
+    lattice = lattice_simplices(coords, ids)
     old, new = random.Random(SAMPLE_SEED), random.Random(SAMPLE_SEED)
     for _ in range(SAMPLE_COUNT):
         idx = old.randrange(len(lattice))
         weights = [old.randint(1, 10 ** 6) for _ in lattice[idx]]
         den = sum(weights)
         num = [sum(w * c for w, c in zip(weights, col)) for col in zip(*lattice[idx])]
-        assert _draw(new, lattice) == (idx, num, den)
+        assert _draw(new, coords, ids) == (idx, num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -452,13 +486,13 @@ def homogeneous(s):
     return [[1] * len(s), *map(list, zip(*s))]
 
 
-def eliminated(simplices, d):
+def eliminated(coords, simplices, d):
     """`_compile` by one [H | I] elimination per simplex, with no walk."""
     vols, compiled = [], []
     for s in simplices:
         vol, inv = 0, None
         if len(set(s)) == len(s) == d + 1:
-            vol, inv = _volume_and_inverse(homogeneous(s))
+            vol, inv = _volume_and_inverse(homogeneous([coords[v] for v in s]))
         vols.append(vol)
         compiled.append(None if inv is None else list(map(tuple, inv)))
     return vols, compiled
@@ -516,9 +550,9 @@ def test_walk_matches_elimination_oracle(case):
         oracle = triangulation_checks(vertices, simplices, volume)
     assert report.to_json() == oracle.to_json()
     assert report.witness == oracle.witness
-    lattice = lattice_simplices(vertices, simplices)
+    coords, ids = lattice_ids(vertices, simplices)
     d = len(lattice_basis(vertices))
-    assert _compile(lattice, d) == eliminated(lattice, d)
+    assert _compile(coords, ids, d) == eliminated(coords, ids, d)
 
 
 @seed(0xA5C)
@@ -528,8 +562,9 @@ def test_walk_rows_invert_the_homogeneous_matrix(case):
     """Row i of a unimodular simplex's compiled rows is 1 at its vertex i and
     0 at its other vertices: together the rows are H^-1."""
     vertices, simplices = case[:2]
-    lattice = lattice_simplices(vertices, simplices)
-    vols, compiled = _compile(lattice, len(lattice_basis(vertices)))
+    coords, ids = lattice_ids(vertices, simplices)
+    lattice = lattice_simplices(coords, ids)
+    vols, compiled = _compile(coords, ids, len(lattice_basis(vertices)))
     unimodular = [k for k, vol in enumerate(vols) if vol == 1]
     assert unimodular == [k for k, rows in enumerate(compiled) if rows is not None]
     for k in unimodular:

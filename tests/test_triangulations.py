@@ -1,7 +1,7 @@
 import gc
 import re
 from collections import Counter
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 from math import comb, factorial
 
 import pytest
@@ -54,7 +54,6 @@ from flowpoly.triangulations import (
     noncrossing_trees,
     ps_triangulation,
     simplex_key,
-    triangulation_to_json,
 )
 
 
@@ -121,12 +120,22 @@ def test_noncrossing_tree_counts():
 
 
 def test_noncrossing_tree_edges_are_noncrossing():
-    for tree in noncrossing_trees(4, 3):
-        pairs = tree.edge_pairs()
-        assert len(pairs) == 4 + 3 - 1  # spanning tree
-        for (a, x) in pairs:
-            for (b, y) in pairs:
-                assert not (a < b and y < x)
+    # the (left, right) pairs the reduction's deal joins: right j takes lefts taken[j]
+    for left, right in product(range(1, 6), repeat=2):
+        for tree in noncrossing_trees(left, right):
+            dealt = triangulations._deal(range(left), tree.composition)
+            pairs = [(a, x) for x, (taken, _) in enumerate(dealt) for a in taken]
+            assert len(pairs) == left + right - 1
+            reached, size = {("left", 0)}, 0
+            while len(reached) != size:
+                size = len(reached)
+                for a, x in pairs:
+                    if {("left", a), ("right", x)} & reached:
+                        reached |= {("left", a), ("right", x)}
+            assert len(reached) == left + right  # connected, so a spanning tree
+            for (a, x) in pairs:
+                for (b, y) in pairs:
+                    assert not (a < b and y < x)
 
 
 def test_noncrossing_tree_rejects_bad_composition():
@@ -781,17 +790,6 @@ def test_compare_triangulations_reports_difference():
 
 def test_simplex_key_is_order_insensitive():
     assert simplex_key([(1, 0), (0, 1)]) == simplex_key([(0, 1), (1, 0)])
-
-
-def test_triangulation_to_json_shape():
-    g = complete_graph(4)
-    fr = id_order_framing(g)
-    simps = dkk_triangulation(g, fr)
-    data = triangulation_to_json("dkk", fr, simps, graph=g)
-    assert data["method"] == "dkk"
-    assert set(data["framing"]) == {"2", "3"}
-    assert len(data["simplices"]) == len(simps)
-    assert triangulation_to_json("canonical", None, simps)["framing"] is None
 
 
 def test_dkk_triangulation_vertices_are_route_flows():
