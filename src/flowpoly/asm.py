@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .errors import InputError, InternalCheckError
+from .errors import InputError, InternalCheckError, _exact, _integers
 from .geometry import affine_dimension
 from .kostant import flow_ehrhart_value, flow_polytope_volume
 from .planar import poset_to_flow_graph
@@ -130,7 +130,7 @@ def validate_in_p_lambda(n, lam, m):
     """Membership test for (rational) matrices in P_lambda(n)."""
     if len(m) != n or any(len(row) != n for row in m):
         raise InputError(f"matrix is not {n}x{n}")
-    m = tuple(tuple(Fraction(x) for x in row) for row in m)
+    m = tuple(tuple(Fraction(_exact(x)) for x in row) for row in m)
     failure = _membership_failure(m, zero_pattern(n, lam))
     if failure:
         raise InputError(failure)
@@ -170,13 +170,11 @@ def asm_dilation_count(n, lam, t):
     survive, and a column whose last free cell was in that row must be at
     t.  The answer is the count of the all-t state.
     """
+    n, t = _integers((n, t), "matrix size and dilation factor must be integers")
     if t < 0:
         raise InputError("dilation factor must be nonnegative")
     if n < 1:
         raise InputError("matrix size must be positive")
-    if int(n) != n or int(t) != t:
-        raise InputError("matrix size and dilation factor must be integers")
-    n, t = int(n), int(t)
     free, done = _free_cells(n, zero_pattern(n, lam))
     base = t + 2
     place = [base**j for j in range(n + 1)]
@@ -206,11 +204,9 @@ def asm_dilation_count(n, lam, t):
 
 def proctor_ehrhart(n, t):
     """prod_{1<=i<j<=n} (2t+i+j-1)/(i+j-1), asserted to be an integer."""
+    n, t = _integers((n, t), "matrix size and dilation factor must be integers")
     if t < 0:
         raise InputError("dilation factor must be nonnegative")
-    if int(n) != n or int(t) != t:
-        raise InputError("matrix size and dilation factor must be integers")
-    n, t = int(n), int(t)
     value = Fraction(1)
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):

@@ -1,4 +1,9 @@
-"""Exception hierarchy shared by all flowpoly modules."""
+"""Exception hierarchy shared by all flowpoly modules, and its two number
+rules: `_integers` for integer arguments (integral numbers such as 2.0 are
+read as ints) and `_exact` for coordinates (finite numbers are made exact).
+Both refuse nan, inf and strings with InputError."""
+
+from fractions import Fraction
 
 
 class FlowpolyError(Exception):
@@ -27,3 +32,29 @@ class NotPlanarError(InputError):
     def __init__(self, message, edge_pair=None):
         super().__init__(message)
         self.edge_pair = edge_pair
+
+
+def _integers(values, message):
+    """values as a tuple of ints, each equal to the value given; else
+    InputError(message).  "3" is refused though int("3") parses it."""
+    try:
+        given = tuple(values)
+        ints = tuple(map(int, given))
+    except (TypeError, ValueError, OverflowError):  # not iterable, nan, inf
+        raise InputError(message) from None
+    if ints != given:
+        raise InputError(message)
+    return ints
+
+
+def _exact(x):
+    """x itself if an int or a Fraction, else x, a finite number that is not
+    a string, converted exactly to a Fraction."""
+    if isinstance(x, (int, Fraction)):
+        return x
+    if not isinstance(x, str):
+        try:
+            return Fraction(x)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise InputError(f"{x!r} is not a finite number")

@@ -14,8 +14,9 @@ form, coordinates in it follow by forward substitution on the pivot columns,
 with no elimination.
 
 Entries that are not ints or Fractions are made exact where they enter
-(`_exact`): at the points of `affine_dimension`, `lattice_basis` and
-`triangulation_checks`, and where a row reaches the elimination kernel.
+(`errors._exact`): at the points of `affine_dimension`, `lattice_basis` and
+`triangulation_checks`, where a row reaches the elimination kernel, and
+where the fast path of `simplex_normalized_volume` fails.
 
 The sample-coverage check treats each unimodular simplex as its homogeneous
 matrix H, whose column for vertex x is (1, x) in lattice coordinates.  The
@@ -39,7 +40,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 
-from .errors import InputError, InternalCheckError
+from .errors import InputError, InternalCheckError, _exact, _integers
 
 SAMPLE_SEED = 0xA5C
 SAMPLE_COUNT = 200
@@ -78,19 +79,6 @@ def _bareiss(m):
     return pivots, last, sign
 
 
-def _exact(x):
-    """x itself if an int or a Fraction, else x, a finite number that is not
-    a string, converted exactly to a Fraction."""
-    if isinstance(x, (int, Fraction)):
-        return x
-    if not isinstance(x, str):
-        try:
-            return Fraction(x)
-        except (TypeError, ValueError, OverflowError):
-            pass
-    raise InputError(f"{x!r} is not a finite number")
-
-
 def _integer_rows(rows):
     """Each row scaled by the lcm of its denominators, and the product of the scales.
 
@@ -116,10 +104,8 @@ def matrix_rank(rows):
 
 def hermite_row_basis(rows):
     """Nonzero rows of the row-style Hermite normal form of an integer matrix."""
-    rows = [list(row) for row in rows if any(row)]
-    m = [list(map(int, row)) for row in rows]
-    if m != rows:
-        raise InputError("lattice points must have integer coordinates")
+    message = "lattice points must have integer coordinates"
+    m = [_integers(row, message) for row in rows if any(row)]
     if not m:
         return []
     ncols = len(m[0])
@@ -171,12 +157,16 @@ def affine_dimension(points):
     return matrix_rank(_differences(points[1:], points[0]))
 
 
-def lattice_basis(points):
-    """Hermite basis of the lattice spanned by all vertex differences."""
-    points = [tuple(map(_exact, p)) for p in points]
+def _basis(points):
+    """`lattice_basis` of points already made exact."""
     if not points:
         raise InputError("need at least one point")
     return hermite_row_basis(_differences(points[1:], points[0]))
+
+
+def lattice_basis(points):
+    """Hermite basis of the lattice spanned by all vertex differences."""
+    return _basis([tuple(map(_exact, p)) for p in points])
 
 
 def coordinates_in_basis(basis, vector):
@@ -220,9 +210,10 @@ def simplex_normalized_volume(simplex, basis):
 
     Returns 0 for degenerate simplices (repeated vertices, wrong vertex
     count for the lattice rank, or affinely dependent vertices).  As this is
-    called once per simplex, the vertices are made exact only when their
-    lattice coordinates raise TypeError (0.5, nan, "1"): integral floats
-    stay exact and are made exact where they reach `_integer_rows`.
+    called once per simplex, the vertices are made exact, and their lattice
+    coordinates computed once more, only when those raise TypeError (0.5,
+    "1") or InputError (a nan off the pivot columns, or a vertex outside the
+    span): integral floats stay exact and are made exact at `_integer_rows`.
     """
     simplex = [tuple(p) for p in simplex]
     d = len(basis)
@@ -232,8 +223,9 @@ def simplex_normalized_volume(simplex, basis):
         return 0
     try:
         rows = [coordinates_in_basis(basis, v) for v in _differences(simplex[1:], simplex[0])]
-    except TypeError:  # made exact, or refused
-        return simplex_normalized_volume([tuple(map(_exact, p)) for p in simplex], basis)
+    except (TypeError, InputError):  # made exact, or refused
+        simplex = [tuple(map(_exact, p)) for p in simplex]
+        rows = [coordinates_in_basis(basis, v) for v in _differences(simplex[1:], simplex[0])]
     vol = abs(determinant(rows))
     if vol.denominator != 1:
         raise InternalCheckError("simplex volume is not integral in the chosen lattice")
@@ -441,7 +433,7 @@ def triangulation_checks(polytope_vertices, simplices, expected_volume):
     missing simplex.
     """
     vertices = [tuple(map(_exact, p)) for p in polytope_vertices]
-    basis = lattice_basis(vertices)
+    basis = _basis(vertices)
     d = len(basis)
     # a simplex vertex such as (1.0, 0) finds the id of its equal vertex
     ids = {p: v for v, p in enumerate(vertices)}

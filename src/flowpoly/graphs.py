@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import ContractError, InputError
+from .errors import ContractError, InputError, _integers
 
 Route = tuple  # tuple of edge ids forming a directed path from 1 to n
 
@@ -29,11 +29,9 @@ class DirectedMultigraph:
     edges: tuple
 
     def __post_init__(self):
-        given = tuple((t, h) for t, h in self.edges)
-        edges = tuple((int(t), int(h)) for t, h in given)
-        if edges != given or int(self.n) != self.n:
-            raise InputError("vertex count and edge endpoints must be integers")
-        object.__setattr__(self, "n", int(self.n))
+        message = "vertex count and edge endpoints must be integers"
+        edges = tuple(_integers((t, h), message) for t, h in self.edges)
+        object.__setattr__(self, "n", _integers((self.n,), message)[0])
         object.__setattr__(self, "edges", edges)
         if self.n < 1:
             raise InputError("vertex count must be positive")
@@ -305,23 +303,13 @@ def graph_to_json(g, framing=None):
     return data
 
 
-def _edge_ids(ids):
-    """A framing order's edge ids as ints, by the rule the endpoints follow:
-    integral numbers such as 0.0 are read as ints, anything else is refused."""
-    given = tuple(ids)
-    ids = tuple(map(int, given))
-    if ids != given:
-        raise InputError("framing edge ids must be integers")
-    return ids
-
-
 def graph_from_json(data):
     """Parse the graph JSON schema; absent framing defaults to id-order.
     An unpruned graph is refused before the framing, which lists every
     inner vertex, is read or built."""
     try:
         g = DirectedMultigraph(data["n"], tuple(tuple(e) for e in data["edges"]))
-    except (KeyError, OverflowError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed graph JSON: {exc}") from exc
     try:
         require_pruned(g)
@@ -336,8 +324,8 @@ def graph_from_json(data):
             v = int(key)
             if not 1 < v < g.n:
                 raise InputError(f"framing names vertex {v}, which is not an inner vertex")
-            in_orders[v] = _edge_ids(spec["in"])
-            out_orders[v] = _edge_ids(spec["out"])
+            in_orders[v] = _integers(spec["in"], "framing edge ids must be integers")
+            out_orders[v] = _integers(spec["out"], "framing edge ids must be integers")
         return g, Framing.validate(g, Framing(in_orders, out_orders))
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise InputError(f"malformed framing JSON: {exc}") from exc

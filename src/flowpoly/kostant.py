@@ -15,7 +15,7 @@ from itertools import combinations_with_replacement
 from math import factorial
 from operator import sub
 
-from .errors import ContractError, InputError
+from .errors import ContractError, InputError, _integers
 from .graphs import require_pruned
 
 
@@ -37,11 +37,10 @@ def compositions_colex(total, parts):
 def _check_netflow(g, netflow):
     if len(netflow) != g.n:
         raise InputError("netflow vector length must equal the vertex count")
+    netflow = _integers(netflow, "netflow entries must be integers")
     if sum(netflow) != 0:
         raise InputError("netflow entries must sum to zero")
-    if any(int(a) != a for a in netflow):
-        raise InputError("netflow entries must be integers")
-    return tuple(int(a) for a in netflow)
+    return netflow
 
 
 def enumerate_integer_flows(g, netflow):
@@ -141,6 +140,7 @@ def ehrhart_netflow(g, t):
 def flow_ehrhart_value(g, t):
     """Lattice-point count of the t-th dilation of the flow polytope."""
     require_pruned(g)
+    (t,) = _integers((t,), "netflow entries must be integers")
     if t < 0:
         raise InputError("dilation factor must be nonnegative")
     return kostant_value(g, ehrhart_netflow(g, t))

@@ -32,8 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import pairwise
 
-from .errors import InputError, InternalCheckError, NotPlanarError
-from .geometry import _exact
+from .errors import InputError, InternalCheckError, NotPlanarError, _exact
 from .graphs import (
     DirectedMultigraph, Framing, enumerate_routes, require_pruned, route_flow_vector
 )

@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from math import comb, factorial
 
-from .errors import InputError
+from .errors import InputError, _integers
 
 
 @dataclass(frozen=True)
@@ -204,11 +204,9 @@ def order_polynomial(p, m):
     order, and no other, add w[I - e] into w[I] for every ideal I with e
     maximal.  Oracle for small posets: order_polynomial_bruteforce.
     """
+    (m,) = _integers((m,), "order polynomial argument must be an integer")
     if m < 0:
         raise InputError("order polynomial argument must be nonnegative")
-    if int(m) != m:
-        raise InputError("order polynomial argument must be an integer")
-    m = int(m)
     if m == 0:
         return 1 if not p.elements else 0
     below = p._below
@@ -285,9 +283,7 @@ def zigzag(k):
 
 
 def validate_staircase_partition(n, lam):
-    if any(int(x) != x for x in lam):
-        raise InputError("partition parts must be integers")
-    lam = tuple(map(int, lam))
+    lam = _integers(lam, "partition parts must be integers")
     if any(x < 0 for x in lam):
         raise InputError("partition parts must be nonnegative")
     if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):

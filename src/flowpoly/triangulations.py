@@ -40,7 +40,7 @@ from functools import reduce
 from math import comb
 from operator import itemgetter, or_
 
-from .errors import ContractError, InputError, InternalCheckError
+from .errors import ContractError, InputError, InternalCheckError, _integers
 from .graphs import (
     Framing,
     _coherent,
@@ -141,14 +141,6 @@ def _deal(arriving, composition):
     return dealt
 
 
-def _leaf(g, blocks):
-    """The #E - #V + 2 distinct prefixes arriving at n after the last reduction."""
-    arriving = [pre for e in g.in_edge_ids(g.n) for pre in blocks[e]]
-    if len(arriving) != g.edge_count - g.n + 2 or len(set(arriving)) != len(arriving):
-        raise InternalCheckError("leaf does not have #E - #V + 2 distinct routes")
-    return arriving
-
-
 def _through(g, routes):
     """Per edge id the mask of the routes through it, route i of k being bit
     k-1-i; None unless routes lists distinct routes of g."""
@@ -236,8 +228,9 @@ def ps_triangulation(g, framing):
 
 
 def _replay(g, framing, through, choose):
-    """Blocks and flow of the reduction of each inner vertex v along the
-    composition choose(v, prefixes arriving at v), for a validated g, framing."""
+    """The prefixes arriving at n, and the flow, after the reduction of each
+    inner vertex v along the composition choose(v, prefixes arriving at v),
+    for a validated g, framing."""
     blocks, flow = {e: [through[e]] for e in g.out_edge_ids(1)}, [0] * g.edge_count
     for v in range(2, g.n):
         ins = _arriving(framing, blocks, v)
@@ -247,7 +240,7 @@ def _replay(g, framing, through, choose):
         for e, (taken, b) in zip(framing.out_orders[v], _deal(ins, composition)):
             blocks[e] = [pre & through[e] for pre in taken]
             flow[e] = b
-    return blocks, flow
+    return [pre for e in g.in_edge_ids(g.n) for pre in blocks[e]], flow
 
 
 def flow_to_clique(g, framing, flow):
@@ -257,26 +250,26 @@ def flow_to_clique(g, framing, flow):
     that vertex's out-edges is chosen.  A prefix is the mask of the edges
     off it, edge order[i] of m being bit m-1-i, so no route is enumerated.
     """
-    try:
-        malformed = len(flow) != g.edge_count or any(int(x) != x or x < 0 for x in flow)
-    except (TypeError, ValueError, OverflowError):
-        malformed = True
-    if malformed:
-        raise InputError("flow must be a nonnegative integer vector over the edges")
+    message = "flow must be a nonnegative integer vector over the edges"
+    flow = _integers(flow, message)
+    if len(flow) != g.edge_count or any(x < 0 for x in flow):
+        raise InputError(message)
     _validate_framed(g, framing)
     order = [e for v in range(1, g.n) for e in g.out_edge_ids(v)]  # by tail: a route in path order
     every = (1 << g.edge_count) - 1
     off = [0] * g.edge_count
     for b, e in enumerate(reversed(order)):
         off[e] = every ^ (1 << b)
-    blocks, replayed = _replay(
-        g, framing, off, lambda v, _: [int(flow[e]) for e in framing.out_orders[v]]
+    arriving, replayed = _replay(
+        g, framing, off, lambda v, _: [flow[e] for e in framing.out_orders[v]]
     )
     if any(flow[e] for e in g.out_edge_ids(1)):
         raise InputError("flow not realizable: nonzero flow out of vertex 1")
-    if replayed != [int(x) for x in flow]:
+    if replayed != list(flow):
         raise InternalCheckError("replayed reduction did not reproduce the input flow")
-    return tuple(sorted(_items(every ^ pre, order) for pre in _leaf(g, blocks)))
+    if len(arriving) != g.edge_count - g.n + 2 or len(set(arriving)) != len(arriving):
+        raise InternalCheckError("leaf does not have #E - #V + 2 distinct routes")
+    return tuple(sorted(_items(every ^ pre, order) for pre in arriving))
 
 
 def clique_to_flow(g, framing, clique):
@@ -292,10 +285,9 @@ def clique_to_flow(g, framing, clique):
     through = _through(g, target)
     if through is not None:
         try:
-            blocks, flow = _replay(g, framing, through, lambda v, ins: [
+            arriving, flow = _replay(g, framing, through, lambda v, ins: [
                 len([1 for pre in ins if pre & through[e]]) - 1 for e in framing.out_orders[v]
             ])
-            arriving = [pre for e in g.in_edge_ids(g.n) for pre in blocks[e]]
             if sorted(arriving) == [1 << b for b in range(len(target))]:
                 return tuple(flow)
         except InputError:

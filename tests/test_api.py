@@ -1,6 +1,26 @@
+import re
 import types
+from fractions import Fraction
+
+import pytest
 
 import flowpoly
+from flowpoly import (
+    DirectedMultigraph,
+    InputError,
+    asm_dilation_count,
+    chain,
+    complete_graph,
+    flow_ehrhart_value,
+    flow_to_clique,
+    graph_from_json,
+    id_order_framing,
+    kostant_value,
+    order_polynomial,
+    proctor_ehrhart,
+    skew_star,
+)
+from flowpoly.geometry import hermite_row_basis
 
 PUBLIC_NAMES = {
     "BOTTOM",
@@ -77,3 +97,49 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert names == PUBLIC_NAMES
+
+
+K4, K5 = complete_graph(4), complete_graph(5)
+ENDPOINTS = "vertex count and edge endpoints must be integers"
+SIZES = "matrix size and dilation factor must be integers"
+NETFLOW = "netflow entries must be integers"
+
+# each entry point with x in one of its integer arguments, where x = 2 is valid
+INTEGER_ARGUMENTS = {
+    "graph-n": (lambda x: DirectedMultigraph(x, ((1, 2),)), ENDPOINTS),
+    "graph-endpoint": (lambda x: DirectedMultigraph(3, ((1, x), (x, 3))), ENDPOINTS),
+    "json-edge-id": (
+        lambda x: graph_from_json(
+            {"n": 3, "edges": [[1, 3], [1, 2], [2, 3]], "framing": {"2": {"in": [1], "out": [x]}}}
+        ),
+        "framing edge ids must be integers",
+    ),
+    "netflow": (lambda x: kostant_value(K4, (x, 0, 0, -2)), NETFLOW),
+    "flow-ehrhart": (lambda x: flow_ehrhart_value(K4, x), NETFLOW),
+    "order-polynomial": (
+        lambda x: order_polynomial(chain(3)[0], x),
+        "order polynomial argument must be an integer",
+    ),
+    "partition": (lambda x: skew_star(4, (x,)), "partition parts must be integers"),
+    "asm-n": (lambda x: asm_dilation_count(x, (), 1), SIZES),
+    "asm-t": (lambda x: asm_dilation_count(3, (), x), SIZES),
+    "proctor-n": (lambda x: proctor_ehrhart(x, 1), SIZES),
+    "proctor-t": (lambda x: proctor_ehrhart(3, x), SIZES),
+    "flow-to-clique": (
+        lambda x: flow_to_clique(K5, id_order_framing(K5), (0,) * 8 + (1, x)),
+        "flow must be a nonnegative integer vector over the edges",
+    ),
+    "hermite": (
+        lambda x: hermite_row_basis([[x, 0]]),
+        "lattice points must have integer coordinates",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", INTEGER_ARGUMENTS)
+def test_integer_arguments_follow_one_rule(name):
+    call, message = INTEGER_ARGUMENTS[name]
+    for x in (float("nan"), float("inf"), "1", 2.5):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            call(x)
+    assert call(2.0) == call(Fraction(4, 2)) == call(2)

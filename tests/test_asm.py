@@ -79,6 +79,10 @@ def test_validate_in_p_lambda():
         validate_in_p_lambda(3, (), ((1, 0, 0), (1, 0, 0), (0, 1, 0)))
     with pytest.raises(InputError):
         validate_in_p_lambda(2, (), ((1, 0),))
+    with pytest.raises(InputError, match="^nan is not a finite number$"):
+        validate_in_p_lambda(2, (), ((float("nan"), 0), (0, 1)))
+    with pytest.raises(InputError, match="^'1' is not a finite number$"):
+        validate_in_p_lambda(2, (), (("1", 0), (0, 1)))
 
 
 def test_corner_sum_example():

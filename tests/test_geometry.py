@@ -158,6 +158,15 @@ UNIT = [(1, 0), (0, 1)]
             lambda: simplex_normalized_volume([(0, 0), ("1", 0), (0, 1)], UNIT),
             "'1' is not a finite number",
         ),
+        # the nan is off the basis's pivot column, so it leaves a residual
+        (
+            lambda: simplex_normalized_volume([(0, 0), (1, float("nan"))], [(1, 0)]),
+            "nan is not a finite number",
+        ),
+        (
+            lambda: simplex_normalized_volume([(0, 0), (1, 1)], [(1, 0)]),
+            "vector lies outside the lattice span",
+        ),
     ],
     ids=[
         "affine-dimension",
@@ -180,6 +189,8 @@ UNIT = [(1, 0), (0, 1)]
         "nan-simplex",
         "infinite-simplex",
         "string-simplex",
+        "nan-off-pivot-simplex",
+        "outside-span-simplex",
     ],
 )
 def test_refusals(call, message):
