@@ -58,6 +58,7 @@ def is_asm(m):
 
 def zero_pattern(n, lam=()):
     """Forced-zero cells of P_lambda(n): the lower band and lambda's cells."""
+    (n,) = _integers((n,), "matrix size must be an integer")
     lam = validate_staircase_partition(n, lam)
     zeros = {(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i - j >= 2}
     for i, part in enumerate(lam, start=1):
@@ -84,6 +85,7 @@ def enumerate_asm(n, zeros=frozenset()):
     column sum stays in [0, 1].  A row ends at sum 1, and so does every
     column whose sum is final after it.
     """
+    (n,) = _integers((n,), "matrix size must be an integer")
     if n < 1:
         raise InputError("matrix size must be positive")
     free, done = _free_cells(n, zeros)

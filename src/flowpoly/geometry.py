@@ -1,22 +1,25 @@
 """Exact linear algebra for lattice polytopes.
 
 Points are tuples of integers or Fractions.  Every elimination goes through
-one fraction-free Gauss–Jordan kernel (Bareiss 1968): rows with Fraction
-entries are first scaled to integers, and each step divides exactly by the
-previous pivot, so entries stay integral (they are minors of the input).
-The kernel gives the rank, the determinant (the last pivot) and, for the
-unimodular simplices of a triangulation, the integer inverse.
+one fraction-free kernel (Bareiss 1968): rows with Fraction entries are
+first scaled to integers, and each step divides exactly by the previous
+pivot, so entries stay integral (they are minors of the input).  Eliminating
+below each pivot gives the rank and the determinant (the last pivot); the
+Gauss–Jordan sweep, which also clears above it, gives the integer inverse
+of the unimodular simplices of a triangulation.
 
 Normalized volumes are taken relative to the lattice spanned by the
-polytope's vertex differences.  That lattice's basis is its Hermite normal
-form, computed once per polytope.  Because the basis is in row echelon
-form, coordinates in it follow by forward substitution on the pivot columns,
-with no elimination.
+polytope's vertex differences.  Its basis, computed once per polytope by
+integer row operations, is in row echelon form with positive pivots: each
+row's first nonzero entry lies right of the previous row's.  Coordinates in
+it follow by forward substitution on the pivot columns, and a simplex's
+normalized volume needs none: its edge vectors' minor on the pivot columns,
+over the product of the pivots, is the determinant of their coordinates.
 
 Entries that are not ints or Fractions are made exact where they enter
 (`errors._exact`): at the points of `affine_dimension`, `lattice_basis` and
-`triangulation_checks`, where a row reaches the elimination kernel, and
-where the fast path of `simplex_normalized_volume` fails.
+`triangulation_checks`, where a row reaches the elimination kernel, and at
+the vertices of `simplex_normalized_volume` unless all are ints.
 
 The sample-coverage check treats each unimodular simplex as its homogeneous
 matrix H, whose column for vertex x is (1, x) in lattice coordinates.  The
@@ -34,11 +37,12 @@ negative row.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
+from operator import getitem, mul
 
 from .errors import InputError, InternalCheckError, _exact, _integers
 
@@ -46,14 +50,19 @@ SAMPLE_SEED = 0xA5C
 SAMPLE_COUNT = 200
 
 
-def _bareiss(m):
-    """Fraction-free Gauss–Jordan elimination of the integer rows ``m``, in place.
+def _bareiss(m, jordan=False):
+    """Fraction-free elimination of the integer rows ``m``, in place.
 
     Returns ``(pivots, last, sign)``: the pivot columns, the last pivot and
-    the sign of the row permutation.  Afterwards row k has the entry
-    ``last`` in column ``pivots[k]`` and zeros in the other pivot columns,
-    and the rows past ``len(pivots)`` are zero.  For a square matrix of full
-    rank, ``sign * last`` is its determinant.
+    the sign of the row permutation.  Each step eliminates the rows below
+    the pivot, and with ``jordan`` the rows above it as well (Gauss–Jordan).
+    Afterwards row k has a nonzero entry in column ``pivots[k]`` and zeros
+    there in the rows below it, and the rows past ``len(pivots)`` are zero;
+    with ``jordan``, row k has the entry ``last`` in column ``pivots[k]``
+    and zeros in the other pivot columns.  The rows below a pivot get the
+    same updates in both sweeps, so the pivots, ``last`` and ``sign`` do not
+    depend on ``jordan``.  For a square matrix of full rank, ``sign * last``
+    is its determinant.
     """
     pivots, last, sign = [], 1, 1
     for col in range(len(m[0]) if m else 0):
@@ -66,7 +75,8 @@ def _bareiss(m):
             sign = -sign
         top = m[r]
         pivot = top[col]
-        for i, row in enumerate(m):
+        for i in range(0 if jordan else r + 1, len(m)):
+            row = m[i]
             f = row[col]
             # a row with f == 0 is unchanged when pivot == last
             if i != r and (f or pivot != last):
@@ -103,7 +113,14 @@ def matrix_rank(rows):
 
 
 def hermite_row_basis(rows):
-    """Nonzero rows of the row-style Hermite normal form of an integer matrix."""
+    """A basis of the lattice that the integer rows span, in row echelon form.
+
+    Column by column, gcd row operations clear the entries below the pivot,
+    and the pivot is made positive.  Each row's first nonzero entry, its
+    pivot, lies right of the previous row's, which `coordinates_in_basis`
+    and `simplex_normalized_volume` rely on.  The entries above a pivot are
+    not reduced, so this is not the Hermite normal form.
+    """
     message = "lattice points must have integer coordinates"
     m = [_integers(row, message) for row in rows if any(row)]
     if not m:
@@ -131,11 +148,6 @@ def hermite_row_basis(rows):
             if done:
                 break
         if any(m[i][col] for i in range(r, len(m))):
-            # reduce entries above the pivot
-            for i in range(r):
-                q = m[i][col] // m[r][col]
-                if q:
-                    m[i] = [a - q * b for a, b in zip(m[i], m[r])]
             basis.append(tuple(m[r]))
             r += 1
             if r == len(m):
@@ -165,7 +177,7 @@ def _basis(points):
 
 
 def lattice_basis(points):
-    """Hermite basis of the lattice spanned by all vertex differences."""
+    """Echelon basis (`hermite_row_basis`) of the lattice of all vertex differences."""
     return _basis([tuple(map(_exact, p)) for p in points])
 
 
@@ -205,15 +217,40 @@ def determinant(rows):
     return Fraction(sign * last, scale)
 
 
+def _kernel(basis, pivots, product):
+    """Integer vectors spanning the right kernel of an echelon ``basis``.
+
+    ``pivots`` are the basis's pivot columns and ``product`` the product of
+    its pivots.  There is one vector per free column f: ``product`` at f, 0
+    at the other free columns, and the pivot entries by back-substitution.
+    ``product`` times the inverse of the triangular pivot block is integral,
+    so every division is exact.  A full-dimensional basis has none.
+    """
+    n = len(basis[0])
+    rows = list(zip(basis, pivots))[::-1]
+    kernel = []
+    for f in sorted(set(range(n)) - set(pivots)):
+        k = [0] * n
+        k[f] = product
+        for row, j in rows:
+            k[j] = -sum(map(mul, row[j + 1 :], k[j + 1 :])) // row[j]
+        kernel.append(k)
+    return kernel
+
+
 def simplex_normalized_volume(simplex, basis):
     """|det| of the simplex's edge vectors in lattice-basis coordinates.
 
     Returns 0 for degenerate simplices (repeated vertices, wrong vertex
-    count for the lattice rank, or affinely dependent vertices).  As this is
-    called once per simplex, the vertices are made exact, and their lattice
-    coordinates computed once more, only when those raise TypeError (0.5,
-    "1") or InputError (a nan off the pivot columns, or a vertex outside the
-    span): integral floats stay exact and are made exact at `_integer_rows`.
+    count for the lattice rank, or affinely dependent vertices).  ``basis``
+    must be in row echelon form, as `lattice_basis` returns it, so its block
+    B_P on the pivot columns P is triangular; another basis is refused.  Edge vectors V in the span
+    of B are V = C B, so det C = det V_P / det B_P: the volume is
+    |det V_P| / |prod of pivots|, with no lattice coordinates.  An edge
+    vector is in the span when it is orthogonal to the right kernel of B
+    (`_kernel`).  Vertices that are not all ints are made exact first
+    (`_exact`), so a nan or a string is refused before anything else, and
+    their minor reaches the elimination through `_integer_rows`.
     """
     simplex = [tuple(p) for p in simplex]
     d = len(basis)
@@ -221,15 +258,32 @@ def simplex_normalized_volume(simplex, basis):
         return 0
     if len(simplex) != d + 1:
         return 0
-    try:
-        rows = [coordinates_in_basis(basis, v) for v in _differences(simplex[1:], simplex[0])]
-    except (TypeError, InputError):  # made exact, or refused
+    if not d:
+        return 1
+    ints = {int}.issuperset(map(type, itertools.chain.from_iterable(simplex)))
+    if not ints:
         simplex = [tuple(map(_exact, p)) for p in simplex]
-        rows = [coordinates_in_basis(basis, v) for v in _differences(simplex[1:], simplex[0])]
-    vol = abs(determinant(rows))
-    if vol.denominator != 1:
+    edges = _differences(simplex[1:], simplex[0])
+    n = len(basis[0])
+    if len(edges[0]) != n:
+        raise InputError("points must all have the same number of coordinates")
+    # a row's first nonzero entry, found by value: the entries before it are
+    # 0; a zero row gets column 0 and makes the product 0
+    pivots = [row.index(next(filter(None, row), 0)) for row in basis]
+    product = math.prod(map(getitem, basis, pivots))
+    if not product or any(a >= b for a, b in zip(pivots, pivots[1:])):
+        raise InputError("basis must be in row echelon form")
+    if d < n:  # else every column is a pivot column and V_P is V
+        for k in _kernel(basis, pivots, product):
+            if any(sum(map(mul, k, v)) for v in edges):
+                raise InputError("vector lies outside the lattice span")
+        edges = [list(map(v.__getitem__, pivots)) for v in edges]
+    m, scale = (edges, 1) if ints else _integer_rows(edges)
+    rank, last, _ = _bareiss(m)
+    vol, rest = divmod(abs(last) if len(rank) == d else 0, abs(scale * product))
+    if rest:
         raise InternalCheckError("simplex volume is not integral in the chosen lattice")
-    return int(vol)
+    return vol
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +333,7 @@ def _volume_and_inverse(m):
     """
     d = len(m)
     aug = [row + [int(i == j) for j in range(d)] for i, row in enumerate(m)]
-    pivots, last, _ = _bareiss(aug)
+    pivots, last, _ = _bareiss(aug, jordan=True)
     if pivots != list(range(d)):
         return 0, None
     if abs(last) != 1:

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from .errors import ContractError, InputError, _integers
 
 Route = tuple  # tuple of edge ids forming a directed path from 1 to n
+_ENDPOINTS = "vertex count and edge endpoints must be integers"
 
 
 @dataclass(frozen=True)
@@ -29,9 +30,8 @@ class DirectedMultigraph:
     edges: tuple
 
     def __post_init__(self):
-        message = "vertex count and edge endpoints must be integers"
-        edges = tuple(_integers((t, h), message) for t, h in self.edges)
-        object.__setattr__(self, "n", _integers((self.n,), message)[0])
+        edges = tuple(_integers((t, h), _ENDPOINTS) for t, h in self.edges)
+        object.__setattr__(self, "n", _integers((self.n,), _ENDPOINTS)[0])
         object.__setattr__(self, "edges", edges)
         if self.n < 1:
             raise InputError("vertex count must be positive")
@@ -125,6 +125,7 @@ def all_framings(g):
 
 
 def complete_graph(n):
+    (n,) = _integers((n,), _ENDPOINTS)
     return DirectedMultigraph(n, tuple((i, j) for i in range(1, n) for j in range(i + 1, n + 1)))
 
 

@@ -266,6 +266,7 @@ def default_embedding(p):
 
 
 def chain(k):
+    (k,) = _integers((k,), "poset size must be an integer")
     poset = Poset(tuple(range(1, k + 1)), tuple((i, i + 1) for i in range(1, k)))
     return poset, default_embedding(poset)
 
@@ -296,6 +297,7 @@ def validate_staircase_partition(n, lam):
 
 def staircase_cells(n, lam=()):
     """Cells (i, j) of the order-n staircase with lam removed from row ends."""
+    (n,) = _integers((n,), "staircase order must be an integer")
     lam = validate_staircase_partition(n, lam)
     cells = []
     for i in range(1, n):

@@ -17,9 +17,11 @@ from flowpoly import (
     id_order_framing,
     kostant_value,
     order_polynomial,
+    p_lambda_vertices,
     proctor_ehrhart,
     skew_star,
 )
+from flowpoly.asm import enumerate_asm, zero_pattern
 from flowpoly.geometry import hermite_row_basis
 
 PUBLIC_NAMES = {
@@ -133,6 +135,12 @@ INTEGER_ARGUMENTS = {
         lambda x: hermite_row_basis([[x, 0]]),
         "lattice points must have integer coordinates",
     ),
+    "complete-graph": (complete_graph, ENDPOINTS),
+    "chain": (chain, "poset size must be an integer"),
+    "skew-star-n": (skew_star, "staircase order must be an integer"),
+    "enumerate-asm": (enumerate_asm, "matrix size must be an integer"),
+    "p-lambda-vertices": (p_lambda_vertices, "matrix size must be an integer"),
+    "zero-pattern": (zero_pattern, "matrix size must be an integer"),
 }
 
 

@@ -9,7 +9,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from flowpoly.errors import InputError
+from flowpoly.errors import InputError, InternalCheckError, _exact
 from flowpoly.geometry import (
     SAMPLE_COUNT,
     SAMPLE_SEED,
@@ -63,6 +63,33 @@ def test_hermite_basis_spans_lattice():
     assert len(basis) == 2
     det = determinant([list(r) for r in basis])
     assert abs(det) == 2
+
+
+@pytest.mark.parametrize(
+    "rows, basis",
+    [
+        ([[1, 1], [0, 1]], [(1, 1), (0, 1)]),
+        ([[2, 0], [0, 2], [1, 1]], [(1, 1), (0, 2)]),
+        ([[0, 3, 1], [0, 1, 2], [4, 0, 6]], [(4, 0, 6), (0, 1, 2), (0, 0, 5)]),
+        ([[-2, 4, 6, 0], [3, -1, 0, 5], [1, 1, 1, 1]], [(1, 1, 1, 1), (0, 2, 5, 4), (0, 0, 7, 10)]),
+    ],
+)
+def test_hermite_row_basis_is_not_reduced_above_pivots(rows, basis):
+    # (1, 1) over (0, 1) is echelon but not the Hermite normal form
+    assert hermite_row_basis(rows) == basis
+
+
+@seed(0xA5C)
+@KERNEL_SETTINGS
+@given(st.lists(st.lists(st.integers(-4, 4), min_size=3, max_size=3), max_size=4))
+def test_hermite_row_basis_is_an_echelon_basis(rows):
+    basis = hermite_row_basis(rows)
+    assert len(basis) == matrix_rank(rows)
+    pivots = [next(j for j, x in enumerate(row) if x) for row in basis]
+    assert pivots == sorted(set(pivots))  # each pivot right of the one above
+    assert all(row[j] > 0 for row, j in zip(basis, pivots))
+    for row in rows:  # every row is an integer combination of the basis
+        assert all(type(c) is int for c in coordinates_in_basis(basis, row))
 
 
 def test_affine_dimension():
@@ -167,6 +194,15 @@ UNIT = [(1, 0), (0, 1)]
             lambda: simplex_normalized_volume([(0, 0), (1, 1)], [(1, 0)]),
             "vector lies outside the lattice span",
         ),
+        # a basis of Z^2, but not in echelon form
+        (
+            lambda: simplex_normalized_volume([(0, 0), (1, 0), (0, 1)], [(2, 1), (1, 1)]),
+            "basis must be in row echelon form",
+        ),
+        (
+            lambda: simplex_normalized_volume([(0, 0), (1, 0), (0, 1)], [(1, 0), (0, 0)]),
+            "basis must be in row echelon form",
+        ),
     ],
     ids=[
         "affine-dimension",
@@ -191,6 +227,8 @@ UNIT = [(1, 0), (0, 1)]
         "string-simplex",
         "nan-off-pivot-simplex",
         "outside-span-simplex",
+        "non-echelon-basis",
+        "zero-row-basis",
     ],
 )
 def test_refusals(call, message):
@@ -759,3 +797,84 @@ def test_coordinates_in_basis_reconstructs_vector(data):
     assert [sum((c * row[i] for c, row in zip(coords, basis)), 0) for i in range(cols)] == v
     with pytest.raises(InputError):
         coordinates_in_basis(basis, v[:-1] + [data.draw(st.integers(1, 3))])
+
+
+def fraction_volume(simplex, basis):
+    """The normalized volume from lattice coordinates, in Fractions: |det| of
+    the edge vectors' `coordinates_in_basis`, with the same refusals."""
+    simplex = [tuple(p) for p in simplex]
+    if len(set(simplex)) != len(simplex) or len(simplex) != len(basis) + 1:
+        return 0
+    if len(simplex) > 1:
+        simplex = [tuple(map(_exact, p)) for p in simplex]
+    if any(len(p) != len(simplex[0]) for p in simplex):
+        raise InputError(UNEQUAL)
+    base = simplex[0]
+    rows = [coordinates_in_basis(basis, [x - b for x, b in zip(p, base)]) for p in simplex[1:]]
+    vol = abs(determinant(rows))
+    if vol.denominator != 1:
+        raise InternalCheckError("simplex volume is not integral in the chosen lattice")
+    return int(vol)
+
+
+def outcome(call, *args):
+    try:
+        value = call(*args)
+    except (InputError, InternalCheckError) as e:
+        return type(e), str(e)
+    return type(value), value
+
+
+@st.composite
+def volume_cases(draw, shape):
+    """A simplex and an echelon basis: pivots other than 1, some negative,
+    vertices on and off the lattice, d = 0, as ints, Fractions or floats, or
+    with one nan or string entry.  ``shape`` "outside" moves one vertex by a
+    unit vector, often out of the span, and "degenerate" repeats a vertex,
+    drops or adds one, or gives one an extra coordinate."""
+    n = draw(st.integers(1, 4))
+    row = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    gens = draw(st.lists(row, min_size=draw(st.sampled_from(range(n + 1))), max_size=n))
+    scale = draw(st.integers(1, 3))
+    basis = hermite_row_basis([[scale * x for x in r] for r in gens])
+    if basis and draw(st.booleans()):
+        k = draw(st.integers(0, len(basis) - 1))
+        basis[k] = tuple(-x for x in basis[k])
+    d = len(basis)
+    base = draw(row)
+    # integer coefficients keep the vertices on the lattice, fractions move them off
+    off = draw(st.integers(0, 3)) == 0
+    coeff = st.fractions(-2, 2, max_denominator=3) if off else st.integers(-2, 2)
+    simplex = [base]
+    for _ in range(d):
+        c = draw(st.lists(coeff, min_size=d, max_size=d))
+        simplex.append([b + sum(map(mul, c, col), 0) for b, col in zip(base, zip(*basis))])
+    if shape == "outside":
+        simplex[draw(st.integers(0, d))][draw(st.integers(0, n - 1))] += 1
+    elif shape == "degenerate":
+        fault = draw(st.sampled_from(["repeat", "short", "long", "unequal"]))
+        if fault == "repeat" and d:
+            simplex[-1] = list(simplex[0])
+        elif fault == "short":
+            simplex.pop()
+        elif fault == "long":
+            simplex.append([x + 1 for x in base])
+        elif fault == "unequal":
+            simplex[-1] = simplex[-1] + [0]
+    kind = draw(st.sampled_from([int, "nan", Fraction, int, float, "string", int]))
+    if kind in (Fraction, float):
+        simplex = [[kind(x) for x in p] for p in simplex]
+    elif kind != int and simplex:
+        simplex[-1][-1] = float("nan") if kind == "nan" else "1"
+    return simplex, basis
+
+
+@pytest.mark.parametrize("shape", ["plain", "outside", "degenerate"])
+@seed(0xA5C)
+@KERNEL_SETTINGS
+@given(data=st.data())
+def test_volume_matches_lattice_coordinates(shape, data):
+    simplex, basis = data.draw(volume_cases(shape))
+    assert outcome(simplex_normalized_volume, simplex, basis) == outcome(
+        fraction_volume, simplex, basis
+    )
