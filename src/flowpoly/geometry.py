@@ -181,20 +181,31 @@ def lattice_basis(points):
     return _basis([tuple(map(_exact, p)) for p in points])
 
 
+def _pivots(basis):
+    """The pivot columns and pivot product of ``basis``; InputError unless it
+    is in row echelon form (no zero row, each pivot right of the last)."""
+    # a row's first nonzero entry, found by value: the entries before it are
+    # 0; a zero row gets column 0 and makes the product 0
+    pivots = [row.index(next(filter(None, row), 0)) for row in basis]
+    product = math.prod(map(getitem, basis, pivots))
+    if not product or any(a >= b for a, b in zip(pivots, pivots[1:])):
+        raise InputError("basis must be in row echelon form")
+    return pivots, product
+
+
 def coordinates_in_basis(basis, vector):
     """Express ``vector`` in the given row basis; exact, raises if outside span.
 
     ``basis`` must be in row echelon form, as `lattice_basis` returns it, so
     each coordinate is read off the next row's pivot column (forward
-    substitution).  A vector in the span but off the lattice gets Fraction
-    coordinates.
+    substitution); another basis is refused (`_pivots`).  A vector in the
+    span but off the lattice gets Fraction coordinates.
     """
     if basis and len(vector) != len(basis[0]):
         raise InputError("points must all have the same number of coordinates")
     residual = list(vector)
     coords = []
-    for row in basis:
-        col = next(i for i, x in enumerate(row) if x)
+    for row, col in zip(basis, _pivots(basis)[0]):
         q, r = divmod(residual[col], row[col])
         c = Fraction(residual[col], row[col]) if r else q
         if c:
@@ -267,12 +278,7 @@ def simplex_normalized_volume(simplex, basis):
     n = len(basis[0])
     if len(edges[0]) != n:
         raise InputError("points must all have the same number of coordinates")
-    # a row's first nonzero entry, found by value: the entries before it are
-    # 0; a zero row gets column 0 and makes the product 0
-    pivots = [row.index(next(filter(None, row), 0)) for row in basis]
-    product = math.prod(map(getitem, basis, pivots))
-    if not product or any(a >= b for a, b in zip(pivots, pivots[1:])):
-        raise InputError("basis must be in row echelon form")
+    pivots, product = _pivots(basis)
     if d < n:  # else every column is a pivot column and V_P is V
         for k in _kernel(basis, pivots, product):
             if any(sum(map(mul, k, v)) for v in edges):

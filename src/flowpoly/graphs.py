@@ -130,10 +130,12 @@ def complete_graph(n):
 
 
 def path_graph(n):
+    (n,) = _integers((n,), _ENDPOINTS)
     return DirectedMultigraph(n, tuple((i, i + 1) for i in range(1, n)))
 
 
 def parallel_edges(count):
+    (count,) = _integers((count,), "edge count must be an integer")
     return DirectedMultigraph(2, ((1, 2),) * count)
 
 

@@ -272,12 +272,14 @@ def chain(k):
 
 
 def antichain(k):
+    (k,) = _integers((k,), "poset size must be an integer")
     poset = Poset(tuple(range(1, k + 1)), ())
     return poset, default_embedding(poset)
 
 
 def zigzag(k):
     """Fence with covers alternating up/down starting upward: 1 < 2 > 3 < 4 ..."""
+    (k,) = _integers((k,), "poset size must be an integer")
     covers = tuple((i, i + 1) if i % 2 == 1 else (i + 1, i) for i in range(1, k))
     poset = Poset(tuple(range(1, k + 1)), covers)
     return poset, default_embedding(poset)
@@ -327,6 +329,7 @@ def staircase_star(n):
 
 def staircase_syt_count(n):
     """Standard Young tableaux of staircase shape (n-1, ..., 1), hook product."""
+    (n,) = _integers((n,), "staircase order must be an integer")
     hooks = 1
     for k in range(1, n):
         hooks *= (2 * k - 1) ** (n - k)
@@ -338,6 +341,7 @@ def staircase_syt_count(n):
 
 def all_staircase_partitions(n):
     """Every partition fitting inside the order-n staircase."""
+    (n,) = _integers((n,), "staircase order must be an integer")
     results = []
 
     def extend(prefix, row):

@@ -22,12 +22,11 @@
   (P, X) alone, so each distinct (P, X) is expanded once into a DAG, and
   the cliques are unfolded from its root-to-leaf paths by an explicit stack.
 
-Each leaf's flow has netflow (0, d_2, ..., d_{n-1}, -sum d_i).  One replay
-serves both halves of the flow <-> clique bijection: a flow chooses each
-composition, a prefix being the mask of the edges off it; a clique chooses
-b_e + 1, the arriving prefixes its routes continue along e, a prefix being
-the mask of its routes extending it.  Matching the leaf masks of two
-framings by flow gives the framing-change bijection, decoded at the end.
+Each leaf's flow has netflow (0, d_2, ..., d_{n-1}, -sum d_i).  A flow maps
+to its leaf by one replay of the reduction on edge-tuple prefixes; a clique
+maps to its flow by a count, b_e + 1 distinct prefixes of its routes ending
+in e, confirmed by that replay.  Matching the leaf masks of two framings by
+flow gives the framing-change bijection, decoded at the end.
 Masks are decoded in one pass: a mask's tuple takes its leading items, those
 above the highest bit where it differs from the previous mask, off the
 previous tuple, and the low rest is decoded once per distinct value.
@@ -35,10 +34,12 @@ previous tuple, and the low rest is decoded once per distinct value.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
+from itertools import chain, repeat
 from math import comb
-from operator import itemgetter, or_
+from operator import eq, itemgetter, or_
 
 from .errors import ContractError, InputError, InternalCheckError, _integers
 from .graphs import (
@@ -143,20 +144,12 @@ def _deal(arriving, composition):
 
 def _through(g, routes):
     """Per edge id the mask of the routes through it, route i of k being bit
-    k-1-i; None unless routes lists distinct routes of g."""
-    through, edges = [0] * g.edge_count, g.edges
+    k-1-i."""
+    through = [0] * g.edge_count
     for b, route in enumerate(reversed(routes)):
-        if not isinstance(route, tuple):
-            return None
-        v, bit = 1, 1 << b
-        for e in route:  # (0.0, 4.0) is no route, though it equals (0, 4)
-            if not isinstance(e, int) or not 0 <= e < len(through) or edges[e][0] != v:
-                return None
-            through[e] |= bit
-            v = edges[e][1]
-        if v != g.n:
-            return None
-    return through if len(set(routes)) == len(routes) else None
+        for e in route:
+            through[e] |= 1 << b
+    return through
 
 
 def _ps_masks(g, framing):
@@ -227,69 +220,63 @@ def ps_triangulation(g, framing):
     return list(map(SubdivisionLeaf, _decode(masks, routes), flows))
 
 
-def _replay(g, framing, through, choose):
-    """The prefixes arriving at n, and the flow, after the reduction of each
-    inner vertex v along the composition choose(v, prefixes arriving at v),
-    for a validated g, framing."""
-    blocks, flow = {e: [through[e]] for e in g.out_edge_ids(1)}, [0] * g.edge_count
+def _replay(g, framing, flow):
+    """The sorted leaf routes of the reduction of each inner vertex v along
+    the flow on its out-edges (framing out-order), for a validated g and
+    framing; a prefix is its tuple of edge ids, so no mask is decoded."""
+    blocks, replayed = {e: [(e,)] for e in g.out_edge_ids(1)}, [0] * g.edge_count
     for v in range(2, g.n):
         ins = _arriving(framing, blocks, v)
-        composition = choose(v, ins)
+        composition = [flow[e] for e in framing.out_orders[v]]
         if min(composition) < 0 or sum(composition) != len(ins) - 1:
             raise InputError(f"flow not realizable: bad total at vertex {v}")
         for e, (taken, b) in zip(framing.out_orders[v], _deal(ins, composition)):
-            blocks[e] = [pre & through[e] for pre in taken]
-            flow[e] = b
-    return [pre for e in g.in_edge_ids(g.n) for pre in blocks[e]], flow
+            blocks[e] = [pre + (e,) for pre in taken]
+            replayed[e] = b
+    if any(flow[e] for e in g.out_edge_ids(1)):
+        raise InputError("flow not realizable: nonzero flow out of vertex 1")
+    if replayed != list(flow):
+        raise InternalCheckError("replayed reduction did not reproduce the input flow")
+    routes = sorted(pre for e in g.in_edge_ids(g.n) for pre in blocks[e])
+    if len(routes) != g.edge_count - g.n + 2 or len(set(routes)) != len(routes):
+        raise InternalCheckError("leaf does not have #E - #V + 2 distinct routes")
+    return routes
 
 
 def flow_to_clique(g, framing, flow):
-    """Leaf routes of the reduction replayed along a given integer flow.
-
-    At each vertex the unique tree whose composition equals the flow on
-    that vertex's out-edges is chosen.  A prefix is the mask of the edges
-    off it, edge order[i] of m being bit m-1-i, so no route is enumerated.
-    """
+    """Leaf routes of the reduction replayed along a given integer flow: at
+    each vertex the tree whose composition is the flow on its out-edges."""
     message = "flow must be a nonnegative integer vector over the edges"
     flow = _integers(flow, message)
     if len(flow) != g.edge_count or any(x < 0 for x in flow):
         raise InputError(message)
     _validate_framed(g, framing)
-    order = [e for v in range(1, g.n) for e in g.out_edge_ids(v)]  # by tail: a route in path order
-    every = (1 << g.edge_count) - 1
-    off = [0] * g.edge_count
-    for b, e in enumerate(reversed(order)):
-        off[e] = every ^ (1 << b)
-    arriving, replayed = _replay(
-        g, framing, off, lambda v, _: [flow[e] for e in framing.out_orders[v]]
-    )
-    if any(flow[e] for e in g.out_edge_ids(1)):
-        raise InputError("flow not realizable: nonzero flow out of vertex 1")
-    if replayed != list(flow):
-        raise InternalCheckError("replayed reduction did not reproduce the input flow")
-    if len(arriving) != g.edge_count - g.n + 2 or len(set(arriving)) != len(arriving):
-        raise InternalCheckError("leaf does not have #E - #V + 2 distinct routes")
-    return tuple(sorted(_items(every ^ pre, order) for pre in arriving))
+    return tuple(_replay(g, framing, flow))
 
 
 def clique_to_flow(g, framing, clique):
-    """Inverse of flow_to_clique, by one replay over the routes of the
-    clique: at a leaf, out-edge e of v takes exactly the arriving prefixes
-    that some of them continue along e, so b_e is one less than their
-    number.  Raises InputError unless each route arrives at n alone."""
+    """Inverse of flow_to_clique: b_e is one less than the number of distinct
+    prefixes of the clique's routes that end in e, as out-edge e takes one
+    arriving prefix more than its flow.  The flow is returned when its replay
+    gives back the clique, else InputError."""
     try:
         target = sorted(clique)
     except TypeError:
         raise InputError("route set must be a collection of edge-id tuples") from None
     _validate_framed(g, framing)
-    through = _through(g, target)
-    if through is not None:
+    # (0.0, 4.0) is no route, though it equals (0, 4)
+    tuples = all(map(isinstance, target, repeat(tuple)))
+    if tuples and all(map(isinstance, chain.from_iterable(target), repeat(int))):
+        # sorted, a route meets no earlier prefix past the one it shares with
+        # the route before it; ends lists the last edge of each distinct prefix
+        ends = []
+        for previous, route in zip([()] + target, target):
+            ends += route[[*map(eq, previous, route), False].index(False) :]
+        count = Counter(ends)
+        flow = tuple(count[e] - 1 for e in range(g.edge_count))
         try:
-            arriving, flow = _replay(g, framing, through, lambda v, ins: [
-                len([1 for pre in ins if pre & through[e]]) - 1 for e in framing.out_orders[v]
-            ])
-            if sorted(arriving) == [1 << b for b in range(len(target))]:
-                return tuple(flow)
+            if _replay(g, framing, flow) == target:
+                return flow
         except InputError:
             pass
     raise InputError("route set is not a leaf of the reduction for this framing")

@@ -8,6 +8,7 @@ import flowpoly
 from flowpoly import (
     DirectedMultigraph,
     InputError,
+    antichain,
     asm_dilation_count,
     chain,
     complete_graph,
@@ -18,11 +19,16 @@ from flowpoly import (
     kostant_value,
     order_polynomial,
     p_lambda_vertices,
+    parallel_edges,
+    path_graph,
     proctor_ehrhart,
     skew_star,
+    staircase_syt_count,
+    zigzag,
 )
 from flowpoly.asm import enumerate_asm, zero_pattern
 from flowpoly.geometry import hermite_row_basis
+from flowpoly.posets import all_staircase_partitions
 
 PUBLIC_NAMES = {
     "BOTTOM",
@@ -141,6 +147,12 @@ INTEGER_ARGUMENTS = {
     "enumerate-asm": (enumerate_asm, "matrix size must be an integer"),
     "p-lambda-vertices": (p_lambda_vertices, "matrix size must be an integer"),
     "zero-pattern": (zero_pattern, "matrix size must be an integer"),
+    "antichain": (antichain, "poset size must be an integer"),
+    "zigzag": (zigzag, "poset size must be an integer"),
+    "staircase-syt-count": (staircase_syt_count, "staircase order must be an integer"),
+    "all-staircase-partitions": (all_staircase_partitions, "staircase order must be an integer"),
+    "path-graph": (path_graph, ENDPOINTS),
+    "parallel-edges": (parallel_edges, "edge count must be an integer"),
 }
 
 

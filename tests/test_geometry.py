@@ -203,6 +203,14 @@ UNIT = [(1, 0), (0, 1)]
             lambda: simplex_normalized_volume([(0, 0), (1, 0), (0, 1)], [(1, 0), (0, 0)]),
             "basis must be in row echelon form",
         ),
+        (
+            lambda: coordinates_in_basis([(2, 1), (1, 1)], [1, 0]),
+            "basis must be in row echelon form",
+        ),
+        (
+            lambda: coordinates_in_basis([(1, 0), (0, 0)], [1, 0]),
+            "basis must be in row echelon form",
+        ),
     ],
     ids=[
         "affine-dimension",
@@ -229,6 +237,8 @@ UNIT = [(1, 0), (0, 1)]
         "outside-span-simplex",
         "non-echelon-basis",
         "zero-row-basis",
+        "non-echelon-coordinates-basis",
+        "zero-row-coordinates-basis",
     ],
 )
 def test_refusals(call, message):

@@ -442,12 +442,14 @@ def test_flow_clique_roundtrip_on_every_leaf(name, g, fr):
 
 
 def test_flow_clique_maps_enumerate_no_route(monkeypatch):
-    # a flow replays over masks of edges and a clique over masks of its own
-    # routes, so K20 and its 2^18 routes cost no more than one replay each
-    def refuse(g):
-        raise AssertionError("the maps enumerated the routes of g")
+    # a flow replays over tuples of edge ids and a clique counts its own
+    # prefixes, so K20 and its 2^18 routes cost no more than one replay each,
+    # and neither map builds or decodes a route mask
+    def refuse(*args):
+        raise AssertionError("the maps enumerated the routes of g or used route masks")
 
-    monkeypatch.setattr(triangulations, "enumerate_routes", refuse)
+    for name in ("enumerate_routes", "_items", "_through"):
+        monkeypatch.setattr(triangulations, name, refuse)
     g = complete_graph(20)
     fr = random_framing(g, 7)
     flow = tuple(t - 2 if h == g.n and t > 1 else 0 for t, h in g.edges)
@@ -612,13 +614,14 @@ def _crossed(g, cliques):
         lambda g, cliques: cliques[0][1:],
         lambda g, cliques: cliques[0][:-1] + (next(r for r in cliques[1] if r not in cliques[0]),),
         lambda g, cliques: cliques[0][:-1] + ((g.edge_count,),),
+        lambda g, cliques: cliques[0][:-1] + ((-1,) + cliques[0][-1][1:],),
         lambda g, cliques: cliques[0][1:] + (tuple(reversed(cliques[0][0])),),
         lambda g, cliques: (),
         lambda g, cliques: [list(r) for r in cliques[0]],
         lambda g, cliques: [tuple(float(e) for e in r) for r in cliques[0]],
     ],
     ids=["crossed-tails", "repeated-route", "dropped-route", "swapped-route", "edge-out-of-range",
-         "not-a-path", "empty", "routes-as-lists", "float-edge-ids"],
+         "negative-edge-id", "not-a-path", "empty", "routes-as-lists", "float-edge-ids"],
 )
 def test_clique_to_flow_rejects_non_leaves(make_clique):
     g, fr, cliques = _k6_leaves()
@@ -646,6 +649,23 @@ def test_flow_and_clique_maps_reject_malformed_entries():
     for clique in ([(0,), "x"], [(0, 1), (0, "a")], 7):
         with pytest.raises(InputError, match="^route set must be a collection of edge-id tuples$"):
             clique_to_flow(g, fr, clique)
+    # the graph and framing are refused as such, before any route is read
+    leaf = ps_triangulation(g, fr)[0]
+    gapped = Framing({**fr.in_orders, 3: fr.in_orders[3][1:]}, fr.out_orders)
+    message = "^framing in-order at vertex 3 does not list its edges exactly once$"
+    with pytest.raises(InputError, match=message):
+        flow_to_clique(g, gapped, leaf.flow)
+    with pytest.raises(InputError, match=message):
+        clique_to_flow(g, gapped, leaf.routes)
+    unpruned = DirectedMultigraph(5, g.edges)
+    with pytest.raises(ContractError):
+        flow_to_clique(unpruned, fr, leaf.flow)
+    with pytest.raises(ContractError):
+        clique_to_flow(unpruned, fr, leaf.routes)
+    # True is the int 1, as a float id is not an int
+    assert any(1 in r for r in leaf.routes)
+    as_bools = [tuple(True if e == 1 else e for e in r) for r in leaf.routes]
+    assert clique_to_flow(g, fr, as_bools) == leaf.flow
 
 
 def test_flow_to_clique_rejects_flow_out_of_vertex_1():
