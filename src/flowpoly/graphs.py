@@ -327,6 +327,8 @@ def graph_from_json(data):
             v = int(key)
             if not 1 < v < g.n:
                 raise InputError(f"framing names vertex {v}, which is not an inner vertex")
+            if v in in_orders:
+                raise InputError(f"framing names vertex {v} twice")
             in_orders[v] = _integers(spec["in"], "framing edge ids must be integers")
             out_orders[v] = _integers(spec["out"], "framing edge ids must be integers")
         return g, Framing.validate(g, Framing(in_orders, out_orders))

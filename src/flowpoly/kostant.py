@@ -35,6 +35,8 @@ def compositions_colex(total, parts):
 
 
 def _check_netflow(g, netflow):
+    if not hasattr(netflow, "__len__"):
+        raise InputError("netflow entries must be integers")
     if len(netflow) != g.n:
         raise InputError("netflow vector length must equal the vertex count")
     netflow = _integers(netflow, "netflow entries must be integers")

@@ -216,7 +216,7 @@ def test_criterion_09_triangulation_geometry(capsys):
 def test_criterion_10_lattice_map_fidelity(capsys):
     bad = [
         f"{name}: {detail}"
-        for name, ok, detail in verify_maps_roundtrip(t_values=(1, 2))
+        for name, ok, detail in verify_maps_roundtrip()
         if not ok
     ]
     assert len(planar_fixtures()) >= 20  # the whole drawn corpus is exercised

@@ -17,6 +17,7 @@ from flowpoly import (
     graph_from_json,
     id_order_framing,
     kostant_value,
+    noncrossing_trees,
     order_polynomial,
     p_lambda_vertices,
     parallel_edges,
@@ -111,6 +112,7 @@ K4, K5 = complete_graph(4), complete_graph(5)
 ENDPOINTS = "vertex count and edge endpoints must be integers"
 SIZES = "matrix size and dilation factor must be integers"
 NETFLOW = "netflow entries must be integers"
+SIDES = "noncrossing tree sides must be integers"
 
 # each entry point with x in one of its integer arguments, where x = 2 is valid
 INTEGER_ARGUMENTS = {
@@ -153,6 +155,8 @@ INTEGER_ARGUMENTS = {
     "all-staircase-partitions": (all_staircase_partitions, "staircase order must be an integer"),
     "path-graph": (path_graph, ENDPOINTS),
     "parallel-edges": (parallel_edges, "edge count must be an integer"),
+    "noncrossing-left": (lambda x: noncrossing_trees(x, 1), SIDES),
+    "noncrossing-right": (lambda x: noncrossing_trees(2, x), SIDES),
 }
 
 

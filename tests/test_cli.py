@@ -411,8 +411,17 @@ K4_FRAMING = {"2": {"in": [0], "out": [3, 4]}, "3": {"in": [1, 3], "out": [5]}}
         {**K4_FRAMING, "x": K4_FRAMING["2"]},
         {**K4_FRAMING, "9": {"in": [], "out": []}},
         {**K4_FRAMING, "3": {"in": [1, "3"], "out": [5]}},
+        {**K4_FRAMING, "2 ": K4_FRAMING["2"]},
+        {**K4_FRAMING, "02": K4_FRAMING["2"]},
     ],
-    ids=["no-in-order", "vertex-not-a-number", "not-an-inner-vertex", "mixed-edge-ids"],
+    ids=[
+        "no-in-order",
+        "vertex-not-a-number",
+        "not-an-inner-vertex",
+        "mixed-edge-ids",
+        "vertex-named-twice",
+        "vertex-zero-padded",
+    ],
 )
 def test_malformed_framing_exits_2(runner, tmp_path, framing):
     path = tmp_path / "k4.json"

@@ -78,6 +78,13 @@ def test_non_integral_netflow_is_rejected():
     with pytest.raises(InputError, match="integers"):
         flow_ehrhart_value(g, 1.5)
     assert kostant_value(g, (2.0, 0, 0, -2.0)) == kostant_value(g, (2, 0, 0, -2))
+    # a netflow without a length; a sized one keeps the length message first
+    for netflow in (5, None, iter((2, 0, 0, -2))):
+        for count in (kostant_value, enumerate_integer_flows):
+            with pytest.raises(InputError, match="^netflow entries must be integers$"):
+                count(g, netflow)
+    with pytest.raises(InputError, match="^netflow vector length must equal the vertex count$"):
+        kostant_value(g, ("a", None))
 
 
 def test_dp_agrees_with_bruteforce_enumeration():

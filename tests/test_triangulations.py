@@ -120,11 +120,12 @@ def test_noncrossing_tree_counts():
 
 
 def test_noncrossing_tree_edges_are_noncrossing():
-    # the (left, right) pairs the reduction's deal joins: right j takes lefts taken[j]
+    # the (left, right) pairs the reduction's deal joins: right j takes the
+    # lefts in its window lo..hi-1
     for left, right in product(range(1, 6), repeat=2):
         for tree in noncrossing_trees(left, right):
-            dealt = triangulations._deal(range(left), tree.composition)
-            pairs = [(a, x) for x, (taken, _) in enumerate(dealt) for a in taken]
+            windows = triangulations._deal(tree.composition)
+            pairs = [(a, x) for x, (lo, hi, _) in enumerate(windows) for a in range(lo, hi)]
             assert len(pairs) == left + right - 1
             reached, size = {("left", 0)}, 0
             while len(reached) != size:
@@ -145,6 +146,9 @@ def test_noncrossing_tree_rejects_bad_composition():
         NoncrossingTree(3, 2, (3, -1))
     with pytest.raises(InputError, match="^both sides of a noncrossing tree must be nonempty$"):
         noncrossing_trees(0, 2)
+    for sides in ((None, 2), ("a", 1), (2, [1])):
+        with pytest.raises(InputError, match="^noncrossing tree sides must be integers$"):
+            noncrossing_trees(*sides)
 
 
 def test_reduction_degrees_follow_composition():
@@ -205,41 +209,34 @@ def test_reduction_matches_the_tuple_prefix_oracle(name, g, fr):
     assert [(leaf.routes, leaf.flow) for leaf in leaves] == _tuple_prefix_reduction(g, fr)
 
 
-def _ps_with_a_repeat(monkeypatch, pick):
-    """ps_triangulation on K5 with a deal that gives out-edge pick(composition)
-    of each vertex, when it takes two or more prefixes, its first one again
-    in place of its last, so some leaf has #E - #V + 2 routes, one twice."""
-    deal = triangulations._deal
+def _ps_with_a_repeat(monkeypatch, vertex):
+    """ps_triangulation on K5 with the prefixes arriving at vertex ending in
+    their first one again, in place of the last, so some leaf has
+    #E - #V + 2 routes, one twice."""
+    arriving = triangulations._arriving
 
-    def repeating(arriving, composition):
-        dealt = deal(arriving, composition)
-        j = pick(composition)
-        if j is not None and len(dealt[j][0]) > 1:
-            taken, b = dealt[j]
-            dealt[j] = ([*taken[:-1], taken[0]], b)
-        return dealt
+    def repeating(framing, blocks, v):
+        ins = arriving(framing, blocks, v)
+        return ins[:-1] + ins[:1] if v == vertex else ins
 
-    monkeypatch.setattr(triangulations, "_deal", repeating)
+    monkeypatch.setattr(triangulations, "_arriving", repeating)
     g = complete_graph(5)
     fr = id_order_framing(g)
-    heads = {v: [g.edges[e][1] for e in fr.out_orders[v]] for v in range(2, g.n)}
-    # on K5 the first of two or more out-edges never enters n, and every
-    # last out-edge does
-    assert all(h[-1] == g.n and (len(h) == 1 or h[0] != g.n) for h in heads.values())
     message = "leaf does not have #E - #V + 2 distinct routes"
     with pytest.raises(InternalCheckError, match=f"^{re.escape(message)}$"):
         ps_triangulation(g, fr)
 
 
 def test_leaf_refuses_a_repeated_route(monkeypatch):
-    # the repeat is dealt to an edge that does not enter n and carried down
-    # in its block
-    _ps_with_a_repeat(monkeypatch, lambda composition: 0 if len(composition) > 1 else None)
+    # at vertex 3 the repeat can be dealt to edge (3, 4), which does not
+    # enter n, and carried down in its block
+    _ps_with_a_repeat(monkeypatch, 3)
 
 
 def test_leaf_refuses_a_repeated_route_on_an_edge_into_n(monkeypatch):
-    # the repeat lands in the union of an edge into n
-    _ps_with_a_repeat(monkeypatch, lambda composition: -1)
+    # vertex 4 deals everything to edge (4, 5), so the repeat lands in the
+    # union of an edge into n
+    _ps_with_a_repeat(monkeypatch, 4)
 
 
 def test_reduction_leaf_count_is_volume():
@@ -792,6 +789,8 @@ def test_linext_to_clique_rejects_non_extensions():
         (ext[:2] + ext[1:-1], f"{ext[1]!r} out of place"),  # repeated
         (ext[:-1], "regions missing"),  # truncated
         (ext[:-1] + ("z",), "'z' out of place"),  # unknown label
+        (5, "5"),  # not iterable
+        (None, "None"),
     ):
         with pytest.raises(InputError, match=re.escape(f"region poset: {why}") + "$"):
             linext_to_clique(pg, bad)
