@@ -209,6 +209,8 @@ def proctor_ehrhart(n, t):
     n, t = _integers((n, t), "matrix size and dilation factor must be integers")
     if t < 0:
         raise InputError("dilation factor must be nonnegative")
+    if n < 1:
+        raise InputError("matrix size must be positive")
     value = Fraction(1)
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):

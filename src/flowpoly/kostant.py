@@ -10,6 +10,7 @@ bounds every digit; tests assert the two agree.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Set
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import factorial
@@ -35,6 +36,9 @@ def compositions_colex(total, parts):
 
 
 def _check_netflow(g, netflow):
+    # a mapping would be read as its keys, and a set in its iteration order
+    if isinstance(netflow, (Mapping, Set)):
+        raise InputError("netflow must be a sequence, not a mapping or a set")
     if not hasattr(netflow, "__len__"):
         raise InputError("netflow entries must be integers")
     if len(netflow) != g.n:

@@ -297,9 +297,17 @@ def validate_staircase_partition(n, lam):
     return lam
 
 
+def _staircase_order(n):
+    """n as a staircase order: an integer, refused when negative."""
+    (n,) = _integers((n,), "staircase order must be an integer")
+    if n < 0:
+        raise InputError("staircase order must be nonnegative")
+    return n
+
+
 def staircase_cells(n, lam=()):
     """Cells (i, j) of the order-n staircase with lam removed from row ends."""
-    (n,) = _integers((n,), "staircase order must be an integer")
+    n = _staircase_order(n)
     lam = validate_staircase_partition(n, lam)
     cells = []
     for i in range(1, n):
@@ -329,7 +337,7 @@ def staircase_star(n):
 
 def staircase_syt_count(n):
     """Standard Young tableaux of staircase shape (n-1, ..., 1), hook product."""
-    (n,) = _integers((n,), "staircase order must be an integer")
+    n = _staircase_order(n)
     hooks = 1
     for k in range(1, n):
         hooks *= (2 * k - 1) ** (n - k)
@@ -341,7 +349,7 @@ def staircase_syt_count(n):
 
 def all_staircase_partitions(n):
     """Every partition fitting inside the order-n staircase."""
-    (n,) = _integers((n,), "staircase order must be an integer")
+    n = _staircase_order(n)
     results = []
 
     def extend(prefix, row):

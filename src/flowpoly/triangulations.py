@@ -11,9 +11,11 @@
   position b_1 + ... + b_{j-1} on, each extended by itself, and flow b_j.  A
   prefix is the AND of through[e] over its edges: the routes extending it,
   for through[e] the routes of g via e.  A prefix reaching n is one route,
-  so an edge into n keeps no block: the walk carries the union of those
-  routes and their number down to the leaf, whose mask is the union, and a
-  leaf is sound when #E - #V + 2 routes arrived and the union has as many
+  and so is one reaching n-1 when n-1 has a single out-edge, which every
+  prefix there goes on along.  So an edge into such a last vertex keeps no
+  block: the walk carries the union of those routes and their numbers down
+  to the leaf, emitted at n-1 when it is last, whose mask is the union, and
+  a leaf is sound when #E - #V + 2 routes arrived and the union has as many
   bits.  The windows are cached per vertex and number of arriving prefixes,
   and a leaf stays the mask of its routes until a caller decodes it;
 * clique ("dkk"): maximal sets of pairwise coherent routes, found by
@@ -29,7 +31,8 @@ in e, confirmed by that replay.  Matching the leaf masks of two framings by
 flow gives the framing-change bijection, decoded at the end.
 Masks are decoded in one pass: a mask's tuple takes its leading items, those
 above the highest bit where it differs from the previous mask, off the
-previous tuple, and the low rest is decoded once per distinct value.
+previous tuple, and the low rest is decoded once per distinct value, from
+the items of its 8-bit chunks, each chunk decoded once per pass.
 """
 
 from __future__ import annotations
@@ -156,29 +159,40 @@ def _ps_masks(g, framing):
 
     Tree choices at each vertex run in colex composition order, so leaves
     come ordered by their compositions, vertex 2 first, each in colex order.
-    Out-edge e takes the window ins[lo:hi]; for e into n, whose prefixes are
-    single routes, the walk ORs it into the union it carries and counts it,
-    and the leaf checks that #E - #V + 2 routes arrived, no two the same.
+    Out-edge e takes the window ins[lo:hi].  A prefix reaching n is a single
+    route, and so is one reaching n-1 when n-1 has one out-edge, for it goes
+    on along that edge; for e into such a last vertex the walk ORs the
+    window into the union it carries and counts it, k into n and k1 into
+    n-1.  The walk ends at the last vertex, where the one out-edge of n-1
+    takes flow k1 - 1, and the leaf checks that #E - #V + 2 routes arrived,
+    no two the same.
     """
     _validate_framed(g, framing)
     routes = enumerate_routes(g)
     through = _through(g, routes)
     n, expected = g.n, g.edge_count - g.n + 2
+    ones = g.out_edge_ids(n - 1) if n > 2 else ()
+    last = n - 1 if len(ones) == 1 else n  # where the walk emits its leaves
     blocks, flow = {}, [0] * g.edge_count
-    leaf = k = 0
+    leaf, counts = 0, [0, 0]  # the routes so far, and how many enter n and n-1
     for e in g.out_edge_ids(1):
-        if g.edges[e][1] == n:
-            leaf, k = leaf | through[e], k + 1
-        else:
+        head = g.edges[e][1]
+        if head < last:
             blocks[e] = [through[e]]
+        else:
+            leaf |= through[e]
+            counts[head < n] += 1
     masks, flows = [], []
     # (v, number of arriving prefixes) -> per composition, its deal steps
     # (out-edge, through mask, window lo, hi, flow), split by whether the
-    # out-edge enters n
+    # out-edge enters a last vertex, and the prefixes it adds to k and k1
     deals = {}
 
-    def descend(v, leaf, k):
-        if v == n:
+    def descend(v, leaf, k, k1):
+        if v == last:
+            if last < n:
+                flow[ones[0]] = k1 - 1
+            k += k1
             if k != expected or leaf.bit_count() != k:
                 raise InternalCheckError("leaf does not have #E - #V + 2 distinct routes")
             masks.append(leaf)
@@ -189,22 +203,26 @@ def _ps_masks(g, framing):
         if key not in deals:
             outs, deals[key] = framing.out_orders[v], []
             for tree in noncrossing_trees(len(ins), len(outs)):
-                dealt, joined = [], []
-                for e, window in zip(outs, _deal(tree.composition)):
-                    (joined if g.edges[e][1] == n else dealt).append((e, through[e], *window))
-                deals[key].append((dealt, joined))
-        for dealt, joined in deals[key]:
+                dealt, joined, added = [], [], [0, 0]
+                for e, (lo, hi, b) in zip(outs, _deal(tree.composition)):
+                    head = g.edges[e][1]
+                    if head < last:
+                        dealt.append((e, through[e], lo, hi, b))
+                    else:
+                        joined.append((e, through[e], lo, hi, b))
+                        added[head < n] += hi - lo
+                deals[key].append((dealt, joined, *added))
+        for dealt, joined, dk, dk1 in deals[key]:
             for e, t, lo, hi, b in dealt:
                 blocks[e] = [x & t for x in ins[lo:hi]]
                 flow[e] = b
-            union, count = leaf, k
+            union = leaf
             for e, t, lo, hi, b in joined:
                 union |= reduce(or_, ins[lo:hi]) & t
-                count += hi - lo
                 flow[e] = b
-            descend(v + 1, union, count)
+            descend(v + 1, union, k + dk, k1 + dk1)
 
-    descend(2, leaf, k)
+    descend(2, leaf, *counts)
     del descend  # breaks its self-reference, so the walk's state is freed on return
     return routes, masks, flows
 
@@ -392,16 +410,25 @@ def _decode(masks, items):
     Item i of k is bit k-1-i, so a mask's tuple begins with the items of the
     bits above the highest bit where it differs from the previous mask, which
     are read off the previous tuple; the rest, the low part, is decoded once
-    per distinct value.  Any order of the masks gives the same tuples.
+    per distinct value, 8 bits at a time from the top: the items of each
+    8-bit chunk, kept in place as low & (255 << s), are decoded once per
+    call.  Any order of the masks gives the same tuples.
     """
-    decoded, lows = [], {}
+    decoded, lows, chunks = [], {}, {}
     last, items_of_last = 0, ()
     for mask in masks:
         h = (mask ^ last).bit_length()
         low = mask & ((1 << h) - 1)
         tail = lows.get(low)
         if tail is None:
-            tail = lows[low] = _items(low, items)
+            tail = ()
+            for s in range((h - 1) & -8, -1, -8):  # the chunks below bit h, top first
+                chunk = low & (255 << s)
+                part = chunks.get(chunk)
+                if part is None:
+                    part = chunks[chunk] = _items(chunk, items)
+                tail += part
+            lows[low] = tail
         items_of_last = items_of_last[: (mask >> h).bit_count()] + tail
         last = mask
         decoded.append(items_of_last)

@@ -178,6 +178,8 @@ def test_dilation_count_rejects_bad_sizes(n):
         asm_dilation_count(n, (), 1)
     with pytest.raises(InputError, match="^matrix size must be positive$"):
         enumerate_asm(n)
+    with pytest.raises(InputError, match="^matrix size must be positive$"):
+        proctor_ehrhart(n, 2)
 
 
 @pytest.mark.parametrize("count", [asm_dilation_count, proctor_ehrhart], ids=["asm", "proctor"])

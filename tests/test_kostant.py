@@ -87,6 +87,22 @@ def test_non_integral_netflow_is_rejected():
         kostant_value(g, ("a", None))
 
 
+def test_unordered_netflow_is_rejected():
+    # a mapping would be read as its keys, a set in its iteration order; both
+    # are refused before their length or entries are read
+    g = complete_graph(4)
+    for netflow in (
+        {1: "a", 2: "b", 0: "c", -3: "d"},
+        {0: 1, 1: 0, 2: 0, 3: -1},
+        {1, 2, 0, -3},
+        frozenset((2, 0, -2)),
+        {0: 2, 3: -2}.keys(),
+    ):
+        for count in (kostant_value, enumerate_integer_flows):
+            with pytest.raises(InputError, match="^netflow must be a sequence, not a mapping or a set$"):
+                count(g, netflow)
+
+
 def test_dp_agrees_with_bruteforce_enumeration():
     cases = [
         (complete_graph(4), (2, 0, 0, -2)),

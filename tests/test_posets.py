@@ -49,10 +49,16 @@ def test_poset_rejects_cycles_and_redundant_covers():
         ),
         (lambda: skew_star(4, (-1,)), "partition parts must be nonnegative"),
         (lambda: skew_star(4, (0, 1)), "partition parts must be weakly decreasing"),
+        (lambda: staircase_syt_count(-1), "staircase order must be nonnegative"),
+        (lambda: staircase_cells(-1), "staircase order must be nonnegative"),
+        (lambda: skew_star(-2), "staircase order must be nonnegative"),
+        (lambda: staircase_star(-2), "staircase order must be nonnegative"),
+        (lambda: all_staircase_partitions(-1), "staircase order must be nonnegative"),
     ],
     ids=[
         "duplicate", "unknown-cover", "self-cover", "relation-cycle", "negative-m",
-        "negative-part", "zero-before-positive",
+        "negative-part", "zero-before-positive", "negative-syt-order", "negative-cells-order",
+        "negative-skew-order", "negative-staircase-order", "negative-partitions-order",
     ],
 )
 def test_refusals(build, message):
@@ -189,6 +195,15 @@ def test_all_staircase_partitions():
     parts = all_staircase_partitions(3)
     assert set(parts) == {(), (1,), (2,), (1, 1), (2, 1)}
     assert len(all_staircase_partitions(4)) == 14
+
+
+def test_staircase_orders_0_and_1_are_empty():
+    for n in (0, 1):
+        assert staircase_syt_count(n) == 1
+        assert staircase_cells(n) == ()
+        assert skew_star(n)[0].elements == staircase_star(n)[0].elements == ()
+    assert all_staircase_partitions(0) == []
+    assert all_staircase_partitions(1) == [()]
 
 
 def test_order_polytope_vertices_are_filters():

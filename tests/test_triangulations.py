@@ -199,6 +199,14 @@ REDUCTION_ORACLE_CASES = [
         ("f91", random_framing(complete_graph(n), 91)),
     )
 ] + [(name, pg.graph, pg.framing) for name, pg in planar_fixtures().items()]
+# the walk ends at n - 1 when n - 1 has one out-edge: on K3 that is the first
+# inner vertex; a second (5, 6) edge keeps K6's walk going down to n
+K6_TWO_56 = DirectedMultigraph(6, complete_graph(6).edges + ((5, 6),))
+REDUCTION_ORACLE_CASES += [
+    ("k3-id", complete_graph(3), id_order_framing(complete_graph(3))),
+    ("k6-two-56-id", K6_TWO_56, id_order_framing(K6_TWO_56)),
+    ("k6-two-56-f5", K6_TWO_56, random_framing(K6_TWO_56, 5)),
+]
 
 
 @pytest.mark.parametrize(
@@ -209,10 +217,12 @@ def test_reduction_matches_the_tuple_prefix_oracle(name, g, fr):
     assert [(leaf.routes, leaf.flow) for leaf in leaves] == _tuple_prefix_reduction(g, fr)
 
 
-def _ps_with_a_repeat(monkeypatch, vertex):
-    """ps_triangulation on K5 with the prefixes arriving at vertex ending in
-    their first one again, in place of the last, so some leaf has
-    #E - #V + 2 routes, one twice."""
+def _ps_with_a_repeat(monkeypatch, vertex, out_order=None):
+    """ps_triangulation on K6 with the prefixes arriving at vertex ending in
+    their first one again, in place of the last, and optionally vertex's
+    out-order replaced.  The first leaf deals every arriving prefix to the
+    first out-edge, at vertex and below it, so that edge's window holds the
+    first prefix twice and the leaf has #E - #V + 2 routes, one twice."""
     arriving = triangulations._arriving
 
     def repeating(framing, blocks, v):
@@ -220,22 +230,32 @@ def _ps_with_a_repeat(monkeypatch, vertex):
         return ins[:-1] + ins[:1] if v == vertex else ins
 
     monkeypatch.setattr(triangulations, "_arriving", repeating)
-    g = complete_graph(5)
+    g = complete_graph(6)
     fr = id_order_framing(g)
+    if out_order is not None:
+        fr = Framing(fr.in_orders, {**fr.out_orders, vertex: out_order})
     message = "leaf does not have #E - #V + 2 distinct routes"
     with pytest.raises(InternalCheckError, match=f"^{re.escape(message)}$"):
         ps_triangulation(g, fr)
 
 
 def test_leaf_refuses_a_repeated_route(monkeypatch):
-    # at vertex 3 the repeat can be dealt to edge (3, 4), which does not
-    # enter n, and carried down in its block
+    # vertex 3 deals the repeat to edge (3, 4), which enters neither 5 nor 6,
+    # so it is carried down in that edge's block
     _ps_with_a_repeat(monkeypatch, 3)
 
 
 def test_leaf_refuses_a_repeated_route_on_an_edge_into_n(monkeypatch):
-    # vertex 4 deals everything to edge (4, 5), so the repeat lands in the
+    # with (4, 6) first in the out-order of vertex 4, the repeat lands in the
     # union of an edge into n
+    g = complete_graph(6)
+    _ps_with_a_repeat(monkeypatch, 4, (g.edges.index((4, 6)), g.edges.index((4, 5))))
+
+
+def test_leaf_refuses_a_repeated_route_on_an_edge_into_n_minus_1(monkeypatch):
+    # vertex 4 deals the repeat to (4, 5); vertex 5 has the one out-edge
+    # (5, 6), so the walk keeps no block there and the repeat lands in the
+    # union it carries for the edges into n - 1
     _ps_with_a_repeat(monkeypatch, 4)
 
 
@@ -402,6 +422,36 @@ def mask_lists(draw):
 def test_decode_matches_per_mask_items(masks_and_items):
     # the decoder reads each mask against the previous one, so its order,
     # repeats and the empty mask must not change any tuple
+    masks, items = masks_and_items
+    assert triangulations._decode(masks, items) == [triangulations._items(m, items) for m in masks]
+
+
+@st.composite
+def wide_mask_lists(draw):
+    """Masks over 9 to 40 route-like items, so that a low part spans several
+    8-bit chunks, each drawn at random or as a neighbour of an earlier mask
+    with a few low bits flipped, in drawn, ascending or descending order."""
+    items = [(i, i + 1) for i in range(draw(st.integers(9, 40)))]
+    full = (1 << len(items)) - 1
+    masks = []
+    for _ in range(draw(st.integers(0, 30))):
+        if masks and draw(st.booleans()):
+            masks.append(draw(st.sampled_from(masks)) ^ draw(st.integers(0, 0xFFFF)) & full)
+        else:
+            masks.append(draw(st.integers(0, full)))
+    order = draw(st.sampled_from(["drawn", "ascending", "descending"]))
+    if order != "drawn":
+        masks.sort(reverse=order == "descending")
+    return masks, items
+
+
+@seed(0xDEC8)
+@settings(max_examples=60, deadline=2000)
+@given(wide_mask_lists())
+@example(([(1 << 40) - 1, 0xFF00FF00FF, 0x00FF00FF00, 0xFF00FF00FF, 0], [(i, i + 1) for i in range(40)]))
+def test_decode_matches_per_mask_items_across_8_bit_chunks(masks_and_items):
+    # a missed low part is read 8 bits at a time from a per-call memo of
+    # chunks, so one chunk value at two shifts must give two item runs
     masks, items = masks_and_items
     assert triangulations._decode(masks, items) == [triangulations._items(m, items) for m in masks]
 
