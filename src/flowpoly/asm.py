@@ -59,6 +59,8 @@ def is_asm(m):
 def zero_pattern(n, lam=()):
     """Forced-zero cells of P_lambda(n): the lower band and lambda's cells."""
     (n,) = _integers((n,), "matrix size must be an integer")
+    if n < 1:
+        raise InputError("matrix size must be positive")
     lam = validate_staircase_partition(n, lam)
     zeros = {(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i - j >= 2}
     for i, part in enumerate(lam, start=1):
@@ -175,9 +177,7 @@ def asm_dilation_count(n, lam, t):
     n, t = _integers((n, t), "matrix size and dilation factor must be integers")
     if t < 0:
         raise InputError("dilation factor must be nonnegative")
-    if n < 1:
-        raise InputError("matrix size must be positive")
-    free, done = _free_cells(n, zero_pattern(n, lam))
+    free, done = _free_cells(n, zero_pattern(n, lam))  # refuses n < 1
     base = t + 2
     place = [base**j for j in range(n + 1)]
     row = place[n]

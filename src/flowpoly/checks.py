@@ -17,7 +17,7 @@ from .planar import (
     _ideal_routes, dual_poset, flow_to_order_point, order_to_flow_point, poset_to_flow_graph
 )
 from .posets import (
-    _chain_sums, _ideal_vertices, _lattice, all_staircase_partitions, linear_extensions,
+    _chain_sums, _ideal_vertices, all_staircase_partitions, linear_extensions,
     order_polynomial, staircase_star,
 )
 from .triangulations import (
@@ -37,7 +37,7 @@ def transported_canonical_triangulation(pg):
     filter indicator of an ideal, becomes the unit flow of its route."""
     poset, routes, route_of = _ideal_routes(pg)
     flow = {m: route_flow_vector(pg.graph, routes[i]) for m, i in route_of.items()}
-    return _chain_sums(_lattice(poset._below), (flow[0],), lambda i, up: (flow[up],))
+    return _chain_sums(poset, (flow[0],), lambda i, up: (flow[up],))
 
 
 def _thm2(pg):
@@ -45,7 +45,7 @@ def _thm2(pg):
     both as masks over its route index."""
     poset, routes, route_of = _ideal_routes(pg)
     bit = {m: 1 << (len(routes) - 1 - i) for m, i in route_of.items()}
-    canonical = _chain_sums(_lattice(poset._below), bit[0], lambda i, up: bit[up])
+    canonical = _chain_sums(poset, bit[0], lambda i, up: bit[up])
     return set(canonical), set(_clique_masks(pg.graph, pg.framing)[2])
 
 

@@ -31,7 +31,6 @@ from .planar import arc_diagram
 from .posets import (
     _chain_sums,
     _ideal_vertices,
-    _lattice,
     count_linear_extensions,
     order_ideals,
     order_polynomial,
@@ -220,7 +219,7 @@ def triangulate(path, method, framing_spec, check):
         vertex = _ideal_vertices(p)
         vertices = sorted(vertex.values())
         bit = {v: 1 << len(vertices) - 1 - i for i, v in enumerate(vertices)}
-        masks = _chain_sums(_lattice(p._below), bit[vertex[0]], lambda i, up: bit[vertex[up]])
+        masks = _chain_sums(p, bit[vertex[0]], lambda i, up: bit[vertex[up]])
         volume = count_linear_extensions(p)
     else:
         g, framing = graph_from_json(data)

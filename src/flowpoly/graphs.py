@@ -229,6 +229,10 @@ def enumerate_routes(g):
 
 
 def route_vertices(g, route):
+    """The vertices along route, edge ids of g joined head to tail, else ContractError."""
+    route = _integers(route, "route edge ids must be integers")
+    if not route or not all(0 <= e < len(g.edges) for e in route):
+        raise ContractError(f"edge sequence {route} is not a path")
     verts = [g.edges[route[0]][0]]
     for e in route:
         tail, head = g.edges[e]
@@ -285,6 +289,7 @@ def _coherent(p, q):
 
 def coherent(g, framing, p, q):
     """True iff routes p and q are coherent at every common inner vertex."""
+    Framing.validate(g, framing)
     return _coherent(_passes(g, framing, p), _passes(g, framing, q))
 
 

@@ -4,10 +4,10 @@ A poset holds its order once, as int bitmasks (bit i is elements[i]): per
 element the mask of the elements strictly below it, closed by a Warshall
 pass when the poset is built.  The order queries, the cover checks and the
 cover extraction of from_relations read those masks, and so does the Hasse
-diagram of J(P), built once per call: per ideal mask its steps up.  e(P) is
-a forward DP over it, the order polynomial repeated zeta transforms over its
-ideals, and one walk of its maximal chains, summing a weight per step, lists
-the linear extensions and the canonical simplices (vertices, route masks).
+diagram of J(P), built once per poset, on first use: per ideal mask its
+steps up.  e(P) is a forward DP over it, the order polynomial zeta transforms
+read off its steps, and one walk of its maximal chains, summing a weight per
+step, lists the linear extensions and the canonical simplices (vertices, masks).
 
 Skew-staircase posets carry cell labels (i, j); their partial order is
 p_{ij} <= p_{i'j'} iff i >= i' and j <= j'.  Every builder returns its
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb, factorial
 
 from .errors import InputError, _integers
@@ -52,6 +53,20 @@ class Poset:
         # not fields, so eq, hash and repr ignore them
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_below", tuple(below))
+
+    @cached_property
+    def _lattice(self):
+        """J(P)'s Hasse diagram, shared by its readers, which never change it: per
+        ideal mask m, by size and then by sorted element indices, its steps (i, m | 1 << i)
+        up, ascending in i, one per element i outside m whose lower set is in m."""
+        lattice, level, below = {}, [0], self._below
+        while level:
+            for m in level:
+                lattice[m] = [
+                    (i, m | 1 << i) for i, b in enumerate(below) if not m >> i & 1 and not b & ~m
+                ]
+            level = sorted({up for m in level for _, up in lattice[m]}, key=_indices)
+        return lattice
 
     def _bit(self, x):
         try:
@@ -123,30 +138,16 @@ def _indices(mask):
 
 
 # ---------------------------------------------------------------------------
-# the ideal lattice J(P) and its maximal chains, on the same masks
+# the readers of J(P), Poset._lattice: its ideals and its maximal chains
 
 
-def _lattice(below):
-    """The Hasse diagram of J(P): per ideal mask, by size and then by sorted
-    element indices, its steps (i, mask | 1 << i) up, ascending in i, one
-    per element i outside the ideal whose lower set is in it."""
-    lattice, level = {}, [0]
-    while level:
-        for m in level:
-            lattice[m] = [
-                (i, m | 1 << i) for i, b in enumerate(below) if not m >> i & 1 and not b & ~m
-            ]
-        level = sorted({up for m in level for _, up in lattice[m]}, key=_indices)
-    return lattice
-
-
-def _chain_sums(lattice, start, weigh):
-    """Per maximal chain of the lattice, in linear_extensions order, start
+def _chain_sums(p, start, weigh):
+    """Per maximal chain of J(P), in linear_extensions order, start
     plus weigh(i, up) over its steps (i, up), each step weighed once: 1-tuples
     add up to sequences, ints to masks when no two ideals share a bit
     (planar._ideal_routes refuses two ideals with one route)."""
-    weighted = {m: [] for m in lattice}
-    for m, steps in lattice.items():
+    weighted = {m: [] for m in p._lattice}
+    for m, steps in p._lattice.items():
         weighted[m].extend((weighted[up], weigh(i, up)) for i, up in steps)
     out = []
 
@@ -165,21 +166,20 @@ def _chain_sums(lattice, start, weigh):
 def _ideal_vertices(p):
     """Per ideal mask, the 0/1 indicator of the complementary filter."""
     n = len(p.elements)
-    return {m: tuple(int(not m >> i & 1) for i in range(n)) for m in _lattice(p._below)}
+    return {m: tuple(int(not m >> i & 1) for i in range(n)) for m in p._lattice}
 
 
 def linear_extensions(p):
     """All linear extensions, lexicographic in element-index order."""
     elements = p.elements
-    return _chain_sums(_lattice(p._below), (), lambda i, up: (elements[i],))
+    return _chain_sums(p, (), lambda i, up: (elements[i],))
 
 
 def count_linear_extensions(p):
     """e(P): maximal chains of the ideal lattice, counted upward by size."""
-    lattice = _lattice(p._below)
-    chains = dict.fromkeys(lattice, 0)
+    chains = dict.fromkeys(p._lattice, 0)
     chains[0] = 1
-    for ideal, steps in lattice.items():
+    for ideal, steps in p._lattice.items():
         c = chains[ideal]
         for _, up in steps:
             chains[up] += c
@@ -188,7 +188,7 @@ def count_linear_extensions(p):
 
 def order_ideals(p):
     """All down-closed subsets, by size and then by sorted element indices."""
-    return [frozenset(p.elements[i] for i in _indices(m)) for m in _lattice(p._below)]
+    return [frozenset(p.elements[i] for i in _indices(m)) for m in p._lattice]
 
 
 def order_polytope_vertices(p):
@@ -209,15 +209,14 @@ def order_polynomial(p, m):
         raise InputError("order polynomial argument must be nonnegative")
     if m == 0:
         return 1 if not p.elements else 0
-    below = p._below
-    position = {ideal: k for k, ideal in enumerate(_lattice(below))}
-    # a < b gives |below(a)| < |below(b)|, so sorting by it is a linear extension
-    pairs = [
-        (position[ideal], position[ideal ^ 1 << i])
-        for i in sorted(range(len(below)), key=lambda i: below[i].bit_count())
-        for ideal in position
-        if ideal >> i & 1 and ideal ^ 1 << i in position
-    ]
+    position = {ideal: k for k, ideal in enumerate(p._lattice)}
+    # a step up by e joins the ideals with e maximal; e's first step leaves its lower set,
+    # and a < b gives |below(a)| < |below(b)|, so the elements enter joins in a linear extension
+    joins = {}
+    for ideal, steps in p._lattice.items():
+        for i, up in steps:
+            joins.setdefault(i, []).append((position[up], position[ideal]))
+    pairs = [pair for steps in joins.values() for pair in steps]
     weights = [1] * len(position)
     for _ in range(m - 1):
         for k, j in pairs:
@@ -353,7 +352,7 @@ def all_staircase_partitions(n):
     results = []
 
     def extend(prefix, row):
-        if row == n:
+        if row >= n:  # row 1 ends the walk for order 0 too
             results.append(tuple(x for x in prefix if x))
             return
         hi = min(n - row, prefix[-1] if prefix else n)

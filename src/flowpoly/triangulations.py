@@ -55,7 +55,7 @@ from .graphs import (
 )
 from .kostant import compositions_colex
 from .planar import BOTTOM, _upper_boundary
-from .posets import _chain_sums, _ideal_vertices, _lattice, linear_extensions
+from .posets import _chain_sums, _ideal_vertices, linear_extensions
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +76,7 @@ def canonical_triangulation(p):
     filter indicators along its chain of ideals, one shared tuple per ideal.
     """
     vertex = _ideal_vertices(p)
-    vertices = _chain_sums(_lattice(p._below), (vertex[0],), lambda i, up: (vertex[up],))
+    vertices = _chain_sums(p, (vertex[0],), lambda i, up: (vertex[up],))
     return list(map(CanonicalSimplex, linear_extensions(p), vertices))
 
 

@@ -1,6 +1,8 @@
+import ast
 import re
 import types
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +31,7 @@ from flowpoly import (
 )
 from flowpoly.asm import enumerate_asm, zero_pattern
 from flowpoly.geometry import hermite_row_basis
+from flowpoly.graphs import route_vertices
 from flowpoly.posets import all_staircase_partitions
 
 PUBLIC_NAMES = {
@@ -157,6 +160,7 @@ INTEGER_ARGUMENTS = {
     "parallel-edges": (parallel_edges, "edge count must be an integer"),
     "noncrossing-left": (lambda x: noncrossing_trees(x, 1), SIDES),
     "noncrossing-right": (lambda x: noncrossing_trees(2, x), SIDES),
+    "route-id": (lambda x: route_vertices(K4, (x,)), "route edge ids must be integers"),
 }
 
 
@@ -167,3 +171,35 @@ def test_integer_arguments_follow_one_rule(name):
         with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
             call(x)
     assert call(2.0) == call(Fraction(4, 2)) == call(2)
+
+
+def _unused_imports(source):
+    """Names a module imports and never reads; from __future__ imports aside."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_unused_imports_are_found():
+    source = "from __future__ import annotations\nimport os, sys as s\nfrom .a import b, c\nc(os)\n"
+    assert _unused_imports(source) == [(2, "s"), (3, "b")]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # the package's __init__ imports its public names to export them
+    modules = sorted(Path(flowpoly.__file__).parent.glob("*.py"))
+    unused = {
+        path.name: found
+        for path in modules
+        if path.name != "__init__.py" and (found := _unused_imports(path.read_text()))
+    }
+    assert len(modules) > 10
+    assert unused == {}

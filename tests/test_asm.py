@@ -180,6 +180,15 @@ def test_dilation_count_rejects_bad_sizes(n):
         enumerate_asm(n)
     with pytest.raises(InputError, match="^matrix size must be positive$"):
         proctor_ehrhart(n, 2)
+    with pytest.raises(InputError, match="^matrix size must be positive$"):
+        zero_pattern(n)
+
+
+def test_empty_matrix_is_refused_through_the_zero_pattern():
+    with pytest.raises(InputError, match="^matrix size must be positive$"):
+        validate_in_p_lambda(0, (), [])
+    with pytest.raises(InputError, match="^matrix size must be positive$"):
+        corner_sum_map(0, (), [])
 
 
 @pytest.mark.parametrize("count", [asm_dilation_count, proctor_ehrhart], ids=["asm", "proctor"])

@@ -149,6 +149,32 @@ def test_coherent_rejects_a_non_path_route():
         coherent(g, fr, (0, 1), (0, 2))
 
 
+@pytest.mark.parametrize("route", [(-1,), (), (9,), (0, 6)])
+def test_a_route_id_outside_the_edges_is_not_a_path(route):
+    g = complete_graph(4)
+    with pytest.raises(ContractError, match="is not a path"):
+        route_vertices(g, route)
+    with pytest.raises(ContractError, match="is not a path"):
+        coherent(g, id_order_framing(g), route, (2,))
+
+
+@pytest.mark.parametrize("route", [("a",), (0.5,), 5, [1.0, "2"]])
+def test_route_ids_follow_the_integer_rule(route):
+    with pytest.raises(InputError, match="^route edge ids must be integers$"):
+        route_vertices(complete_graph(4), route)
+
+
+def test_route_ids_that_are_integral_numbers_are_read_as_ints():
+    g = complete_graph(4)
+    assert route_vertices(g, [0.0, 4]) == route_vertices(g, (0, 4)) == (1, 2, 4)
+
+
+def test_coherent_checks_its_framing():
+    g = complete_graph(4)
+    with pytest.raises(InputError, match="does not list its edges exactly once"):
+        coherent(g, Framing({}, {}), (2,), (0, 3, 5))
+
+
 def test_coherence_is_symmetric():
     g = complete_graph(5)
     fr = random_framing(g, 3)

@@ -1,6 +1,10 @@
+import copy
+import functools
 import itertools
+import pickle
 import random
 import re
+from math import comb
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -195,6 +199,10 @@ def test_all_staircase_partitions():
     parts = all_staircase_partitions(3)
     assert set(parts) == {(), (1,), (2,), (1, 1), (2, 1)}
     assert len(all_staircase_partitions(4)) == 14
+    # Catalan(n) partitions; the empty one fits the order-0 staircase too
+    assert [len(all_staircase_partitions(n)) for n in range(8)] == [
+        comb(2 * n, n) // (n + 1) for n in range(8)
+    ]
 
 
 def test_staircase_orders_0_and_1_are_empty():
@@ -202,7 +210,7 @@ def test_staircase_orders_0_and_1_are_empty():
         assert staircase_syt_count(n) == 1
         assert staircase_cells(n) == ()
         assert skew_star(n)[0].elements == staircase_star(n)[0].elements == ()
-    assert all_staircase_partitions(0) == []
+    assert all_staircase_partitions(0) == [()]
     assert all_staircase_partitions(1) == [()]
 
 
@@ -302,3 +310,63 @@ def test_ideal_kernel_matches_brute_force(case):
         assert s.vertices == tuple(
             tuple(int(e in s.extension[j:]) for e in elements) for j in range(len(elements) + 1)
         )
+
+
+# ---------------------------------------------------------------------------
+# J(P) belongs to its poset: built once, on first use, and never changed
+
+READERS = {
+    "order_polynomial": lambda p: [order_polynomial(p, m) for m in range(1, 5)],
+    "count_linear_extensions": count_linear_extensions,
+    "linear_extensions": linear_extensions,
+    "order_ideals": order_ideals,
+    "order_polytope_vertices": order_polytope_vertices,
+    "canonical_triangulation": canonical_triangulation,
+}
+
+
+def test_one_poset_builds_its_ideal_lattice_once(monkeypatch):
+    build, builds = Poset._lattice.func, []
+
+    def counted(p):
+        builds.append(p.elements)
+        return build(p)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(Poset, "_lattice")
+    monkeypatch.setattr(Poset, "_lattice", prop)
+    p, _ = skew_star(5, (2,))
+    for read in READERS.values():
+        read(p)
+    assert builds == [p.elements]
+
+
+def test_readers_leave_the_ideal_lattice_unchanged():
+    p, _ = skew_star(5, (1,))
+    lattice = p._lattice
+    before = copy.deepcopy(lattice)
+    for read in READERS.values():
+        read(p)
+    assert p._lattice is lattice and lattice == before
+
+
+def test_a_built_lattice_keeps_eq_hash_repr_and_pickling():
+    p, twin = zigzag(5)[0], zigzag(5)[0]
+    key = (hash(p), repr(p))
+    count_linear_extensions(p)
+    assert "_lattice" in vars(p) and "_lattice" not in vars(twin)
+    assert p == twin and (hash(p), repr(p)) == key == (hash(twin), repr(twin))
+    clone = pickle.loads(pickle.dumps(p))
+    assert clone == p and (hash(clone), repr(clone)) == key
+    assert clone._lattice == p._lattice and order_ideals(clone) == order_ideals(p)
+
+
+@seed(0x1A77)
+@settings(max_examples=40, deadline=2000)
+@given(shuffled_posets(max_size=6), st.permutations(sorted(READERS)))
+def test_readers_agree_on_a_warmed_and_a_fresh_poset(case, order):
+    _, p = case
+    for name in order:  # warms p, readers in a drawn order
+        READERS[name](p)
+    for name, read in READERS.items():
+        assert read(p) == read(Poset(p.elements, p.covers)), name
