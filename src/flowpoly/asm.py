@@ -82,10 +82,12 @@ def _free_cells(n, zeros):
 def enumerate_asm(n, zeros=frozenset()):
     """All n x n alternating sign matrices (with optional forced zeros).
 
-    A depth-first walk over the free cells in row-major order, with the
-    entry range of asm_dilation_count at t = 1: every partial row and
-    column sum stays in [0, 1].  A row ends at sum 1, and so does every
-    column whose sum is final after it.
+    A depth-first walk over the free cells in row-major order that tries
+    every entry keeping each partial row and column sum in [0, 1], and
+    keeps a row that ends at sum 1 with every column whose sum is final
+    after it also at 1.  It fixes no entry ahead, unlike
+    asm_dilation_count, so it stays an independent oracle for that DP at
+    t = 1.
     """
     (n,) = _integers((n,), "matrix size must be an integer")
     if n < 1:
@@ -132,10 +134,11 @@ def p_lambda_vertices(n, lam=()):
 
 def validate_in_p_lambda(n, lam, m):
     """Membership test for (rational) matrices in P_lambda(n)."""
+    zeros = zero_pattern(n, lam)  # refuses n < 1 before the shape check
     if len(m) != n or any(len(row) != n for row in m):
         raise InputError(f"matrix is not {n}x{n}")
     m = tuple(tuple(Fraction(_exact(x)) for x in row) for row in m)
-    failure = _membership_failure(m, zero_pattern(n, lam))
+    failure = _membership_failure(m, zeros)
     if failure:
         raise InputError(failure)
     return m
@@ -170,9 +173,13 @@ def asm_dilation_count(n, lam, t):
     The state is one int in base B = t + 2: digit j holds column j's
     partial sum and digit n the row's partial sum.  The entry range keeps
     every partial sum in [0, t], so no digit carries; an entry a adds
-    a * (B^j + B^n).  At the end of a row only states whose row sum is t
-    survive, and a column whose last free cell was in that row must be at
-    t.  The answer is the count of the all-t state.
+    a * (B^j + B^n).  The last free cell of a row takes t - r, and the last
+    free cell of a column t - c, for partial sums r and c: a state is kept
+    only if that entry is in range (c <= r at a row's last cell, r <= c at
+    a column's, c = r at a cell that is both), so every state can close.
+    At the end of a row its sum is t and the row digit restarts at 0; a row
+    or column with no free cell never reaches t.  The answer is the count
+    of the all-t state.
     """
     n, t = _integers((n, t), "matrix size and dilation factor must be integers")
     if t < 0:
@@ -181,26 +188,26 @@ def asm_dilation_count(n, lam, t):
     base = t + 2
     place = [base**j for j in range(n + 1)]
     row = place[n]
+    full = t * row
     states = {0: 1}
     for i in range(1, n + 1):
         for j in free[i]:
             col, step = place[j], place[j] + row
+            # where the cell ends its row (column) its lowest entry is t - r
+            # (t - c), the one entry that brings that sum to t
+            row_end, col_end = t * (j == free[i][-1]), t * (j in done[i])
             advanced = {}
             get = advanced.get
             for key, k in states.items():
                 c, r = key // col % base, key // row
-                # min and max of (c, r), without two builtin calls per state
-                low, high = (c, r) if c < r else (r, c)
-                for nxt in range(key - low * step, key + (t - high) * step + 1, step):
+                # the entry range, without two builtin calls per state
+                low = row_end - r if row_end - r > col_end - c else col_end - c
+                high = c if c > r else r
+                for nxt in range(key + low * step, key + (t - high) * step + 1, step):
                     advanced[nxt] = get(nxt, 0) + k
             states = advanced
-        # drop the row sum, which must be t, to start the next row at 0
-        full = t * row
-        states = {
-            key - full: k
-            for key, k in states.items()
-            if key // row == t and all(key // place[j] % base == t for j in done[i])
-        }
+        # drop the row sum, t unless the row has no free cell
+        states = {key - full: k for key, k in states.items() if key // row == t}
     return states.get(t * sum(place[:n]), 0)
 
 

@@ -229,17 +229,18 @@ def enumerate_routes(g):
 
 
 def route_vertices(g, route):
-    """The vertices along route, edge ids of g joined head to tail, else ContractError."""
+    """The vertices along route, edge ids of g joined head to tail from 1 to
+    n, else ContractError."""
     route = _integers(route, "route edge ids must be integers")
-    if not route or not all(0 <= e < len(g.edges) for e in route):
-        raise ContractError(f"edge sequence {route} is not a path")
-    verts = [g.edges[route[0]][0]]
+    verts = [1]
     for e in route:
-        tail, head = g.edges[e]
-        if tail != verts[-1]:
-            raise ContractError(f"edge sequence {route} is not a path")
-        verts.append(head)
-    return tuple(verts)
+        if not (0 <= e < len(g.edges) and g.edges[e][0] == verts[-1]):
+            break
+        verts.append(g.edges[e][1])
+    else:
+        if route and verts[-1] == g.n:
+            return tuple(verts)
+    raise ContractError(f"edge sequence {route} is not a path from 1 to {g.n}")
 
 
 def route_flow_vector(g, route):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -154,8 +155,9 @@ def _dilated_matrices(n, lam, t):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_dilation_count_matches_plain_enumeration(n):
+    # at n <= 3, t = 4, 5 reach cells that are last in their row and column
     for lam in all_staircase_partitions(n):
-        for t in range(4):
+        for t in range(6 if n <= 3 else 4):
             assert asm_dilation_count(n, lam, t) == len(_dilated_matrices(n, lam, t))
 
 
@@ -164,6 +166,38 @@ def test_dilation_count_at_zero_matches_plain_enumeration(n):
     # t = 0 is the smallest radix of the packed state
     for lam in all_staircase_partitions(n):
         assert asm_dilation_count(n, lam, 0) == len(_dilated_matrices(n, lam, 0)) == 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_dilation_count_is_proctors_polynomial(n):
+    # d + 1 values fix a polynomial of degree d = C(n, 2)
+    for t in range(comb(n, 2) + 1):
+        assert asm_dilation_count(n, (), t) == proctor_ehrhart(n, t)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_dilation_count_is_the_order_polynomial(n):
+    for lam in all_staircase_partitions(n):
+        poset, _ = skew_star(n, lam)
+        for t in range(comb(n, 2) - sum(lam) + 1):
+            assert asm_dilation_count(n, lam, t) == order_polynomial(poset, t + 1)
+
+
+def test_dilation_count_uses_no_poset_flow_graph_or_corner_sums(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the ASM DP called another model")
+
+    models = ("order_polynomial", "skew_star", "poset_to_flow_graph", "flow_ehrhart_value", "corner_sum_map")
+    for name in models:
+        monkeypatch.setattr(asm, name, refuse)
+    for t in range(7):
+        assert asm_dilation_count(4, (), t) == proctor_ehrhart(4, t)
+
+
+@pytest.mark.parametrize("zeros", [{(1, 1), (1, 2)}, {(1, 1), (2, 1)}], ids=["row", "column"])
+def test_a_line_with_no_free_cell_counts_zero_above_t_zero(monkeypatch, zeros):
+    monkeypatch.setattr(asm, "zero_pattern", lambda n, lam: zeros)
+    assert [asm_dilation_count(2, (), t) for t in range(4)] == [1, 0, 0, 0]
 
 
 def test_dilation_count_at_one_counts_vertices():
@@ -185,10 +219,11 @@ def test_dilation_count_rejects_bad_sizes(n):
 
 
 def test_empty_matrix_is_refused_through_the_zero_pattern():
-    with pytest.raises(InputError, match="^matrix size must be positive$"):
-        validate_in_p_lambda(0, (), [])
-    with pytest.raises(InputError, match="^matrix size must be positive$"):
-        corner_sum_map(0, (), [])
+    for n in (0, -1, -2):
+        with pytest.raises(InputError, match="^matrix size must be positive$"):
+            validate_in_p_lambda(n, (), [])
+        with pytest.raises(InputError, match="^matrix size must be positive$"):
+            corner_sum_map(n, (), [])
 
 
 @pytest.mark.parametrize("count", [asm_dilation_count, proctor_ehrhart], ids=["asm", "proctor"])

@@ -158,6 +158,15 @@ def test_a_route_id_outside_the_edges_is_not_a_path(route):
         coherent(g, id_order_framing(g), route, (2,))
 
 
+@pytest.mark.parametrize("route", [(5,), (3,), (3, 5), (0,), (0, 3)])
+def test_a_path_that_does_not_run_from_1_to_n_is_not_a_route(route):
+    g = complete_graph(4)
+    with pytest.raises(ContractError, match="^edge sequence .* is not a path from 1 to 4$"):
+        route_vertices(g, route)
+    with pytest.raises(ContractError, match="is not a path"):
+        coherent(g, id_order_framing(g), route, (0, 3, 5))
+
+
 @pytest.mark.parametrize("route", [("a",), (0.5,), 5, [1.0, "2"]])
 def test_route_ids_follow_the_integer_rule(route):
     with pytest.raises(InputError, match="^route edge ids must be integers$"):
