@@ -82,6 +82,7 @@ def _free_cells(n, zeros):
 def enumerate_asm(n, zeros=frozenset()):
     """All n x n alternating sign matrices (with optional forced zeros).
 
+    zeros holds cells (i, j), 1 <= i, j <= n; anything else is refused.
     A depth-first walk over the free cells in row-major order that tries
     every entry keeping each partial row and column sum in [0, 1], and
     keeps a row that ends at sum 1 with every column whose sum is final
@@ -92,6 +93,13 @@ def enumerate_asm(n, zeros=frozenset()):
     (n,) = _integers((n,), "matrix size must be an integer")
     if n < 1:
         raise InputError("matrix size must be positive")
+    message = f"zeros must be cells (i, j) with 1 <= i, j <= {n}"
+    try:
+        zeros = {_integers(cell, message) for cell in zeros}
+    except TypeError:  # zeros is not iterable
+        raise InputError(message) from None
+    if any(len(cell) != 2 or not (0 < cell[0] <= n and 0 < cell[1] <= n) for cell in zeros):
+        raise InputError(message)
     free, done = _free_cells(n, zeros)
     rows = [[0] * n for _ in range(n)]
     cols = [0] * n

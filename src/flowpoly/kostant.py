@@ -5,16 +5,20 @@ count K_G(a) is implemented twice: by explicit backtracking enumeration and
 by a forward transfer DP over the vertices, whose state is the supply still
 to place and the inflows still owed to later vertices, packed into one int
 as digits in base S + 2, S the sum of the positive netflow entries, which
-bounds every digit; tests assert the two agree.
+bounds every digit; tests assert the two agree.  An edge's shares move a
+state along a line of states down to supply 0, so the DP walks each line
+once and keeps a running sum, rather than sending each state to every
+point below it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, Set
 from fractions import Fraction
+from functools import cache
 from itertools import combinations_with_replacement
 from math import factorial
-from operator import sub
+from operator import itemgetter, sub
 
 from .errors import ContractError, InputError, _integers
 from .graphs import require_pruned
@@ -52,31 +56,44 @@ def _check_netflow(g, netflow):
 def enumerate_integer_flows(g, netflow):
     """All nonnegative integer edge flows with the given netflow vector.
 
-    Backtracks over vertices 1..n in order, distributing the required
-    outflow at each vertex over its out-edges; result sorted canonically
-    by the per-edge value tuple.
+    Backtracks over vertices 1..n in order, distributing the supply at each
+    vertex (its netflow plus the inflow its in-edges carry so far) over its
+    out-edges.  Each flow is a dict keyed by every edge id, vertex by vertex
+    in out-edge order; the list is sorted by the per-edge value tuple.
     """
     netflow = _check_netflow(g, netflow)
+    n = g.n
+    outs = [g.out_edge_ids(v) for v in range(n + 1)]  # index 0 unused
+    order = [e for out in outs for e in out]
+    heads = [[g.edges[e][1] for e in out] for out in outs]
+    compositions = cache(compositions_colex)
+    inflow = [0] * (n + 1)
+    values = [0] * len(order)
     flows = []
-    assignment = {}
 
-    def walk(v):
-        supply = netflow[v - 1] + sum(assignment[e] for e in g.in_edge_ids(v))
-        if v == g.n:
+    def walk(v, pos):
+        supply = netflow[v - 1] + inflow[v]
+        if v == n:
             if supply == 0:
-                flows.append(dict(assignment))
+                flows.append(tuple(values))
             return
-        outs = g.out_edge_ids(v)
-        if supply < 0 or (supply > 0 and not outs):
+        stop = pos + len(outs[v])
+        if supply < 0 or (supply > 0 and pos == stop):
             return
-        for comp in compositions_colex(supply, len(outs)):
-            assignment.update(zip(outs, comp))
-            walk(v + 1)
+        for comp in compositions(supply, stop - pos):
+            values[pos:stop] = comp
+            for h, a in zip(heads[v], comp):
+                inflow[h] += a
+            walk(v + 1, stop)
+            for h, a in zip(heads[v], comp):
+                inflow[h] -= a
 
-    walk(1)
+    walk(1, 0)
     del walk  # breaks its self-reference, so the walk's state is freed on return
-    flows.sort(key=lambda fl: tuple(fl.get(e, 0) for e in range(len(g.edges))))
-    return flows
+    if len(flows) > 1:  # then g has two edges or more, and itemgetter gives tuples
+        position = {e: i for i, e in enumerate(order)}
+        flows.sort(key=itemgetter(*(position[e] for e in range(g.edge_count))))
+    return [dict(zip(order, fl)) for fl in flows]
 
 
 def kostant_value(g, netflow):
@@ -94,6 +111,16 @@ def kostant_value(g, netflow):
     n subtracts a, since vertex n's inflow is not kept: with a balanced
     netflow it is fixed by the others.  Moving on to vertex v + 1 divides
     the state by B.
+
+    The shares 0..s of a state with supply s reach the points key + a * step
+    of its line, which ends at supply 0; each state on a line reaches every
+    point below it there.  So the new count at a point is the sum of the
+    old counts at or above it on its line.  Taking the states in the step's
+    direction (descending keys for the step -1 into n) meets each line's
+    top state first; one walk from there down to supply 0 writes that
+    running sum at every point, and the line's other states are skipped.
+    The order saves work and nothing else: no walk reaches a top state, so
+    its walk is the last on its line in any order.
     """
     netflow = _check_netflow(g, netflow)
     n = g.n
@@ -113,15 +140,20 @@ def kostant_value(g, netflow):
         for idx, h in enumerate(heads):
             step = (place[h - v] if h < n else 0) - 1
             advanced = {}
-            get = advanced.get
             if idx == len(heads) - 1:
+                get = advanced.get
                 for key, k in states.items():
                     nxt = key + key % base * step
                     advanced[nxt] = get(nxt, 0) + k
             else:
-                for key, k in states.items():
-                    for nxt in range(key, key + (key % base + 1) * step, step):
-                        advanced[nxt] = get(nxt, 0) + k
+                # a key that an earlier walk wrote lies on a line walked already
+                get = states.get
+                for key in sorted(states, reverse=step < 0):
+                    if key not in advanced:
+                        total = 0
+                        for nxt in range(key, key + (key % base + 1) * step, step):
+                            total += get(nxt, 0)
+                            advanced[nxt] = total
             states = advanced
         states = {key // base: k for key, k in states.items()}
     return sum(states.values())

@@ -120,6 +120,27 @@ def test_criterion_03_ehrhart_triple_oracle(capsys):
     _report(capsys, 3, "dilation = order polynomial = flow Ehrhart (+ product)", bad)
 
 
+def test_flow_ehrhart_values_are_the_order_polynomial():
+    # the flow side of criterion 03 in full: d + 1 values fix the degree-d
+    # Ehrhart polynomial, d = C(n, 2) - |lam|
+    from flowpoly.planar import poset_to_flow_graph
+
+    for n in range(1, 6):
+        for lam in all_staircase_partitions(n):
+            poset, emb = skew_star(n, lam)
+            g = poset_to_flow_graph(poset, emb).graph
+            for t in range(comb(n, 2) - sum(lam) + 1):
+                assert flow_ehrhart_value(g, t) == order_polynomial(poset, t + 1)
+
+
+def test_staircase_flow_ehrhart_values_are_proctors_polynomial():
+    from flowpoly.planar import poset_to_flow_graph
+
+    g = poset_to_flow_graph(*staircase_star(6)).graph
+    for t in range(comb(6, 2) + 1):
+        assert flow_ehrhart_value(g, t) == proctor_ehrhart(6, t)
+
+
 def test_criterion_04_transported_triangulations_agree(capsys):
     bad = [f"{name}: {detail}" for name, ok, detail in verify_thm2() if not ok]
     _report(capsys, 4, "canonical triangulation transports onto clique triangulation", bad)

@@ -43,6 +43,12 @@ def test_asm_counts(n, expected):
     assert len(enumerate_asm(n)) == expected
 
 
+@pytest.mark.parametrize("zeros", [{(5, 5)}, {("a", 1)}, 7], ids=["outside", "not-integers", "not-cells"])
+def test_enumerate_asm_refuses_bad_zeros(zeros):
+    with pytest.raises(InputError, match=r"^zeros must be cells \(i, j\) with 1 <= i, j <= 2$"):
+        enumerate_asm(2, zeros)
+
+
 def test_zero_pattern():
     assert zero_pattern(2) == set()
     assert zero_pattern(3) == {(3, 1)}

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -120,6 +121,16 @@ def test_dp_agrees_with_bruteforce_enumeration():
         (complete_graph(4), (-1, 2, 0, -1)),
         (DirectedMultigraph(4, ((1, 2), (1, 2), (2, 3), (2, 3), (3, 4), (3, 4))), (2, 1, 0, -3)),
         (DirectedMultigraph(3, ((1, 2), (1, 3), (1, 3), (2, 3), (2, 3))), (2, 1, -3)),
+        # the line walk's boundaries: lines of step -1, walked by descending
+        # key, from two or three non-last parallel edges into n with supply
+        # 3 or more; an owed inflow equal to S (vertex 2 of K4 putting its
+        # whole supply on 2 -> 3 owes 3 to vertex 3); negative inner entries
+        (parallel_edges(4), (5, -5)),
+        (DirectedMultigraph(3, ((1, 2), (1, 3), (1, 3), (1, 3), (2, 3))), (4, 0, -4)),
+        (DirectedMultigraph(3, ((1, 2), (2, 3), (2, 3), (2, 3))), (1, 3, -4)),
+        (complete_graph(4), (2, 1, 0, -3)),
+        (complete_graph(5), (3, -1, 2, -2, -2)),
+        (DirectedMultigraph(4, ((1, 2), (1, 3), (1, 4), (1, 4), (2, 3), (3, 4))), (4, -1, -2, -1)),
     ]
     for g, nf in cases:
         assert kostant_value(g, nf) == len(enumerate_integer_flows(g, nf))
@@ -153,6 +164,38 @@ def graphs_with_netflows(draw):
 def test_dp_agrees_with_enumeration_on_random_graphs(graph_and_netflow):
     g, nf = graph_and_netflow
     assert kostant_value(g, nf) == len(enumerate_integer_flows(g, nf))
+
+
+@seed(0xF10E)
+@settings(max_examples=60, deadline=2000)
+@given(graphs_with_netflows())
+def test_enumerated_flows_keep_their_contract(graph_and_netflow):
+    # the drawn graphs' edge ids are not in tail order, so the dicts' key
+    # order (vertex by vertex, in out-edge order) is not the sort order
+    g, nf = graph_and_netflow
+    flows = enumerate_integer_flows(g, nf)
+    order = [e for v in range(1, g.n) for e in g.out_edge_ids(v)]
+    assert all(list(fl) == order for fl in flows)
+    vectors = [tuple(fl[e] for e in range(g.edge_count)) for fl in flows]
+    assert len(set(vectors)) == len(vectors)
+    assert vectors == sorted(vectors)
+    for fl in flows:
+        for v in range(1, g.n + 1):
+            into = sum(fl[e] for e in g.in_edge_ids(v))
+            out = sum(fl[e] for e in g.out_edge_ids(v))
+            assert out - into == nf[v - 1]
+    if g.edge_count <= 5:
+        # no edge carries more than S, the sum of the positive entries
+        values = range(sum(a for a in nf if a > 0) + 1)
+        brute = {
+            vec
+            for vec in product(values, repeat=g.edge_count)
+            if all(
+                sum(vec[e] for e in g.out_edge_ids(v)) - sum(vec[e] for e in g.in_edge_ids(v)) == nf[v - 1]
+                for v in range(1, g.n + 1)
+            )
+        }
+        assert set(vectors) == brute
 
 
 def test_integer_flows_conserve():
