@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all flowpoly modules, and its two number
 rules: `_integers` for integer arguments (integral numbers such as 2.0 are
-read as ints) and `_exact` for coordinates (finite numbers are made exact).
-Both refuse nan, inf and strings with InputError."""
+read as ints), with `_nonnegative` for sizes and counts, and `_exact` for
+coordinates (finite numbers are made exact).  Both refuse nan, inf and
+strings with InputError."""
 
 from fractions import Fraction
 
@@ -45,6 +46,15 @@ def _integers(values, message):
     if ints != given:
         raise InputError(message)
     return ints
+
+
+def _nonnegative(x, name):
+    """x as an int by the _integers rule, refused when negative; the
+    messages read "<name> must be an integer" and "... nonnegative"."""
+    (x,) = _integers((x,), f"{name} must be an integer")
+    if x < 0:
+        raise InputError(f"{name} must be nonnegative")
+    return x
 
 
 def _exact(x):

@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import ContractError, InputError, _integers
+from .errors import ContractError, InputError, _integers, _nonnegative
 
 Route = tuple  # tuple of edge ids forming a directed path from 1 to n
 _ENDPOINTS = "vertex count and edge endpoints must be integers"
@@ -76,12 +76,18 @@ class Framing:
 
     @staticmethod
     def validate(g, framing):
+        if not isinstance(framing, Framing):
+            raise InputError(f"framing must be a Framing, not {type(framing).__name__}")
         for v in range(2, g.n):
             for label, order, expect in (
                 ("in", framing.in_orders.get(v), g._in.get(v, ())),
                 ("out", framing.out_orders.get(v), g._out.get(v, ())),
             ):
-                if order is None or tuple(sorted(order)) != expect:  # expect is sorted
+                try:  # a missing order is None; it, a number or mixed types raise
+                    listed = tuple(sorted(order))
+                except TypeError:
+                    listed = None
+                if listed != expect:  # expect is sorted
                     raise InputError(
                         f"framing {label}-order at vertex {v} does not list its edges exactly once"
                     )
@@ -135,7 +141,7 @@ def path_graph(n):
 
 
 def parallel_edges(count):
-    (count,) = _integers((count,), "edge count must be an integer")
+    count = _nonnegative(count, "edge count")
     return DirectedMultigraph(2, ((1, 2),) * count)
 
 

@@ -109,8 +109,8 @@ def kostant_value(g, netflow):
     A share a on an edge into h < n adds a * (B^(h-v) - 1), a step that
     B >= 2 keeps nonzero also at S = 0, where B = S + 1 would not; one into
     n subtracts a, since vertex n's inflow is not kept: with a balanced
-    netflow it is fixed by the others.  Moving on to vertex v + 1 divides
-    the state by B.
+    netflow it is fixed by the others.  Entering vertex v + 1 divides the
+    state by B, in the pass that adds v + 1's netflow.
 
     The shares 0..s of a state with supply s reach the points key + a * step
     of its line, which ends at supply 0; each state on a line reaches every
@@ -130,12 +130,12 @@ def kostant_value(g, netflow):
     for v in range(1, n):
         heads = sorted(g.edges[e][1] for e in g.out_edge_ids(v))
         net = netflow[v - 1]
-        # digit 0 holds the inflow owed to v; adding v's netflow makes it
-        # the supply, which must be 0 where v has no out-edge
+        # dividing off v - 1's spent digit leaves the inflow owed to v in digit 0;
+        # adding v's netflow makes it the supply, 0 where v has no out-edge
         states = {
-            key + net: k
+            owed + net: k
             for key, k in states.items()
-            if (supply := net + key % base) == 0 or (supply > 0 and heads)
+            if (supply := net + (owed := key // base) % base) == 0 or (supply > 0 and heads)
         }
         for idx, h in enumerate(heads):
             step = (place[h - v] if h < n else 0) - 1
@@ -155,7 +155,6 @@ def kostant_value(g, netflow):
                             total += get(nxt, 0)
                             advanced[nxt] = total
             states = advanced
-        states = {key // base: k for key, k in states.items()}
     return sum(states.values())
 
 

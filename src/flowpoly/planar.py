@@ -20,9 +20,12 @@ The bounded regions of a drawing, ordered "lower to higher" across each
 arc, form a poset, whose covers dual_poset reads straight off the edge
 sides.  Conversely a poset with an upward-planar Hasse drawing (by default
 posets.default_embedding) yields a flow graph as the truncated dual of the
-augmented Hasse diagram; its faces are numbered source to sink by a
-topological sort that takes the ready face bordering the least Hasse edge
-id first.
+Hasse diagram of P with BOTTOM added below it and TOP above it (0-hat and
+1-hat), so each Hasse edge is already the pair of labels on the two sides
+of its dual edge.  The drawing's bottom list must name each minimal
+element once and its top list each maximal element once.  Its faces are
+numbered source to sink by a topological sort that takes the ready face
+bordering the least Hasse edge id first.
 """
 
 from __future__ import annotations
@@ -257,77 +260,68 @@ def _ideal_routes(pg):
 # ---------------------------------------------------------------------------
 # poset -> flow graph (truncated dual of the augmented Hasse diagram)
 
-_BOT, _TOPHAT = ("__0hat__",), ("__1hat__",)  # private sentinels, not valid labels
-
 
 def poset_to_flow_graph(p, emb=None):
-    """Flow graph G_P: the truncated dual of Hasse(P + bottom + top).
+    """Flow graph G_P: the truncated dual of Hasse(P + BOTTOM + TOP).
 
-    The Hasse diagram of the augmented poset is drawn upward-planar using
-    the supplied embedding, two extra bottom-to-top edges are added at the
-    far left and far right, and the faces of that drawing become the
-    vertices of G_P (numbered source-to-sink).  Every G_P edge crosses one
-    Hasse edge x -> y; its sides are labeled (x, y), so the regions of the
-    returned PlanarGraphData are exactly the elements of P.
+    The Hasse diagram of P with BOTTOM as its least and TOP as its greatest
+    element is drawn upward-planar using the supplied embedding, two extra
+    BOTTOM-to-TOP edges are added at the far left and far right, and the
+    faces of that drawing become the vertices of G_P (numbered
+    source-to-sink).  Every G_P edge crosses one Hasse edge x -> y and its
+    sides are (x, y), so the regions of the returned PlanarGraphData are
+    exactly the elements of P.  InputError refuses an element equal to
+    BOTTOM or TOP, a bottom list that is not the minimal elements, each
+    once, and a top list that is not the maximal elements, each once.
     """
     if emb is None:
         emb = default_embedding(p)
     elements = p.elements
-    if _BOT in elements or _TOPHAT in elements:
-        raise InputError("poset uses a reserved internal label")
-    if not set(emb.bottom).union(emb.top) <= set(elements):
-        raise InputError("embedding names an unknown minimal or maximal element")
+    for label in (BOTTOM, TOP):
+        if label in elements:
+            raise InputError(f"poset element {label!r} is a reserved region label")
+    for name, kind, listed, extremal in (
+        ("bottom", "minimal", emb.bottom, p.minimal_elements()),
+        ("top", "maximal", emb.top, p.maximal_elements()),
+    ):
+        if len(listed) != len(extremal) or set(listed) != set(extremal):
+            raise InputError(f"embedding inconsistent: {name} must list each {kind} element once")
 
-    hasse = []  # (x, y) pairs in hat(P), parallel to edge ids of the dual
-    for a, b in p.covers:
-        hasse.append((a, b))
-    for mmin in emb.bottom:
-        hasse.append((_BOT, mmin))
-    for mmax in emb.top:
-        hasse.append((mmax, _TOPHAT))
+    # (x, y) pairs of the augmented Hasse diagram, parallel to edge ids of the dual
+    hasse = [*p.covers, *((BOTTOM, x) for x in emb.bottom), *((x, TOP) for x in emb.top)]
     if not elements:
-        hasse.append((_BOT, _TOPHAT))
+        hasse.append((BOTTOM, TOP))
     left = len(hasse)
     right = left + 1
 
-    up = {x: [] for x in elements}
-    down = {x: [] for x in elements}
+    up = {x: [] for x in (BOTTOM, *elements)}
+    down = {x: [] for x in (BOTTOM, *elements, TOP)}
     for eid, (x, y) in enumerate(hasse):
-        if x in down:  # covers and element->tophat edges, keyed at x
-            up[x].append(eid)
-        if y in up:
-            down[y].append(eid)
+        up[x].append(eid)
+        down[y].append(eid)
     # sort per-element edge lists left-to-right following the embedding
     for x in elements:
         up_rank = {y: i for i, y in enumerate(emb.up.get(x, ()))}
         down_rank = {y: i for i, y in enumerate(emb.down.get(x, ()))}
-        up[x].sort(
-            key=lambda eid: up_rank.get(hasse[eid][1], len(up_rank))
-        )
-        down[x].sort(
-            key=lambda eid: down_rank.get(hasse[eid][0], len(down_rank))
-        )
-
-    if not all(up[x] and down[x] for x in elements):
-        raise InputError("embedding inconsistent: an element lacks a lower or an upper edge")
-    up[_BOT] = [left, *(eid for eid, (x, _) in enumerate(hasse) if x == _BOT), right]
-    down[_BOT] = []
-    down[_TOPHAT] = [left, *(eid for eid, (_, y) in enumerate(hasse) if y == _TOPHAT), right]
+        up[x].sort(key=lambda eid: up_rank.get(hasse[eid][1], len(up_rank)))
+        down[x].sort(key=lambda eid: down_rank.get(hasse[eid][0], len(down_rank)))
+    up[BOTTOM] = [left, *up[BOTTOM], right]
+    down[TOP] = [left, *down[TOP], right]
     # the faces west and east of every edge; sorting by the size of the
     # lower set gives a linear extension
     lower = sorted(elements, key=lambda x: p._below[p._index[x]].bit_count())
-    sides = _sides([_BOT, *lower], down, up, ("outer", "outer"))
-    # with an edge below and above every element, the drawing is planar iff
-    # consecutive in-edges share the face between them
+    sides = _sides([BOTTOM, *lower], down, up, ("outer", "outer"))
+    # the extremal lists give every element an edge below and above, so the
+    # drawing is planar iff consecutive in-edges share the face between them
     if any(
-        sides[a][1] != sides[b][0] for v in (*elements, _TOPHAT) for a, b in pairwise(down[v])
+        sides[a][1] != sides[b][0] for v in (*elements, TOP) for a, b in pairwise(down[v])
     ):
         raise InputError("embedding inconsistent: not an upward planar drawing")
 
     # number the inner faces by a topological sort of the west-to-east dual
     # adjacency, the ready face that borders the least edge id first (the
     # two faces of one edge are never ready together).  The checks above
-    # make the drawing a planar st-graph from 0hat to 1hat, so the dual over
+    # make the drawing a planar st-graph from BOTTOM to TOP, so the dual over
     # its inner faces is a planar st-graph too (Di Battista, Eades, Tamassia
     # and Tollis, Graph Drawing, ch. 4): it has no cycle, and its one source
     # and one sink are the faces east of left and west of right, the only
@@ -358,18 +352,7 @@ def poset_to_flow_graph(p, emb=None):
     g = DirectedMultigraph(
         len(number), tuple((number[w], number[e]) for w, e, _ in dual_arcs)
     )
-
-    def to_label(x):
-        if x is _BOT:
-            return BOTTOM
-        if x is _TOPHAT:
-            return TOP
-        return x
-
-    edge_sides = tuple(
-        (to_label(hasse[eid][0]), to_label(hasse[eid][1])) for _, _, eid in dual_arcs
-    )
-    return PlanarGraphData(g, elements, edge_sides)
+    return PlanarGraphData(g, elements, tuple(hasse[eid] for _, _, eid in dual_arcs))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import comb, factorial
 
-from .errors import InputError, _integers
+from .errors import InputError, _integers, _nonnegative
 
 
 @dataclass(frozen=True)
@@ -204,9 +204,7 @@ def order_polynomial(p, m):
     order, and no other, add w[I - e] into w[I] for every ideal I with e
     maximal.  Oracle for small posets: order_polynomial_bruteforce.
     """
-    (m,) = _integers((m,), "order polynomial argument must be an integer")
-    if m < 0:
-        raise InputError("order polynomial argument must be nonnegative")
+    m = _nonnegative(m, "order polynomial argument")
     if m == 0:
         return 1 if not p.elements else 0
     position = {ideal: k for k, ideal in enumerate(p._lattice)}
@@ -265,20 +263,20 @@ def default_embedding(p):
 
 
 def chain(k):
-    (k,) = _integers((k,), "poset size must be an integer")
+    k = _nonnegative(k, "poset size")
     poset = Poset(tuple(range(1, k + 1)), tuple((i, i + 1) for i in range(1, k)))
     return poset, default_embedding(poset)
 
 
 def antichain(k):
-    (k,) = _integers((k,), "poset size must be an integer")
+    k = _nonnegative(k, "poset size")
     poset = Poset(tuple(range(1, k + 1)), ())
     return poset, default_embedding(poset)
 
 
 def zigzag(k):
     """Fence with covers alternating up/down starting upward: 1 < 2 > 3 < 4 ..."""
-    (k,) = _integers((k,), "poset size must be an integer")
+    k = _nonnegative(k, "poset size")
     covers = tuple((i, i + 1) if i % 2 == 1 else (i + 1, i) for i in range(1, k))
     poset = Poset(tuple(range(1, k + 1)), covers)
     return poset, default_embedding(poset)
@@ -296,17 +294,9 @@ def validate_staircase_partition(n, lam):
     return lam
 
 
-def _staircase_order(n):
-    """n as a staircase order: an integer, refused when negative."""
-    (n,) = _integers((n,), "staircase order must be an integer")
-    if n < 0:
-        raise InputError("staircase order must be nonnegative")
-    return n
-
-
 def staircase_cells(n, lam=()):
     """Cells (i, j) of the order-n staircase with lam removed from row ends."""
-    n = _staircase_order(n)
+    n = _nonnegative(n, "staircase order")
     lam = validate_staircase_partition(n, lam)
     cells = []
     for i in range(1, n):
@@ -336,7 +326,7 @@ def staircase_star(n):
 
 def staircase_syt_count(n):
     """Standard Young tableaux of staircase shape (n-1, ..., 1), hook product."""
-    n = _staircase_order(n)
+    n = _nonnegative(n, "staircase order")
     hooks = 1
     for k in range(1, n):
         hooks *= (2 * k - 1) ** (n - k)
@@ -348,7 +338,7 @@ def staircase_syt_count(n):
 
 def all_staircase_partitions(n):
     """Every partition fitting inside the order-n staircase."""
-    n = _staircase_order(n)
+    n = _nonnegative(n, "staircase order")
     results = []
 
     def extend(prefix, row):

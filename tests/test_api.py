@@ -203,3 +203,40 @@ def test_no_module_imports_a_name_it_never_uses():
     }
     assert len(modules) > 10
     assert unused == {}
+
+
+def _unread_private_names(sources):
+    """Module-level private names, dunders aside, that no module of sources
+    (file name -> source text) reads, as (file name, name) pairs."""
+    defined, read = [], set()
+    for name, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                names = []
+            defined += [(name, x) for x in names if x.startswith("_") and not x.startswith("__")]
+        read |= {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+    return sorted((module, x) for module, x in defined if x not in read)
+
+
+def test_unread_private_names_are_found():
+    sources = {
+        "a.py": "__all__ = []\n_A, _B = 1, 2\nC: int = 3\ndef _f():\n    _g = _A\nclass _K: pass\n",
+        "b.py": "from .a import _f\n_D: int = _f()\n",
+    }
+    assert _unread_private_names(sources) == [("a.py", "_B"), ("a.py", "_K"), ("b.py", "_D")]
+
+
+def test_no_module_defines_a_private_name_no_module_reads():
+    modules = sorted(Path(flowpoly.__file__).parent.glob("*.py"))
+    assert len(modules) > 10
+    assert _unread_private_names({path.name: path.read_text() for path in modules}) == []

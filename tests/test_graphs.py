@@ -37,6 +37,12 @@ def test_edges_must_point_forward():
         DirectedMultigraph(0, ())
 
 
+def test_parallel_edges_refuses_a_negative_count():
+    with pytest.raises(InputError, match="^edge count must be nonnegative$"):
+        parallel_edges(-1)
+    assert parallel_edges(0).edges == ()
+
+
 @pytest.mark.parametrize(
     "g", [complete_graph(5), parallel_edges(3), path_graph(4), DirectedMultigraph(4, ((1, 3), (1, 3)))]
 )
@@ -126,6 +132,20 @@ def test_framing_validation():
     bad.in_orders[3] = (first, first)
     with pytest.raises(InputError):
         Framing.validate(g, bad)
+
+
+def test_framing_validation_refuses_a_non_framing_and_malformed_orders():
+    g = complete_graph(4)
+    fr = id_order_framing(g)
+    with pytest.raises(InputError, match="^framing must be a Framing, not NoneType$"):
+        dkk_maximal_cliques(g, None)
+    for bad in (
+        Framing({**fr.in_orders, 2: 5}, fr.out_orders),
+        Framing(fr.in_orders, {**fr.out_orders, 3: 7}),
+        Framing({**fr.in_orders, 3: ("a", 1)}, fr.out_orders),
+    ):
+        with pytest.raises(InputError, match="-order at vertex [23] does not list its edges"):
+            Framing.validate(g, bad)
 
 
 def test_all_framings_count():

@@ -23,8 +23,6 @@ from flowpoly.kostant import (
     ehrhart_netflow, enumerate_integer_flows, flow_ehrhart_value, flow_polytope_volume
 )
 from flowpoly.planar import (
-    _BOT,
-    _TOPHAT,
     BOTTOM,
     TOP,
     PlanarGraphData,
@@ -154,23 +152,41 @@ def test_wide_drawings_are_drawn():
 
 
 def test_poset_to_flow_graph_refuses_a_reserved_label():
-    with pytest.raises(InputError, match="^poset uses a reserved internal label$"):
-        poset_to_flow_graph(Poset((_BOT,), ()))
+    for label in (BOTTOM, TOP):
+        message = f"poset element {label!r} is a reserved region label"
+        for p in (Poset((label,), ()), Poset((1, label), ((1, label),))):
+            with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+                poset_to_flow_graph(p)
+
+
+BOTTOM_LIST = "embedding inconsistent: bottom must list each minimal element once"
+TOP_LIST = "embedding inconsistent: top must list each maximal element once"
 
 
 @pytest.mark.parametrize(
     "bottom, top, message",
     [
-        ((1, 2, "zz"), (1, 2), "embedding names an unknown minimal or maximal element"),
-        ((1,), (1, 2), "embedding inconsistent: an element lacks a lower or an upper edge"),
+        ((1, 2, "zz"), (1, 2), BOTTOM_LIST),
+        ((1,), (1, 2), BOTTOM_LIST),
+        ((1, 2), (2, 1, 2), TOP_LIST),
         ((2, 1), (1, 2), "embedding inconsistent: not an upward planar drawing"),
     ],
-    ids=["unknown-element", "no-lower-edge", "crossing"],
+    ids=["unknown-element", "no-lower-edge", "duplicate", "crossing"],
 )
 def test_poset_to_flow_graph_refuses_an_inconsistent_embedding(bottom, top, message):
     p, emb = antichain(2)
     with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         poset_to_flow_graph(p, HasseEmbedding(emb.up, emb.down, bottom, top))
+
+
+def test_poset_to_flow_graph_refuses_a_doubled_or_non_extremal_list():
+    # both drew a graph with one edge too many before the extremal-list rule
+    p, emb = skew_star(4)
+    with pytest.raises(InputError, match=f"^{re.escape(TOP_LIST)}$"):
+        poset_to_flow_graph(p, HasseEmbedding(emb.up, emb.down, emb.bottom, emb.top * 2))
+    p, emb = chain(2)
+    with pytest.raises(InputError, match=f"^{re.escape(BOTTOM_LIST)}$"):
+        poset_to_flow_graph(p, HasseEmbedding(emb.up, emb.down, (1, 2), emb.top))
 
 
 def test_wedge_dual_poset_shape():
@@ -365,17 +381,17 @@ def _trace_faces(rotations):
 def _hasse_edges(p, emb):
     """The edges of the Hasse diagram of p + bottom + top, in the order
     whose ids poset_to_flow_graph gives them."""
-    hasse = [*p.covers, *((_BOT, x) for x in emb.bottom), *((x, _TOPHAT) for x in emb.top)]
-    return hasse if p.elements else [*hasse, (_BOT, _TOPHAT)]
+    hasse = [*p.covers, *((BOTTOM, x) for x in emb.bottom), *((x, TOP) for x in emb.top)]
+    return hasse if p.elements else [*hasse, (BOTTOM, TOP)]
 
 
 def _hasse_faces(p, emb):
     """The faces of the Hasse drawing of p + bottom + top, with an edge from
     bottom to top at the far left and one at the far right, traced from its
     rotation system: the faces and the face index of each dart, or None when
-    the system lacks the reverse of a dart, an element lacks an edge below
-    or above, or the face count is not that of a plane drawing,
-    #E - #V + 2."""
+    the system lacks the reverse of a dart or the face count is not that of
+    a plane drawing, #E - #V + 2.  The bottom and top lists must be the
+    minimal and maximal elements, each once."""
     hasse = _hasse_edges(p, emb)
     left, right = len(hasse), len(hasse) + 1
     up, down = {x: [] for x in p.elements}, {x: [] for x in p.elements}
@@ -393,14 +409,12 @@ def _hasse_faces(p, emb):
         x: [*((e, _FWD) for e in reversed(up[x])), *((e, _REV) for e in down[x])]
         for x in p.elements
     }
-    links = [eid for eid, (x, _) in enumerate(hasse) if x == _BOT]
-    rotations[_BOT] = [(right, _FWD), *((e, _FWD) for e in reversed(links)), (left, _FWD)]
-    links = [eid for eid, (_, y) in enumerate(hasse) if y == _TOPHAT]
-    rotations[_TOPHAT] = [(left, _REV), *((e, _REV) for e in links), (right, _REV)]
+    links = [eid for eid, (x, _) in enumerate(hasse) if x == BOTTOM]
+    rotations[BOTTOM] = [(right, _FWD), *((e, _FWD) for e in reversed(links)), (left, _FWD)]
+    links = [eid for eid, (_, y) in enumerate(hasse) if y == TOP]
+    rotations[TOP] = [(left, _REV), *((e, _REV) for e in links), (right, _REV)]
     darts = {d for ds in rotations.values() for d in ds}
     if any((e, -s) not in darts for e, s in darts):
-        return None
-    if not all(up[x] and down[x] for x in p.elements):
         return None
     faces, face_of = _trace_faces(rotations)
     return (faces, face_of) if len(faces) == len(hasse) - len(p.elements) + 2 else None
@@ -414,10 +428,7 @@ def _face_cycle_oracle(p, emb, pg, faces, face_of):
     bottom).  Every face but the outer one must be one G_P vertex: the
     tail of each G_P edge west of its Hasse edge, the head east of it."""
     hasse = _hasse_edges(p, emb)
-    hat = {BOTTOM: _BOT, TOP: _TOPHAT}
-    dual_id = {
-        hasse.index(tuple(hat.get(x, x) for x in sides)): i for i, sides in enumerate(pg.edge_sides)
-    }
+    dual_id = {hasse.index(sides): i for i, sides in enumerate(pg.edge_sides)}
     number = {}
     for eid, i in dual_id.items():
         for dart, v in zip(((eid, _FWD), (eid, _REV)), pg.graph.edges[i]):
@@ -517,6 +528,37 @@ def hasse_drawings(draw):
 @given(hasse_drawings())
 def test_poset_to_flow_graph_numbers_the_traced_faces(drawing):
     _check_traced_faces(*drawing)
+
+
+@st.composite
+def extremal_list_drawings(draw):
+    """hasse_drawings, and in half of them one entry dropped from the bottom
+    or top list, or one element of the poset put in at any place there."""
+    p, emb = draw(hasse_drawings())
+    lists = {"bottom": list(emb.bottom), "top": list(emb.top)}
+    if p.elements and draw(st.booleans()):
+        listed = lists[draw(st.sampled_from(sorted(lists)))]
+        at = draw(st.integers(0, len(listed)))
+        if listed and draw(st.booleans()):
+            del listed[min(at, len(listed) - 1)]
+        else:
+            listed.insert(at, draw(st.sampled_from(p.elements)))
+    return p, HasseEmbedding(emb.up, emb.down, tuple(lists["bottom"]), tuple(lists["top"]))
+
+
+@seed(0xB07)
+@settings(max_examples=60, deadline=2000)
+@given(extremal_list_drawings())
+def test_poset_to_flow_graph_draws_p_or_refuses(drawing):
+    # a drawing of P + BOTTOM + TOP has one G_P edge per Hasse edge
+    p, emb = drawing
+    try:
+        pg = poset_to_flow_graph(p, emb)
+    except InputError:
+        return
+    extremal = len(p.minimal_elements()) + len(p.maximal_elements())
+    assert pg.graph.edge_count == len(p.covers) + (extremal or 1)
+    assert dual_poset(pg) == p
 
 
 def _check_drawn(g, framing):

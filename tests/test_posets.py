@@ -58,11 +58,15 @@ def test_poset_rejects_cycles_and_redundant_covers():
         (lambda: skew_star(-2), "staircase order must be nonnegative"),
         (lambda: staircase_star(-2), "staircase order must be nonnegative"),
         (lambda: all_staircase_partitions(-1), "staircase order must be nonnegative"),
+        (lambda: chain(-2), "poset size must be nonnegative"),
+        (lambda: antichain(-1), "poset size must be nonnegative"),
+        (lambda: zigzag(-5), "poset size must be nonnegative"),
     ],
     ids=[
         "duplicate", "unknown-cover", "self-cover", "relation-cycle", "negative-m",
         "negative-part", "zero-before-positive", "negative-syt-order", "negative-cells-order",
         "negative-skew-order", "negative-staircase-order", "negative-partitions-order",
+        "negative-chain", "negative-antichain", "negative-zigzag",
     ],
 )
 def test_refusals(build, message):
