@@ -29,10 +29,11 @@ product of the row with (1, b).  The inverses come from one elimination per
 component of the dual graph (simplices joined by shared ridges) plus a
 rank-one update across each shared ridge: two simplices that share a ridge
 differ in one vertex.  Each row is the functional of a facet hyperplane, and
-the simplices share most of them, so the rows are indexed by value, each
-with the mask of the simplices that have it.  A sample evaluates every
-distinct row once, and the simplices that contain it are those with no
-negative row.
+the simplices share most of them.  Each vertex packs its values of the
+distinct rows into one int, a digit each.  A sample is a simplex and weights
+on its vertices, drawn from ``getrandbits`` as ``randrange`` and ``randint``
+draw them; one sum of those ints times its weights evaluates every row, and
+the simplices that contain the sample are those with no negative row.
 """
 
 from __future__ import annotations
@@ -411,62 +412,55 @@ def _compile(coords, simplices, d):
     return vols, compiled
 
 
-def _row_index(compiled):
-    """Each distinct row of `_compile` once, as ``(c, terms, mask)``.
+def _locator(compiled, coords):
+    """A function of a simplex's vertex ids and weights on them that gives
+    the mask of the simplices of `_compile` containing that point.
 
-    ``terms`` lists the row's nonzero a_j as pairs (j, a_j), and ``mask``
-    is the int mask of the simplices that have the row.  Row v of a
-    unimodular simplex's H^-1 is the primitive affine functional of the
-    facet hyperplane opposite v, oriented into the simplex, and the
-    simplices of a triangulation share few of those hyperplanes: K8 DKK has
-    129,360 rows but 110 distinct ones.  A simplex contains a point exactly
-    when none of its rows is negative there, so one evaluation of each
-    distinct row decides every simplex.
+    Row v of a unimodular simplex's H^-1 is the primitive affine functional
+    of its facet hyperplane opposite v, and a triangulation's simplices share
+    most of those (K8 DKK: 129,360 rows, 110 distinct), so each distinct row
+    r is kept once, with the mask of the simplices that have it.  Vertex v
+    packs its values as digits, Q_v = sum(lam_r(x_v) * 2**(width * r)), and
+    digit r of sum(w_v * Q_v) is sum(w_v) * lam_r at the point.  The rows are
+    bounded on the box that the vertices span, and the d + 1 weights w_v (as
+    many as a simplex has rows) by 10**6, so a bias of 2**(width - 1) keeps
+    every digit in range: none carries, and its top bit is set exactly when
+    the row is not negative there.  A last digit 1 fixes the length of the
+    sum's binary string.
     """
     index = {}
     for k, rows in enumerate(compiled):
-        bit = 1 << k
         for row in rows:
-            index[row] = index.get(row, 0) | bit
-    return [
-        (row[0], [(j, a) for j, a in enumerate(row[1:]) if a], mask) for row, mask in index.items()
+            index[row] = index.get(row, 0) | 1 << k
+    lo, hi = [list(map(f, zip(*coords))) for f in (min, max)]
+    # each row's least and greatest value on the box [lo, hi], which holds every vertex
+    ends = [
+        c + sum(map(f, map(mul, a, lo), map(mul, a, hi))) for c, *a in index for f in (min, max)
     ]
+    width = (len(compiled[0]) * 10**6 * max(map(abs, ends))).bit_length() + 1
+    columns = [sum(a << width * r for r, a in enumerate(col)) for col in zip(*index)]
+    packed = [sum(map(mul, (1, *x), columns)) for x in coords]
+    bias = int("1" + ("1" + "0" * (width - 1)) * len(index), 2)
+
+    def locate(simplex, weights):
+        total = sum(map(mul, weights, map(packed.__getitem__, simplex)), bias)
+        outside = 0  # the top bit of digit r is char -width * (r + 1)
+        for mask, sign in zip(index.values(), f"{total:b}"[-width::-width]):
+            if sign == "0":
+                outside |= mask
+        return (1 << len(compiled)) - 1 & ~outside
+
+    return locate
 
 
-def _containing(index, every, num, den):
-    """Ascending indices of the simplices that contain num / den.
-
-    Every distinct row is evaluated once, at (den, num): den times its
-    weight at num / den.  The simplices left are those in ``every`` that
-    have no negative row.
-    """
-    outside = 0
-    for c, terms, mask in index:
-        lam = den * c
-        for j, a in terms:
-            lam += a * num[j]
-        if lam < 0:
-            outside |= mask
-    inside = every & ~outside
-    containing = []
-    while inside:
-        low = inside & -inside
-        containing.append(low.bit_length() - 1)
-        inside ^= low
-    return containing
-
-
-def _draw(rng, coords, simplices):
-    """A random simplex's index and a point num / den in its interior.
-
-    The point's barycentric weights are drawn from 1..10**6 and den is their
-    sum.  ``randint(1, 10**6)`` is ``randrange(1, 10**6 + 1)``, so calling
-    the latter directly draws the same stream.
-    """
-    idx = rng.randrange(len(simplices))
-    weights = [rng.randrange(1, 10**6 + 1) for _ in simplices[idx]]
-    columns = zip(*map(coords.__getitem__, simplices[idx]))
-    return idx, [sum(map(mul, weights, col)) for col in columns], sum(weights)
+def _below(getrandbits, n):
+    """``randrange(n)``, by its rejection loop on a `random.Random`'s
+    ``getrandbits``: the same stream as its ``randrange`` and ``randint``."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
 
 
 def triangulation_checks(polytope_vertices, simplices, expected_volume):
@@ -479,14 +473,13 @@ def triangulation_checks(polytope_vertices, simplices, expected_volume):
     simplex vertex is looked up once, as its id in the vertex list.  Every
     sample is decided against every simplex by exact integer barycentric
     weights: the rows of the inverse of the simplex's homogeneous matrix H,
-    whose columns are (1, x) over its vertices x in lattice coordinates.
-    The volumes and rows come from one elimination per component of the
-    dual graph and a rank-one update across each shared ridge (`_compile`).
-    The rows are indexed by value (`_row_index`), and each sample evaluates
-    every distinct one once: the simplices that contain it are those with
-    no negative weight (`_containing`).  When a sample lies in none or
-    several simplices, the report's ``witness`` holds it and the simplices
-    that contain it.
+    whose columns are (1, x) over its vertices x in lattice coordinates,
+    from one elimination per component of the dual graph and a rank-one
+    update across each shared ridge (`_compile`).  A sample is a simplex and
+    weights drawn as ``randrange`` and ``randint`` draw them (`_below`), and
+    one sum of packed ints evaluates every distinct row there (`_locator`).
+    When a sample lies in none or several simplices, the report's
+    ``witness`` holds it and the simplices that contain it.
 
     The samples are drawn only from the listed simplices, so a region that
     no simplex covers is never sampled: only the volume total catches a
@@ -517,16 +510,18 @@ def triangulation_checks(polytope_vertices, simplices, expected_volume):
         if total != expected_volume:
             failures.append(f"volume total {total} != expected {expected_volume}")
         if not failures and simplices:
-            rng = random.Random(SAMPLE_SEED)
-            index = _row_index(compiled)
-            every = (1 << len(simplices)) - 1
-            for _ in range(SAMPLE_COUNT):
-                idx, num, den = _draw(rng, coords, simplices)
-                containing = _containing(index, every, num, den)
-                samples += 1
-                if len(containing) != 1:
+            getrandbits = random.Random(SAMPLE_SEED).getrandbits
+            locate = _locator(compiled, coords)
+            for samples in range(1, SAMPLE_COUNT + 1):
+                idx = _below(getrandbits, len(simplices))
+                weights = [1 + _below(getrandbits, 10**6) for _ in range(d + 1)]
+                inside = locate(simplices[idx], weights)
+                if inside.bit_count() != 1:
+                    containing = [k for k in range(len(simplices)) if inside >> k & 1]
                     failures.append(f"sample from simplex {idx} lies in simplices {containing}")
-                    witness = SampleWitness(idx, (tuple(num), den), tuple(containing))
+                    columns = zip(*map(coords.__getitem__, simplices[idx]))
+                    num = tuple(sum(map(mul, weights, col)) for col in columns)
+                    witness = SampleWitness(idx, (num, sum(weights)), tuple(containing))
                     break
 
     return TriangulationReport(

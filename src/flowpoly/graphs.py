@@ -16,6 +16,7 @@ compares two profiles in one backward pass over their shared vertices.
 from __future__ import annotations
 
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .errors import ContractError, InputError, _integers, _nonnegative
@@ -76,22 +77,34 @@ class Framing:
 
     @staticmethod
     def validate(g, framing):
-        if not isinstance(framing, Framing):
-            raise InputError(f"framing must be a Framing, not {type(framing).__name__}")
+        in_orders, out_orders = _order_maps(framing)
         for v in range(2, g.n):
             for label, order, expect in (
-                ("in", framing.in_orders.get(v), g._in.get(v, ())),
-                ("out", framing.out_orders.get(v), g._out.get(v, ())),
+                ("in", in_orders.get(v), g._in.get(v, ())),
+                ("out", out_orders.get(v), g._out.get(v, ())),
             ):
-                try:  # a missing order is None; it, a number or mixed types raise
-                    listed = tuple(sorted(order))
-                except TypeError:
-                    listed = None
-                if listed != expect:  # expect is sorted
+                if _listed(order) != expect:  # expect is sorted
                     raise InputError(
                         f"framing {label}-order at vertex {v} does not list its edges exactly once"
                     )
         return framing
+
+
+def _order_maps(framing):
+    """The order maps of ``framing``; InputError unless they are mappings."""
+    if not isinstance(framing, Framing):
+        raise InputError(f"framing must be a Framing, not {type(framing).__name__}")
+    if not all(isinstance(m, Mapping) for m in (framing.in_orders, framing.out_orders)):
+        raise InputError("framing orders must map vertices to edge orders")
+    return framing.in_orders, framing.out_orders
+
+
+def _listed(order):
+    """An order's edge ids sorted; None for None, a number or mixed types."""
+    try:
+        return tuple(sorted(order))
+    except TypeError:
+        return None
 
 
 def id_order_framing(g):

@@ -37,7 +37,8 @@ from itertools import pairwise
 
 from .errors import InputError, InternalCheckError, NotPlanarError, _exact
 from .graphs import (
-    DirectedMultigraph, Framing, enumerate_routes, require_pruned, route_flow_vector
+    DirectedMultigraph, Framing, _listed, _order_maps, enumerate_routes, require_pruned,
+    route_flow_vector
 )
 from .posets import Poset, _ideal_vertices, default_embedding
 
@@ -150,19 +151,18 @@ def _full_orders(g, framing):
     else it and the top arc, opened later and still open, are a crossing
     pair, and NotPlanarError names them.
     """
+    given_ins, given_outs = _order_maps(framing)
     for v in range(1, g.n + 1):
-        ins, outs = framing.in_orders.get(v), framing.out_orders.get(v)
-        if ins is not None and sorted(ins) != sorted(g.in_edge_ids(v)):
+        ins, outs = given_ins.get(v), given_outs.get(v)
+        if ins is not None and _listed(ins) != g.in_edge_ids(v):
             raise InputError(f"in-order at vertex {v} does not match its edges")
-        if outs is not None and sorted(outs) != sorted(g.out_edge_ids(v)):
+        if outs is not None and _listed(outs) != g.out_edge_ids(v):
             raise InputError(f"out-order at vertex {v} does not match its edges")
     # each arc's place in its head's given in-order
-    head_rank = {
-        e: i for v in range(1, g.n + 1) for i, e in enumerate(framing.in_orders.get(v) or ())
-    }
+    head_rank = {e: i for v in range(1, g.n + 1) for i, e in enumerate(given_ins.get(v) or ())}
     in_orders, out_orders, opened, open_arcs = {}, {}, {}, []
     for v in range(1, g.n + 1):
-        ins = framing.in_orders.get(v)
+        ins = given_ins.get(v)
         if ins is None:
             # farther tail on top, then the tail's out-order: the order they opened
             ins = tuple(sorted(g.in_edge_ids(v), key=opened.__getitem__))
@@ -171,7 +171,7 @@ def _full_orders(g, framing):
                 pair = tuple(sorted((e, open_arcs[-1])))
                 raise NotPlanarError(f"not planar in this arc order: edges {pair}", edge_pair=pair)
             open_arcs.pop()
-        outs = framing.out_orders.get(v)
+        outs = given_outs.get(v)
         if outs is None:
             outs = tuple(
                 sorted(g.out_edge_ids(v), key=lambda e: (-g.edges[e][1], head_rank.get(e, e)))

@@ -13,10 +13,9 @@ from flowpoly.errors import InputError, InternalCheckError, _exact
 from flowpoly.geometry import (
     SAMPLE_COUNT,
     SAMPLE_SEED,
+    _below,
     _compile,
-    _containing,
-    _draw,
-    _row_index,
+    _locator,
     _volume_and_inverse,
     affine_dimension,
     coordinates_in_basis,
@@ -439,16 +438,22 @@ def lattice_simplices(coords, simplices):
     return [[coords[v] for v in s] for s in simplices]
 
 
-def boundary_heavy_points(simplices, count, rng):
-    """Convex combinations of one simplex's vertices, each weight zero half of the time."""
-    points = []
+def boundary_heavy_weights(simplices, count, rng):
+    """Barycentric weights on one simplex's vertices, each zero half of the
+    time, as (simplex index, weights)."""
+    draws = []
     for _ in range(count):
-        s = rng.choice(simplices)
-        weights = [rng.choice((0, 0, 1, 2, 5)) for _ in s]
-        weights[rng.randrange(len(s))] += 1
-        den = sum(weights)
-        points.append(([sum(w * v[i] for w, v in zip(weights, s)) for i in range(len(s[0]))], den))
-    return points
+        k = rng.randrange(len(simplices))
+        weights = [rng.choice((0, 0, 1, 2, 5)) for _ in simplices[k]]
+        weights[rng.randrange(len(weights))] += 1
+        draws.append((k, weights))
+    return draws
+
+
+def point(coords, simplex, weights):
+    """(num, den): the point with these weights on the simplex's vertex ids."""
+    columns = zip(*(coords[v] for v in simplex))
+    return [sum(map(mul, weights, col)) for col in columns], sum(weights)
 
 
 @functools.cache
@@ -473,14 +478,20 @@ def weight(row, num, den):
 def contains(rows, num, den):
     """Whether num / den lies in the closed simplex: no weight is negative.
 
-    The per-simplex test that `_containing` replaced, kept as its oracle.
+    The per-simplex test that `_locator` replaced, kept as its oracle.
     """
     return all(weight(row, num, den) >= 0 for row in rows)
 
 
-def indexed_containing(compiled, num, den):
-    """`_containing` over the distinct rows of ``compiled``."""
-    return _containing(_row_index(compiled), (1 << len(compiled)) - 1, num, den)
+def locator(coords, compiled):
+    """`_locator` of ``compiled``, listing the simplices in the mask it gives."""
+    locate = _locator(compiled, coords)
+
+    def containing(simplex, weights):
+        inside = locate(simplex, weights)
+        return [k for k in range(len(compiled)) if inside >> k & 1]
+
+    return containing
 
 
 @pytest.mark.parametrize("case", [k6_dkk, skew5_canonical], ids=["K6-dkk", "skew5-21-canonical"])
@@ -489,7 +500,8 @@ def test_compiled_rows_match_fraction_oracle(case):
     coords, ids = lattice_ids(vertices, simplices)
     simplices = lattice_simplices(coords, ids)
     rng = random.Random(0xA5C)
-    points = boundary_heavy_points(simplices, 12, rng)
+    draws = boundary_heavy_weights(ids, 12, rng)
+    points = [point(coords, ids[k], weights) for k, weights in draws]
     vols, compiled = _compile(coords, ids, len(simplices[0]) - 1)
     assert vols == [1] * len(simplices)
     inside = [[] for _ in points]
@@ -501,7 +513,8 @@ def test_compiled_rows_match_fraction_oracle(case):
                 inside[i].append(k)
             # each compiled row is den times the matching oracle weight
             assert [weight(row, num, den) for row in rows] == [x * den for x in lam]
-    assert [indexed_containing(compiled, num, den) for num, den in points] == inside
+    locate = locator(coords, compiled)
+    assert [locate(ids[k], weights) for k, weights in draws] == inside
     # boundary points lie in several closed simplices, so ">=" is exercised
     assert sum(map(len, inside)) > len(points)
 
@@ -517,23 +530,54 @@ def test_row_index_matches_per_simplex_test(name, variant, rng):
     vertices, simplices, _ = oracle_case(name, variant)
     coords, ids = lattice_ids(vertices, simplices)
     _, compiled = _compile(coords, ids, len(lattice_basis(vertices)))
-    for num, den in boundary_heavy_points(lattice_simplices(coords, ids), 8, rng):
+    locate = locator(coords, compiled)
+    for k, weights in boundary_heavy_weights(ids, 8, rng):
+        num, den = point(coords, ids[k], weights)
         expected = [j for j, rows in enumerate(compiled) if contains(rows, num, den)]
-        assert indexed_containing(compiled, num, den) == expected
+        assert locate(ids[k], weights) == expected
+
+
+def unit_segments():
+    """The segment [0, 2000] cut into unit segments: rows reach 2000 at a vertex."""
+    return [(x,) for x in range(2001)], [[x, x + 1] for x in range(2000)]
+
+
+def grid_square(k=30):
+    """The k x k square cut into unit squares, each cut into two triangles."""
+    coords = [(i, j) for i in range(k + 1) for j in range(k + 1)]
+    v = {p: n for n, p in enumerate(coords)}
+    simplices = []
+    for i, j in itertools.product(range(k), repeat=2):
+        simplices.append([v[i, j], v[i + 1, j], v[i, j + 1]])
+        simplices.append([v[i + 1, j + 1], v[i, j + 1], v[i + 1, j]])
+    return coords, simplices
+
+
+@pytest.mark.parametrize("case", [unit_segments, grid_square], ids=["segment", "grid"])
+def test_locator_keeps_large_row_values_apart(case):
+    """With every weight at its maximum 10**6, the digits of the rows at
+    the far end of the polytope come nearest their width, and a simplex's
+    centroid still lies in it alone."""
+    coords, simplices = case()
+    vols, compiled = _compile(coords, simplices, len(coords[0]))
+    assert vols == [1] * len(simplices)
+    locate = locator(coords, compiled)
+    # every 25th simplex, down from the last
+    for k in range(len(simplices) - 1, -1, -25):
+        assert locate(simplices[k], [10**6] * len(simplices[k])) == [k]
 
 
 def test_draw_matches_randint_expression():
-    """`_draw` gives the points the randint expression gave, on one K6 case."""
-    vertices, simplices, _ = oracle_case("K6", 2)
-    coords, ids = lattice_ids(vertices, simplices)
-    lattice = lattice_simplices(coords, ids)
-    old, new = random.Random(SAMPLE_SEED), random.Random(SAMPLE_SEED)
-    for _ in range(SAMPLE_COUNT):
-        idx = old.randrange(len(lattice))
-        weights = [old.randint(1, 10 ** 6) for _ in lattice[idx]]
-        den = sum(weights)
-        num = [sum(w * c for w, c in zip(weights, col)) for col in zip(*lattice[idx])]
-        assert _draw(new, coords, ids) == (idx, num, den)
+    """`_below` draws the stream of ``randrange(n)`` and ``randint(1, 10**6)``
+    on this interpreter, as `triangulation_checks` draws a sample's simplex
+    index and weights; at the powers of two 1, 2, 4 and 8 the rejection
+    loop runs for the index as well."""
+    for n in (1, 2, 3, 4, 8, 272):
+        old, new = random.Random(SAMPLE_SEED), random.Random(SAMPLE_SEED)
+        for _ in range(SAMPLE_COUNT):
+            expected = old.randrange(n), [old.randint(1, 10**6) for _ in range(8)]
+            index = _below(new.getrandbits, n)
+            assert (index, [1 + _below(new.getrandbits, 10**6) for _ in range(8)]) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -146,6 +146,9 @@ def test_framing_validation_refuses_a_non_framing_and_malformed_orders():
     ):
         with pytest.raises(InputError, match="-order at vertex [23] does not list its edges"):
             Framing.validate(g, bad)
+    for bad in (Framing([], fr.out_orders), Framing(fr.in_orders, None)):
+        with pytest.raises(InputError, match="^framing orders must map vertices to edge orders$"):
+            Framing.validate(g, bad)
 
 
 def test_all_framings_count():

@@ -139,6 +139,28 @@ def test_order_that_does_not_match_its_edges_is_refused(framing, message):
     assert type(exc.value) is InputError
 
 
+@pytest.mark.parametrize(
+    "framing, message",
+    [
+        (None, "framing must be a Framing, not NoneType"),
+        (Framing([], {}), "framing orders must map vertices to edge orders"),
+        (Framing({2: 5}, {}), "in-order at vertex 2 does not match its edges"),
+        (Framing({}, {3: ("a", 6)}), "out-order at vertex 3 does not match its edges"),
+    ],
+    ids=["none", "list-of-orders", "number-order", "mixed-order"],
+)
+def test_arc_diagram_refuses_what_is_not_a_framing(framing, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$") as exc:
+        arc_diagram(complete_graph(4), framing)
+    assert type(exc.value) is InputError
+
+
+def test_arc_diagram_orders_at_the_ends_stay_optional():
+    # at vertices 1 and 3 the longer arc 2 is on top, as the default puts it
+    ends = Framing({2: (0,), 3: (2, 1)}, {1: (2, 0), 2: (1,)})
+    assert arc_diagram(TRIANGLE, ends) == arc_diagram(TRIANGLE, Framing({2: (0,)}, {2: (1,)}))
+
+
 def test_wide_drawings_are_drawn():
     # 1,010 parallel arcs, and the fan 1 -> 2 plus 1,010 parallel arcs 2 -> 3
     wide = 1010
