@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 from .errors import ContractError, InputError, _integers, _nonnegative
 
-Route = tuple  # tuple of edge ids forming a directed path from 1 to n
 _ENDPOINTS = "vertex count and edge endpoints must be integers"
 
 
@@ -204,13 +203,20 @@ def prune_inner_vertices(g):
     return PruneResult(pruned, tuple(removed), vertex_map, edge_map)
 
 
+def _require_graph(g):
+    if not isinstance(g, DirectedMultigraph):
+        raise InputError(f"graph must be a DirectedMultigraph, not {type(g).__name__}")
+
+
 def require_pruned(g):
-    """Raise ContractError unless g has two or more vertices, an edge if it
-    has two, and in- and out-edges at every inner vertex.
+    """Raise InputError unless g is a DirectedMultigraph, and ContractError
+    unless it has two or more vertices, an edge if it has two, and in- and
+    out-edges at every inner vertex.
 
     The walk stops at the first inner vertex without them, so it takes at
     most one step per edge whatever the vertex count.
     """
+    _require_graph(g)
     if g.n < 2:
         raise ContractError("flow polytopes need at least two vertices")
     if g.n == 2 and not g.edges:

@@ -9,6 +9,13 @@ bounds every digit; tests assert the two agree.  An edge's shares move a
 state along a line of states down to supply 0, so the DP walks each line
 once and keeps a running sum, rather than sending each state to every
 point below it.
+
+The Ehrhart polynomial is the generalized Lidskii formula (Baldoni and
+Vergne 2008; Meszaros and Morales 2019): with o_v = outdeg(v) - 1 and
+d = #E - #V + 1, L_G(t) = sum_k c_k * C(t + o_1, k), where the integer c_k
+sums prod_{v >= 2} C(o_v, j_v) * K_G(j - o, 0) over the weak compositions j
+of d with j_1 = k, and c_d is the normalized volume.  Each c_k is one DP with
+a weighted netflow pass, sharing kostant_value's edge step and line walk.
 """
 
 from __future__ import annotations
@@ -17,11 +24,11 @@ from collections.abc import Mapping, Set
 from fractions import Fraction
 from functools import cache
 from itertools import combinations_with_replacement
-from math import factorial
+from math import comb
 from operator import itemgetter, sub
 
 from .errors import ContractError, InputError, _integers
-from .graphs import require_pruned
+from .graphs import DirectedMultigraph, _require_graph, require_pruned
 
 
 def compositions_colex(total, parts):
@@ -40,6 +47,7 @@ def compositions_colex(total, parts):
 
 
 def _check_netflow(g, netflow):
+    _require_graph(g)
     # a mapping would be read as its keys, and a set in its iteration order
     if isinstance(netflow, (Mapping, Set)):
         raise InputError("netflow must be a sequence, not a mapping or a set")
@@ -104,13 +112,35 @@ def kostant_value(g, netflow):
     positive netflow entries: digit 0 holds v's supply still to place and
     digit h - v the inflow owed to a later vertex h < n.  Those digits add
     up to a partial sum of the netflow, so each lies in [0, S] and none
-    carries.  Vertex v's out-edges take shares of the supply one edge at a
-    time, parallel edges included, and the last edge takes the remainder.
-    A share a on an edge into h < n adds a * (B^(h-v) - 1), a step that
+    carries.  Entering vertex v divides the state by B, in the pass that
+    adds v's netflow; _transfer's edge steps then place v's supply.
+    """
+    netflow = _check_netflow(g, netflow)
+    base = sum(a for a in netflow if a > 0) + 2
+
+    def enter(v, states, heads):
+        # dividing off v - 1's spent digit leaves the inflow owed to v in digit 0;
+        # adding v's netflow makes it the supply, 0 where v has no out-edge
+        net = netflow[v - 1]
+        return {
+            owed + net: k
+            for key, k in states.items()
+            if (supply := net + (owed := key // base) % base) == 0 or (supply > 0 and heads)
+        }
+
+    return _transfer(g, base, enter)
+
+
+def _transfer(g, base, enter):
+    """The transfer DP's edge steps and line walk, in base B = ``base``; the
+    netflow pass ``enter(v, states, heads)`` puts vertex v's supply in digit 0.
+
+    Vertex v's out-edges take shares of the supply one edge at a time,
+    parallel edges included, and the last edge takes the remainder.  A
+    share a on an edge into h < n adds a * (B^(h-v) - 1), a step that
     B >= 2 keeps nonzero also at S = 0, where B = S + 1 would not; one into
     n subtracts a, since vertex n's inflow is not kept: with a balanced
-    netflow it is fixed by the others.  Entering vertex v + 1 divides the
-    state by B, in the pass that adds v + 1's netflow.
+    netflow it is fixed by the others.
 
     The shares 0..s of a state with supply s reach the points key + a * step
     of its line, which ends at supply 0; each state on a line reaches every
@@ -122,21 +152,12 @@ def kostant_value(g, netflow):
     The order saves work and nothing else: no walk reaches a top state, so
     its walk is the last on its line in any order.
     """
-    netflow = _check_netflow(g, netflow)
     n = g.n
-    base = sum(a for a in netflow if a > 0) + 2
     place = [base**d for d in range(n)]
     states = {0: 1}
     for v in range(1, n):
         heads = sorted(g.edges[e][1] for e in g.out_edge_ids(v))
-        net = netflow[v - 1]
-        # dividing off v - 1's spent digit leaves the inflow owed to v in digit 0;
-        # adding v's netflow makes it the supply, 0 where v has no out-edge
-        states = {
-            owed + net: k
-            for key, k in states.items()
-            if (supply := net + (owed := key // base) % base) == 0 or (supply > 0 and heads)
-        }
+        states = enter(v, states, heads)
         for idx, h in enumerate(heads):
             step = (place[h - v] if h < n else 0) - 1
             advanced = {}
@@ -183,51 +204,44 @@ def flow_ehrhart_value(g, t):
     return kostant_value(g, ehrhart_netflow(g, t))
 
 
-def lagrange_coefficients(values):
-    """Exact polynomial coefficients through points (0, values[0]), (1, ...)."""
-    degree = len(values) - 1
-    coeffs = [Fraction(0)] * (degree + 1)
-    for i, y in enumerate(values):
-        basis = [Fraction(1)]
-        denom = 1
-        for j in range(degree + 1):
-            if j == i:
-                continue
-            # multiply basis by (x - j)
-            nxt = [Fraction(0)] * (len(basis) + 1)
-            for k, c in enumerate(basis):
-                nxt[k] += c * (-j)
-                nxt[k + 1] += c
-            basis = nxt
-            denom *= i - j
-        for k, c in enumerate(basis):
-            coeffs[k] += Fraction(y) * c / denom
-    return coeffs
+def _lidskii_coefficients(g):
+    """(o_1, [c_0, ..., c_d]) of a pruned g: c_k is one DP on g without the
+    in-edges of n, which sink netflow 0 leaves empty.  Its netflow pass gives
+    vertex 1 the netflow k - o_1, the only positive one, and lets each state
+    at v >= 2 take every j_v in 0..o_v, weighted C(o_v, j_v)."""
+    o = [len(g.out_edge_ids(v)) - 1 for v in range(g.n)]  # o[0] unused
+    choices = [[(j - x, comb(x, j)) for j in range(x + 1)] for x in o]
 
+    def enter(v, states, heads):
+        entered = {}
+        for key, count in states.items():
+            owed = key // base
+            for net, weight in choices[v]:
+                if (supply := owed % base + net) == 0 or (supply > 0 and heads):
+                    entered[owed + net] = entered.get(owed + net, 0) + count * weight
+        return entered
 
-def polynomial_value(coeffs, t):
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * t + c
-    return acc
+    inner = DirectedMultigraph(g.n, tuple(e for e in g.edges if e[1] < g.n))
+    coefficients = [0] * o[1]  # vertex 1 has no in-edge to meet a netflow k - o_1 < 0
+    for k in range(o[1], g.dimension() + 1):
+        base = k - o[1] + 2
+        choices[1] = [(k - o[1], 1)]  # j_1 = k
+        coefficients.append(_transfer(inner, base, enter))
+    return o[1], coefficients
 
 
 def flow_ehrhart_polynomial(g):
-    """Fit the Ehrhart polynomial exactly and sanity-check one extra point."""
+    """The Ehrhart polynomial's coefficients, constant term first, as
+    Fractions: Lidskii's sum_k c_k * C(t + o_1, k) expanded exactly, its
+    value at t = d + 1 checked against flow_ehrhart_value."""
     require_pruned(g)
-    dim = g.dimension()
-    values = [flow_ehrhart_value(g, t) for t in range(dim + 1)]
-    coeffs = lagrange_coefficients(values)
-    probe = flow_ehrhart_value(g, dim + 1)
-    if polynomial_value(coeffs, dim + 1) != probe:
+    o_1, coefficients = _lidskii_coefficients(g)
+    dim = len(coefficients) - 1
+    monomial, binomial = [Fraction(0)] * (dim + 1), [Fraction(1)]  # C(t + o_1, k) in t
+    for k, c in enumerate(coefficients):
+        for i, b in enumerate(binomial):
+            monomial[i] += c * b
+        binomial = [(x * (o_1 - k) + y) / (k + 1) for x, y in zip(binomial + [0], [0] + binomial)]
+    if sum(c * (dim + 1) ** i for i, c in enumerate(monomial)) != flow_ehrhart_value(g, dim + 1):
         raise ContractError("Ehrhart values are not polynomial of the expected degree")
-    return coeffs
-
-
-def volume_from_ehrhart(g):
-    coeffs = flow_ehrhart_polynomial(g)
-    lead = coeffs[-1]
-    vol = lead * factorial(len(coeffs) - 1)
-    if vol.denominator != 1:
-        raise ContractError("leading Ehrhart coefficient times dim! is not integral")
-    return int(vol)
+    return monomial

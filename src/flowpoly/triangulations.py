@@ -255,11 +255,11 @@ def _replay(g, framing, flow):
 def flow_to_clique(g, framing, flow):
     """Leaf routes of the reduction replayed along a given integer flow: at
     each vertex the tree whose composition is the flow on its out-edges."""
+    _validate_framed(g, framing)
     message = "flow must be a nonnegative integer vector over the edges"
     flow = _integers(flow, message)
     if len(flow) != g.edge_count or any(x < 0 for x in flow):
         raise InputError(message)
-    _validate_framed(g, framing)
     return tuple(_replay(g, framing, flow))
 
 

@@ -1,12 +1,17 @@
 from fractions import Fraction
 from itertools import product
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
+from flowpoly import kostant
+from flowpoly.asm import proctor_ehrhart
 from flowpoly.errors import ContractError, InputError
+from flowpoly.fixtures import planar_fixtures
 from flowpoly.graphs import DirectedMultigraph, complete_graph, parallel_edges, path_graph
 from flowpoly.kostant import (
+    _lidskii_coefficients,
     compositions_colex,
     ehrhart_netflow,
     enumerate_integer_flows,
@@ -15,10 +20,9 @@ from flowpoly.kostant import (
     flow_polytope_volume,
     indegree_shift_netflow,
     kostant_value,
-    lagrange_coefficients,
-    polynomial_value,
-    volume_from_ehrhart,
 )
+from flowpoly.planar import poset_to_flow_graph
+from flowpoly.posets import all_staircase_partitions, skew_star, staircase_star
 
 CATALAN_PRODUCTS = {4: 1, 5: 2, 6: 10, 7: 140}
 
@@ -227,18 +231,82 @@ def test_path_graph_is_a_point():
     assert all(flow_ehrhart_value(g, t) == 1 for t in range(4))
 
 
-def test_lagrange_interpolation_exact():
-    coeffs = lagrange_coefficients([1, 4, 9, 16])
-    assert coeffs == [Fraction(1), Fraction(2), Fraction(1), Fraction(0)]
-    assert polynomial_value(coeffs, 7) == 64
+def test_lidskii_polynomial_exact():
+    # the flow polytope of three parallel edges is the 2-simplex, C(t + 2, 2)
+    assert _lidskii_coefficients(parallel_edges(3)) == (2, [0, 0, 1])
+    coeffs = flow_ehrhart_polynomial(parallel_edges(3))
+    assert coeffs == [Fraction(1), Fraction(3, 2), Fraction(1, 2)]
+    assert all(type(c) is Fraction for c in coeffs)
+    # K4's is a unimodular 3-simplex: C(t + 2, 2) + C(t + 2, 3) = C(t + 3, 3)
+    assert _lidskii_coefficients(complete_graph(4)) == (2, [0, 0, 1, 1])
+    assert flow_ehrhart_polynomial(complete_graph(4)) == [1, Fraction(11, 6), 1, Fraction(1, 6)]
 
 
-@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
 def test_volume_from_ehrhart_leading_coefficient(n):
-    assert volume_from_ehrhart(complete_graph(n)) == CATALAN_PRODUCTS[n]
+    # c_d is the normalized volume, and d! times the leading monomial coefficient
+    g = complete_graph(n)
+    _, coefficients = _lidskii_coefficients(g)
+    assert coefficients[-1] == flow_polytope_volume(g) == CATALAN_PRODUCTS[n]
+    assert flow_ehrhart_polynomial(g)[-1] * factorial(g.dimension()) == CATALAN_PRODUCTS[n]
 
 
 def test_ehrhart_polynomial_constant_term_one():
     for g in (complete_graph(4), complete_graph(5), parallel_edges(2)):
         coeffs = flow_ehrhart_polynomial(g)
         assert coeffs[0] == 1
+
+
+def _lidskii_agrees_with_the_dp(g, t_max=None):
+    """The Lidskii polynomial equals flow_ehrhart_value at t = 0..t_max,
+    by default d + 1, and its c_d equals flow_polytope_volume."""
+    o_1, coefficients = _lidskii_coefficients(g)
+    d = g.dimension()
+    assert len(coefficients) == d + 1 and coefficients[-1] == flow_polytope_volume(g)
+    for t in range(d + 2 if t_max is None else t_max + 1):
+        assert sum(c * comb(t + o_1, k) for k, c in enumerate(coefficients)) == flow_ehrhart_value(g, t)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_lidskii_agrees_with_the_dp_on_complete_graphs(n):
+    # the K8 DP grows steeply with t, to 1.5 s at t = 22 on a 2-vCPU VM and
+    # over 5 s for t = 15..22, so K8 stops at t = 12
+    _lidskii_agrees_with_the_dp(complete_graph(n), 12 if n == 8 else None)
+
+
+def test_lidskii_agrees_with_the_dp_on_planar_fixtures():
+    for pg in planar_fixtures().values():
+        _lidskii_agrees_with_the_dp(pg.graph)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_lidskii_agrees_with_the_dp_on_skew_staircases(n):
+    for lam in all_staircase_partitions(n):
+        _lidskii_agrees_with_the_dp(poset_to_flow_graph(*skew_star(n, lam)).graph)
+
+
+@seed(0x1D5C)
+@settings(max_examples=60, deadline=2000)
+@given(graphs_with_netflows())
+def test_lidskii_agrees_with_the_dp_on_random_multigraphs(graph_and_netflow):
+    # the drawn graphs hold the path 1 -> ... -> n, so they are pruned
+    _lidskii_agrees_with_the_dp(graph_and_netflow[0])
+
+
+def test_staircase_7_ehrhart_polynomial_is_proctors():
+    coeffs = flow_ehrhart_polynomial(poset_to_flow_graph(*staircase_star(7)).graph)
+    assert len(coeffs) == 22
+    for t in range(23):
+        assert sum(c * t**i for i, c in enumerate(coeffs)) == proctor_ehrhart(7, t)
+
+
+def test_ehrhart_polynomial_checks_one_more_value(monkeypatch):
+    g = complete_graph(5)
+    d = g.dimension()
+
+    def off_at_d_plus_1(g, t):
+        return flow_ehrhart_value(g, t) + (t == d + 1)
+
+    monkeypatch.setattr(kostant, "flow_ehrhart_value", off_at_d_plus_1)
+    with pytest.raises(ContractError, match="^Ehrhart values are not polynomial of the expected degree$"):
+        flow_ehrhart_polynomial(g)
