@@ -4,18 +4,20 @@ All arithmetic is exact (python ints / fractions).  The vector-partition
 count K_G(a) is implemented twice: by explicit backtracking enumeration and
 by a forward transfer DP over the vertices, whose state is the supply still
 to place and the inflows still owed to later vertices, packed into one int
-as digits in base S + 2, S the sum of the positive netflow entries, which
-bounds every digit; tests assert the two agree.  An edge's shares move a
-state along a line of states down to supply 0, so the DP walks each line
-once and keeps a running sum, rather than sending each state to every
-point below it.
+as digits in base S + 2, S a sum of positive netflows that bounds every
+digit; tests assert the two agree.  An edge's shares move a state along a
+line of states down to supply 0, so the DP walks each line once and keeps
+a running sum, rather than sending each state to every point below it.
 
-The Ehrhart polynomial is the generalized Lidskii formula (Baldoni and
-Vergne 2008; Meszaros and Morales 2019): with o_v = outdeg(v) - 1 and
-d = #E - #V + 1, L_G(t) = sum_k c_k * C(t + o_1, k), where the integer c_k
-sums prod_{v >= 2} C(o_v, j_v) * K_G(j - o, 0) over the weak compositions j
-of d with j_1 = k, and c_d is the normalized volume.  Each c_k is one DP with
-a weighted netflow pass, sharing kostant_value's edge step and line walk.
+The DP's netflow pass reads a list of (netflow, weight) choices per vertex
+and sums the weighted counts over every choice.  kostant_value gives each
+vertex its one netflow entry with weight 1.  The Ehrhart polynomial is the
+generalized Lidskii formula (Baldoni and Vergne 2008; Meszaros and Morales
+2019): with o_v = outdeg(v) - 1 and d = #E - #V + 1,
+L_G(t) = sum_k c_k * C(t + o_1, k), where the integer c_k sums
+prod_{v >= 2} C(o_v, j_v) * K_G(j - o, 0) over the weak compositions j of d
+with j_1 = k, and c_d is the normalized volume.  Each c_k is one DP whose
+choices at v >= 2 are every j_v - o_v, weighted C(o_v, j_v).
 """
 
 from __future__ import annotations
@@ -105,42 +107,35 @@ def enumerate_integer_flows(g, netflow):
 
 
 def kostant_value(g, netflow):
-    """K_G(netflow): number of nonnegative integer flows, by a transfer DP.
+    """K_G(netflow): number of nonnegative integer flows, by the transfer DP
+    with one choice, weight 1, per vertex."""
+    return _count(g, _check_netflow(g, netflow))
+
+
+def _count(g, netflow):
+    return _transfer(g, [[(a, 1)] for a in netflow])
+
+
+def _transfer(g, choices):
+    """Sum over the netflow choices of the weight times the number of flows:
+    vertex v may enter with any (netflow, weight) pair in ``choices[v - 1]``,
+    and vertex n's netflow is the balance of the others.
 
     One dict maps a state to a count and advances one vertex at a time.  At
-    vertex v the state is one int in base B = S + 2, S the sum of the
-    positive netflow entries: digit 0 holds v's supply still to place and
-    digit h - v the inflow owed to a later vertex h < n.  Those digits add
-    up to a partial sum of the netflow, so each lies in [0, S] and none
-    carries.  Entering vertex v divides the state by B, in the pass that
-    adds v's netflow; _transfer's edge steps then place v's supply.
-    """
-    netflow = _check_netflow(g, netflow)
-    base = sum(a for a in netflow if a > 0) + 2
+    vertex v the state is one int in base B = S + 2, S the sum over v < n of
+    v's largest netflow choice where it is positive: digit 0 holds v's
+    supply still to place and digit h - v the inflow owed to a later vertex
+    h < n.  Those digits add up to partial sums of chosen netflows, so each
+    lies in [0, S] and none carries.  Entering vertex v divides the state by
+    B and adds each of v's netflow choices, weighting the count; a state
+    whose supply is negative, or positive at a vertex with no out-edge, is
+    dropped.
 
-    def enter(v, states, heads):
-        # dividing off v - 1's spent digit leaves the inflow owed to v in digit 0;
-        # adding v's netflow makes it the supply, 0 where v has no out-edge
-        net = netflow[v - 1]
-        return {
-            owed + net: k
-            for key, k in states.items()
-            if (supply := net + (owed := key // base) % base) == 0 or (supply > 0 and heads)
-        }
-
-    return _transfer(g, base, enter)
-
-
-def _transfer(g, base, enter):
-    """The transfer DP's edge steps and line walk, in base B = ``base``; the
-    netflow pass ``enter(v, states, heads)`` puts vertex v's supply in digit 0.
-
-    Vertex v's out-edges take shares of the supply one edge at a time,
+    Vertex v's out-edges then take shares of the supply one edge at a time,
     parallel edges included, and the last edge takes the remainder.  A
     share a on an edge into h < n adds a * (B^(h-v) - 1), a step that
     B >= 2 keeps nonzero also at S = 0, where B = S + 1 would not; one into
-    n subtracts a, since vertex n's inflow is not kept: with a balanced
-    netflow it is fixed by the others.
+    n subtracts a, since vertex n's inflow is not kept.
 
     The shares 0..s of a state with supply s reach the points key + a * step
     of its line, which ends at supply 0; each state on a line reaches every
@@ -153,11 +148,23 @@ def _transfer(g, base, enter):
     its walk is the last on its line in any order.
     """
     n = g.n
+    # the largest (netflow, weight) pair holds the largest netflow
+    base = sum(max(max(pairs)[0], 0) for pairs in choices[: n - 1]) + 2
     place = [base**d for d in range(n)]
     states = {0: 1}
     for v in range(1, n):
         heads = sorted(g.edges[e][1] for e in g.out_edge_ids(v))
-        states = enter(v, states, heads)
+        # dividing off v - 1's spent digit leaves the inflow owed to v in digit 0;
+        # adding one of v's netflow choices makes it the supply
+        entered = {}
+        get = entered.get
+        pairs = choices[v - 1]
+        for key, count in states.items():
+            owed = key // base
+            for net, weight in pairs:
+                if (supply := owed % base + net) == 0 or (supply > 0 and heads):
+                    entered[owed + net] = get(owed + net, 0) + count * weight
+        states = entered
         for idx, h in enumerate(heads):
             step = (place[h - v] if h < n else 0) - 1
             advanced = {}
@@ -188,7 +195,7 @@ def indegree_shift_netflow(g):
 def flow_polytope_volume(g):
     """Normalized volume of the flow polytope, as a Kostant value."""
     require_pruned(g)
-    return kostant_value(g, indegree_shift_netflow(g))
+    return _count(g, indegree_shift_netflow(g))
 
 
 def ehrhart_netflow(g, t):
@@ -201,39 +208,36 @@ def flow_ehrhart_value(g, t):
     (t,) = _integers((t,), "netflow entries must be integers")
     if t < 0:
         raise InputError("dilation factor must be nonnegative")
-    return kostant_value(g, ehrhart_netflow(g, t))
+    return _count(g, ehrhart_netflow(g, t))
 
 
 def _lidskii_coefficients(g):
-    """(o_1, [c_0, ..., c_d]) of a pruned g: c_k is one DP on g without the
-    in-edges of n, which sink netflow 0 leaves empty.  Its netflow pass gives
-    vertex 1 the netflow k - o_1, the only positive one, and lets each state
-    at v >= 2 take every j_v in 0..o_v, weighted C(o_v, j_v)."""
-    o = [len(g.out_edge_ids(v)) - 1 for v in range(g.n)]  # o[0] unused
+    """(o_1, [c_0, ..., c_d]) of a pruned g: c_k is one transfer DP on g
+    without the in-edges of n, which sink netflow 0 leaves empty.  Vertex 1
+    enters with netflow k - o_1, the only positive one, and each v >= 2 with
+    every j_v - o_v, 0 <= j_v <= o_v, weighted C(o_v, j_v)."""
+    o = [len(g.out_edge_ids(v)) - 1 for v in range(1, g.n + 1)]
     choices = [[(j - x, comb(x, j)) for j in range(x + 1)] for x in o]
-
-    def enter(v, states, heads):
-        entered = {}
-        for key, count in states.items():
-            owed = key // base
-            for net, weight in choices[v]:
-                if (supply := owed % base + net) == 0 or (supply > 0 and heads):
-                    entered[owed + net] = entered.get(owed + net, 0) + count * weight
-        return entered
-
     inner = DirectedMultigraph(g.n, tuple(e for e in g.edges if e[1] < g.n))
-    coefficients = [0] * o[1]  # vertex 1 has no in-edge to meet a netflow k - o_1 < 0
-    for k in range(o[1], g.dimension() + 1):
-        base = k - o[1] + 2
-        choices[1] = [(k - o[1], 1)]  # j_1 = k
-        coefficients.append(_transfer(inner, base, enter))
-    return o[1], coefficients
+    coefficients = [0] * o[0]  # vertex 1 has no in-edge to meet a netflow k - o_1 < 0
+    for k in range(o[0], g.dimension() + 1):
+        choices[0] = [(k - o[0], 1)]  # j_1 = k
+        coefficients.append(_transfer(inner, choices))
+    return o[0], coefficients
 
 
 def flow_ehrhart_polynomial(g):
     """The Ehrhart polynomial's coefficients, constant term first, as
     Fractions: Lidskii's sum_k c_k * C(t + o_1, k) expanded exactly, its
-    value at t = d + 1 checked against flow_ehrhart_value."""
+    value at t = d + 1 checked against flow_ehrhart_value.
+
+    That check costs more than the polynomial: its DP runs in base d + 3,
+    and its states grow with the base.  On K8 (d = 15) the coefficients
+    took 0.6-0.8 s and the check 2.1-2.9 s, on staircase 8 (d = 28) 2.7 s
+    and 9.0 s, each on a 2-vCPU machine, so the check bounds the sizes
+    this reaches.  It is kept as the one comparison of the formula with
+    the plain count that every call makes.
+    """
     require_pruned(g)
     o_1, coefficients = _lidskii_coefficients(g)
     dim = len(coefficients) - 1

@@ -1,6 +1,8 @@
+import importlib.util
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial
+from math import comb, factorial, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -135,9 +137,59 @@ def test_dp_agrees_with_bruteforce_enumeration():
         (complete_graph(4), (2, 1, 0, -3)),
         (complete_graph(5), (3, -1, 2, -2, -2)),
         (DirectedMultigraph(4, ((1, 2), (1, 3), (1, 4), (1, 4), (2, 3), (3, 4))), (4, -1, -2, -1)),
+        # the base sums the positive entries of vertices 1..n - 1: a positive
+        # entry at n, which it leaves out, and the largest positive entry at
+        # an inner vertex, with a digit past it
+        (complete_graph(4), (1, -2, 0, 1)),
+        (complete_graph(4), (-1, 0, 0, 1)),
+        (complete_graph(5), (2, 0, 3, -3, -2)),
+        (DirectedMultigraph(4, ((1, 2), (2, 3), (2, 4), (3, 4), (3, 4))), (1, 0, 2, -3)),
     ]
     for g, nf in cases:
         assert kostant_value(g, nf) == len(enumerate_integer_flows(g, nf))
+
+
+def test_transfer_sums_weighted_netflow_choices():
+    # vertex v < n enters with each (netflow, weight) pair of choices[v - 1]
+    # and vertex n with the balance, its own choice unread, so the DP is the
+    # weighted sum of flow counts
+    cases = [
+        (complete_graph(4), [[(2, 1), (1, 3)], [(0, 2), (1, 1), (-1, 5)], [(0, 1), (2, 7)]]),
+        (parallel_edges(3), [[(0, 1), (2, 4), (3, 5)]]),
+        # vertex 3 has no out-edges: netflow -2 at vertex 2 makes its supply
+        # negative unless 1 sends it 2, and netflow 1 at vertex 3 leaves a
+        # positive supply there; the DP drops both states
+        (
+            DirectedMultigraph(4, ((1, 2), (1, 3), (1, 4), (2, 4))),
+            [[(2, 1), (1, 2)], [(-2, 3), (0, 1)], [(1, 5), (0, 2)]],
+        ),
+    ]
+    for g, inner in cases:
+        expected = 0
+        for pairs in product(*inner):
+            nets = tuple(net for net, _ in pairs)
+            expected += prod(w for _, w in pairs) * len(enumerate_integer_flows(g, nets + (-sum(nets),)))
+        assert expected > 0
+        assert kostant._transfer(g, inner + [[(0, 1)]]) == expected
+
+
+def test_public_counts_check_the_netflow_they_are_given_only(monkeypatch):
+    # flow_polytope_volume and flow_ehrhart_value build their netflow, so only
+    # kostant_value, whose netflow comes from the caller, checks it
+    calls = []
+
+    def spy(g, netflow):
+        calls.append(netflow)
+        return check(g, netflow)
+
+    check = kostant._check_netflow
+    monkeypatch.setattr(kostant, "_check_netflow", spy)
+    g = complete_graph(5)
+    assert flow_polytope_volume(g) == 2
+    assert flow_ehrhart_value(g, 2) == 35
+    assert calls == []
+    assert kostant_value(g, (2, 0, 0, 0, -2)) == 35
+    assert calls == [(2, 0, 0, 0, -2)]
 
 
 @settings(max_examples=25, deadline=None)
@@ -298,6 +350,14 @@ def test_staircase_7_ehrhart_polynomial_is_proctors():
     assert len(coeffs) == 22
     for t in range(23):
         assert sum(c * t**i for i, c in enumerate(coeffs)) == proctor_ehrhart(7, t)
+
+
+def test_lidskii_staircase_script_runs():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "check_lidskii_staircase.py"
+    spec = importlib.util.spec_from_file_location("check_lidskii_staircase", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(5) == 0
 
 
 def test_ehrhart_polynomial_checks_one_more_value(monkeypatch):
