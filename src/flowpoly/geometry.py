@@ -3,7 +3,11 @@
 Points are tuples of integers or Fractions.  Every elimination goes through
 one fraction-free kernel (Bareiss 1968): rows with Fraction entries are
 first scaled to integers, and each step divides exactly by the previous
-pivot, so entries stay integral (they are minors of the input).  Eliminating
+pivot, so entries stay integral (they are minors of the input).  Flow and
+order polytopes give matrices of 0, 1 and -1, so each column takes a pivot
+of 1 or -1 when it has one; while the pivot and the previous one are both
+1, a step multiplies and divides by nothing.  A pivot row leaves the
+working rows, and the columns up to its pivot are dropped.  Eliminating
 below each pivot gives the rank and the determinant (the last pivot); the
 Gauss–Jordan sweep, which also clears above it, gives the integer inverse
 of the unimodular simplices of a triangulation.
@@ -15,11 +19,15 @@ row's first nonzero entry lies right of the previous row's.  Coordinates in
 it follow by forward substitution on the pivot columns, and a simplex's
 normalized volume needs none: its edge vectors' minor on the pivot columns,
 over the product of the pivots, is the determinant of their coordinates.
+What a basis gives every simplex, its pivot columns, pivot product and
+right kernel, is kept in a small memo keyed on its integer rows (`_frame`).
 
 Entries that are not ints or Fractions are made exact where they enter
 (`errors._exact`): at the points of `affine_dimension`, `lattice_basis` and
 `triangulation_checks`, where a row reaches the elimination kernel, and at
-the vertices of `simplex_normalized_volume` unless all are ints.
+the vertices of `simplex_normalized_volume` unless all are ints.  A basis
+is read by the integer rule (`errors._integers`), and an expected volume
+as a nonnegative int (`errors._nonnegative`).
 
 The sample-coverage check treats each unimodular simplex as its homogeneous
 matrix H, whose column for vertex x is (1, x) in lattice coordinates.  The
@@ -38,56 +46,82 @@ the simplices that contain the sample are those with no negative row.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import getitem, mul
+from operator import add, getitem, mul, sub
 
-from .errors import InputError, InternalCheckError, _exact, _integers
+from .errors import InputError, InternalCheckError, _exact, _integers, _nonnegative
 
 SAMPLE_SEED = 0xA5C
 SAMPLE_COUNT = 200
+_RAGGED = "matrix rows must all have the same length"
+_BASIS = "basis must be a sequence of integer rows"
 
 
 def _bareiss(m, jordan=False):
-    """Fraction-free elimination of the integer rows ``m``, in place.
+    """Fraction-free elimination of the integer rows ``m``, which it uses up.
 
-    Returns ``(pivots, last, sign)``: the pivot columns, the last pivot and
-    the sign of the row permutation.  Each step eliminates the rows below
-    the pivot, and with ``jordan`` the rows above it as well (Gauss–Jordan).
-    Afterwards row k has a nonzero entry in column ``pivots[k]`` and zeros
-    there in the rows below it, and the rows past ``len(pivots)`` are zero;
-    with ``jordan``, row k has the entry ``last`` in column ``pivots[k]``
-    and zeros in the other pivot columns.  The rows below a pivot get the
-    same updates in both sweeps, so the pivots, ``last`` and ``sign`` do not
-    depend on ``jordan``.  For a square matrix of full rank, ``sign * last``
-    is its determinant.
+    Returns ``(pivots, last, sign, reduced)``: the pivot columns, the last
+    pivot, a sign such that ``sign * last`` is the determinant when m is
+    square of full rank, and with ``jordan`` the reduced pivot rows (else
+    none).  Each column takes a pivot of 1 or -1 when it has one, and a row
+    whose pivot is -1 is negated (``sign`` flips); the pivot row leaves the
+    working rows, and every row drops the columns up to the pivot.  The rows
+    left get ``(pivot * a - f * b) // last``, where b is the pivot row and f
+    the row's entry in the pivot column; the division is exact, and while
+    pivot and last are both 1 it is ``a - f * b``.  A column where no
+    working row is nonzero has no pivot, and costs a scan of it.  With
+    ``jordan`` the earlier pivot rows get the same update (Gauss–Jordan),
+    so ``reduced`` is ``last`` times the reduced row echelon form of m, in
+    the columns past the last pivot.  The pivots, ``last`` and ``sign`` do
+    not depend on ``jordan``.
     """
     pivots, last, sign = [], 1, 1
+    rows, reduced = m, []
+    start = 0  # the rows hold the entries of columns start, start + 1, ...
     for col in range(len(m[0]) if m else 0):
-        r = len(pivots)
-        p = next((i for i in range(r, len(m)) if m[i][col]), None)
-        if p is None:
-            continue
-        if p != r:
-            m[r], m[p] = m[p], m[r]
+        k = col - start
+        column = [row[k] for row in rows]
+        if 1 in column:
+            p = column.index(1)
+        elif -1 in column:
+            p = column.index(-1)
+        else:
+            p = next((i for i, x in enumerate(column) if x), None)
+            if p is None:
+                continue
+        if p & 1:  # moving row p to the front is a cycle of p + 1 rows
             sign = -sign
-        top = m[r]
-        pivot = top[col]
-        for i in range(0 if jordan else r + 1, len(m)):
-            row = m[i]
-            f = row[col]
-            # a row with f == 0 is unchanged when pivot == last
-            if i != r and (f or pivot != last):
-                # exact: every entry is a minor of the input (Sylvester's identity)
-                m[i] = [(pivot * a - f * b) // last for a, b in zip(row, top)]
+        top = rows.pop(p)
+        pivot, tail = top[k], top[k + 1 :]
+        if pivot == -1:
+            pivot, tail, sign = 1, [-x for x in tail], -sign
+        unit, same = pivot == last == 1, pivot == last
+        for group in (rows, reduced):
+            for i, row in enumerate(group):
+                f = row[k]
+                if not f and same:
+                    group[i] = row[k + 1 :]
+                elif f == 1 and unit:
+                    group[i] = list(map(sub, row[k + 1 :], tail))
+                elif f == -1 and unit:
+                    group[i] = list(map(add, row[k + 1 :], tail))
+                elif unit:
+                    group[i] = [a - f * b for a, b in zip(row[k + 1 :], tail)]
+                else:
+                    # exact: every entry is a minor of the input (Sylvester's identity)
+                    group[i] = [(pivot * a - f * b) // last for a, b in zip(row[k + 1 :], tail)]
+        if jordan:
+            reduced.append(tail)
         last = pivot
         pivots.append(col)
-        if len(pivots) == len(m):
+        start = col + 1
+        if not rows:
             break
-    return pivots, last, sign
+    return pivots, last, sign, reduced
 
 
 def _integer_rows(rows):
@@ -110,7 +144,10 @@ def _integer_rows(rows):
 
 def matrix_rank(rows):
     """Rank over the rationals, by exact fraction-free elimination."""
-    return len(_bareiss(_integer_rows(rows)[0])[0])
+    m = _integer_rows(rows)[0]
+    if len(set(map(len, m))) > 1:
+        raise InputError(_RAGGED)
+    return len(_bareiss(m)[0])
 
 
 def hermite_row_basis(rows):
@@ -123,7 +160,10 @@ def hermite_row_basis(rows):
     not reduced, so this is not the Hermite normal form.
     """
     message = "lattice points must have integer coordinates"
-    m = [_integers(row, message) for row in rows if any(row)]
+    m = [_integers(row, message) for row in rows]
+    if len(set(map(len, m))) > 1:
+        raise InputError(_RAGGED)
+    m = [row for row in m if any(row)]
     if not m:
         return []
     ncols = len(m[0])
@@ -163,8 +203,16 @@ def _differences(points, base):
     return [[x - b for x, b in zip(p, base)] for p in points]
 
 
+def _points(points):
+    """Each point as a tuple of exact coordinates (`_exact`)."""
+    try:
+        return [tuple(map(_exact, p)) for p in points]
+    except TypeError:  # points, or one of them, is not iterable
+        raise InputError("points must be sequences of coordinates") from None
+
+
 def affine_dimension(points):
-    points = [tuple(map(_exact, p)) for p in points]
+    points = _points(points)
     if not points:
         raise InputError("affine dimension of an empty point set is undefined")
     return matrix_rank(_differences(points[1:], points[0]))
@@ -179,19 +227,50 @@ def _basis(points):
 
 def lattice_basis(points):
     """Echelon basis (`hermite_row_basis`) of the lattice of all vertex differences."""
-    return _basis([tuple(map(_exact, p)) for p in points])
+    return _basis(_points(points))
 
 
-def _pivots(basis):
-    """The pivot columns and pivot product of ``basis``; InputError unless it
-    is in row echelon form (no zero row, each pivot right of the last)."""
+@functools.lru_cache(maxsize=32)
+def _frame(basis):
+    """The integer rows of an echelon ``basis`` (a tuple of rows), its pivot
+    columns, the product of its pivots and its right kernel.
+
+    The rows are read by the `_integers` rule, so 2.0 is 2 and 2.5 is
+    refused, and a basis not in row echelon form (a zero row, or a pivot
+    not right of the one above) is refused.  The kernel has one integer
+    vector per free column f: ``product`` at f, 0 at the other free
+    columns, and the pivot entries by back-substitution; ``product`` times
+    the inverse of the triangular pivot block is integral, so every
+    division is exact.  Each vector is kept as its nonzero entries, a tuple
+    of columns and a tuple of values.  The memo is keyed on the rows'
+    values, so it serves any basis equal to one it has read, and it never
+    holds a basis it refused.
+    """
+    rows = tuple(_integers(row, _BASIS) for row in basis)
     # a row's first nonzero entry, found by value: the entries before it are
     # 0; a zero row gets column 0 and makes the product 0
-    pivots = [row.index(next(filter(None, row), 0)) for row in basis]
-    product = math.prod(map(getitem, basis, pivots))
+    pivots = tuple(row.index(next(filter(None, row), 0)) for row in rows)
+    product = math.prod(map(getitem, rows, pivots))
     if not product or any(a >= b for a, b in zip(pivots, pivots[1:])):
         raise InputError("basis must be in row echelon form")
-    return pivots, product
+    n = len(rows[0]) if rows else 0
+    kernel = []
+    for f in sorted(set(range(n)) - set(pivots)):
+        k = [0] * n
+        k[f] = product
+        for row, j in reversed(list(zip(rows, pivots))):
+            k[j] = -sum(map(mul, row[j + 1 :], k[j + 1 :])) // row[j]
+        cols = tuple(j for j, x in enumerate(k) if x)
+        kernel.append((cols, tuple(map(k.__getitem__, cols))))
+    return rows, pivots, product, tuple(kernel)
+
+
+def _read_basis(basis):
+    """`_frame` of a basis given as any sequence of rows."""
+    try:
+        return _frame(tuple(map(tuple, basis)))
+    except TypeError:  # the basis or a row is not iterable, or an entry is unhashable
+        raise InputError(_BASIS) from None
 
 
 def coordinates_in_basis(basis, vector):
@@ -199,14 +278,15 @@ def coordinates_in_basis(basis, vector):
 
     ``basis`` must be in row echelon form, as `lattice_basis` returns it, so
     each coordinate is read off the next row's pivot column (forward
-    substitution); another basis is refused (`_pivots`).  A vector in the
+    substitution); another basis is refused (`_frame`).  A vector in the
     span but off the lattice gets Fraction coordinates.
     """
-    if basis and len(vector) != len(basis[0]):
+    rows, pivots = _read_basis(basis)[:2]
+    if rows and len(vector) != len(rows[0]):
         raise InputError("points must all have the same number of coordinates")
     residual = list(vector)
     coords = []
-    for row, col in zip(basis, _pivots(basis)[0]):
+    for row, col in zip(rows, pivots):
         q, r = divmod(residual[col], row[col])
         c = Fraction(residual[col], row[col]) if r else q
         if c:
@@ -223,31 +303,10 @@ def determinant(rows):
     if any(len(r) != n for r in rows):
         raise InputError("determinant needs a square matrix")
     m, scale = _integer_rows(rows)
-    pivots, last, sign = _bareiss(m)
+    pivots, last, sign, _ = _bareiss(m)
     if len(pivots) < n:
         return Fraction(0)
     return Fraction(sign * last, scale)
-
-
-def _kernel(basis, pivots, product):
-    """Integer vectors spanning the right kernel of an echelon ``basis``.
-
-    ``pivots`` are the basis's pivot columns and ``product`` the product of
-    its pivots.  There is one vector per free column f: ``product`` at f, 0
-    at the other free columns, and the pivot entries by back-substitution.
-    ``product`` times the inverse of the triangular pivot block is integral,
-    so every division is exact.  A full-dimensional basis has none.
-    """
-    n = len(basis[0])
-    rows = list(zip(basis, pivots))[::-1]
-    kernel = []
-    for f in sorted(set(range(n)) - set(pivots)):
-        k = [0] * n
-        k[f] = product
-        for row, j in rows:
-            k[j] = -sum(map(mul, row[j + 1 :], k[j + 1 :])) // row[j]
-        kernel.append(k)
-    return kernel
 
 
 def simplex_normalized_volume(simplex, basis):
@@ -256,37 +315,45 @@ def simplex_normalized_volume(simplex, basis):
     Returns 0 for degenerate simplices (repeated vertices, wrong vertex
     count for the lattice rank, or affinely dependent vertices).  ``basis``
     must be in row echelon form, as `lattice_basis` returns it, so its block
-    B_P on the pivot columns P is triangular; another basis is refused.  Edge vectors V in the span
-    of B are V = C B, so det C = det V_P / det B_P: the volume is
-    |det V_P| / |prod of pivots|, with no lattice coordinates.  An edge
-    vector is in the span when it is orthogonal to the right kernel of B
-    (`_kernel`).  Vertices that are not all ints are made exact first
-    (`_exact`), so a nan or a string is refused before anything else, and
-    their minor reaches the elimination through `_integer_rows`.
+    B_P on the pivot columns P is triangular; another basis is refused.
+    Edge vectors V in the span of B are V = C B, so det C = det V_P / det
+    B_P: the volume is |det V_P| / |prod of pivots|, with no lattice
+    coordinates.  The simplex lies in a translate of the span when every
+    vector of the right kernel of B takes one value on all its vertices.
+    The pivots, their product and the kernel come from the basis's memo
+    (`_frame`), and each kernel vector is read on its nonzero entries only.
+    Vertices that are not all ints are made exact first (`_exact`), so a
+    nan or a string is refused before anything else, and their minor
+    reaches the elimination through `_integer_rows`.
     """
-    simplex = [tuple(p) for p in simplex]
-    d = len(basis)
-    if len(set(simplex)) != len(simplex):
-        return 0
-    if len(simplex) != d + 1:
+    rows, pivots, product, kernel = _read_basis(basis)
+    try:
+        simplex = [tuple(p) for p in simplex]
+        distinct = len(set(simplex))
+    except TypeError:  # the simplex or a point is not iterable, or an entry is unhashable
+        raise InputError("simplex must be a sequence of points") from None
+    d = len(pivots)
+    if distinct != len(simplex) or distinct != d + 1:
         return 0
     if not d:
         return 1
-    ints = {int}.issuperset(map(type, itertools.chain.from_iterable(simplex)))
+    try:  # a sum of ints is an int; a float, a Fraction or a string makes it none
+        ints = type(sum(map(sum, simplex))) is int
+    except TypeError:
+        ints = False
     if not ints:
         simplex = [tuple(map(_exact, p)) for p in simplex]
-    edges = _differences(simplex[1:], simplex[0])
-    n = len(basis[0])
-    if len(edges[0]) != n:
+    if set(map(len, simplex)) != {len(rows[0])}:
         raise InputError("points must all have the same number of coordinates")
-    pivots, product = _pivots(basis)
-    if d < n:  # else every column is a pivot column and V_P is V
-        for k in _kernel(basis, pivots, product):
-            if any(sum(map(mul, k, v)) for v in edges):
-                raise InputError("vector lies outside the lattice span")
-        edges = [list(map(v.__getitem__, pivots)) for v in edges]
+    for cols, values in kernel:
+        if len({sum(map(mul, values, map(p.__getitem__, cols))) for p in simplex}) > 1:
+            raise InputError("vector lies outside the lattice span")
+    if kernel:  # else every column is a pivot column and V_P is V
+        simplex = [list(map(p.__getitem__, pivots)) for p in simplex]
+    base = simplex[0]
+    edges = [list(map(sub, p, base)) for p in simplex[1:]]
     m, scale = (edges, 1) if ints else _integer_rows(edges)
-    rank, last, _ = _bareiss(m)
+    rank, last = _bareiss(m)[:2]
     vol, rest = divmod(abs(last) if len(rank) == d else 0, abs(scale * product))
     if rest:
         raise InternalCheckError("simplex volume is not integral in the chosen lattice")
@@ -335,17 +402,19 @@ class TriangulationReport:
 def _volume_and_inverse(m):
     """|det m| of a square integer matrix, and its inverse when that is 1.
 
-    One elimination of [m | I], which ends as [last * I | last * m^-1] when
-    m is nonsingular, with |last| = |det m|.
+    One Gauss–Jordan elimination of [m | I] (`_bareiss`).  When m is
+    nonsingular its columns hold every pivot, and the reduced pivot rows,
+    read past them, are last * m^-1, with |last| = |det m|.  A pivot of -1
+    is negated, so |det m| = 1 means last = 1 and the rows are m^-1.
     """
     d = len(m)
     aug = [row + [int(i == j) for j in range(d)] for i, row in enumerate(m)]
-    pivots, last, _ = _bareiss(aug, jordan=True)
+    pivots, last, _, inverse = _bareiss(aug, jordan=True)
     if pivots != list(range(d)):
         return 0, None
-    if abs(last) != 1:
+    if last != 1:
         return abs(last), None
-    return 1, [[last * x for x in row[d:]] for row in aug]
+    return 1, inverse
 
 
 def _compile(coords, simplices, d):
@@ -485,14 +554,19 @@ def triangulation_checks(polytope_vertices, simplices, expected_volume):
     no simplex covers is never sampled: only the volume total catches a
     missing simplex.
     """
-    vertices = [tuple(map(_exact, p)) for p in polytope_vertices]
+    expected_volume = _nonnegative(expected_volume, "expected volume")
+    vertices = _points(polytope_vertices)
     basis = _basis(vertices)
     d = len(basis)
     # a simplex vertex such as (1.0, 0) finds the id of its equal vertex
     ids = {p: v for v, p in enumerate(vertices)}
-    simplices = [[ids.get(tuple(p)) for p in s] for s in simplices]
+    simplices = list(simplices)
     failures = []
-    for idx, simplex in enumerate(simplices):
+    for idx, s in enumerate(simplices):
+        try:
+            simplices[idx] = simplex = [ids.get(tuple(p)) for p in s]
+        except TypeError:  # s or a point is not iterable, or an entry is unhashable
+            raise InputError(f"simplex {idx} must be a sequence of points") from None
         extra = simplex.count(None)
         if extra:
             failures.append(f"simplex {idx}: {extra} vertices are not polytope vertices")

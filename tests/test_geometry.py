@@ -123,7 +123,12 @@ def test_unit_simplex_volume():
 
 
 UNEQUAL = "points must all have the same number of coordinates"
+RAGGED = "matrix rows must all have the same length"
+BASIS = "basis must be a sequence of integer rows"
+EXPECTED = "expected volume must"
 UNIT = [(1, 0), (0, 1)]
+SQUARE = [(0, 0), (1, 0), (0, 1), (1, 1)]
+DIAGONAL_CUT = [((0, 0), (1, 0), (1, 1)), ((0, 0), (0, 1), (1, 1))]
 
 
 @pytest.mark.parametrize(
@@ -210,6 +215,23 @@ UNIT = [(1, 0), (0, 1)]
             lambda: coordinates_in_basis([(1, 0), (0, 0)], [1, 0]),
             "basis must be in row echelon form",
         ),
+        (lambda: matrix_rank([[1], [1, 5]]), RAGGED),
+        (lambda: matrix_rank([[1, 2], [3]]), RAGGED),
+        (lambda: hermite_row_basis([[0, 1], [1, 0, 5]]), RAGGED),
+        (lambda: hermite_row_basis([[1, 2], [0]]), RAGGED),
+        (lambda: simplex_normalized_volume([(0,), (1,)], [(float("nan"),)]), BASIS),
+        (lambda: simplex_normalized_volume([(0,), (1,)], [("1",)]), BASIS),
+        (lambda: simplex_normalized_volume([(0,), (2,)], [(1.5,)]), BASIS),
+        (lambda: simplex_normalized_volume([(0, 0), (1, 0), (0, 1)], [1, 2]), BASIS),
+        (lambda: coordinates_in_basis([(2.5,)], [1]), BASIS),
+        (lambda: triangulation_checks(SQUARE, DIAGONAL_CUT, "2"), f"{EXPECTED} be an integer"),
+        (lambda: triangulation_checks(SQUARE, DIAGONAL_CUT, 2.5), f"{EXPECTED} be an integer"),
+        (lambda: triangulation_checks(SQUARE, DIAGONAL_CUT, -2), f"{EXPECTED} be nonnegative"),
+        (lambda: triangulation_checks(SQUARE, [None], 1), "simplex 0 must be a sequence of points"),
+        (lambda: simplex_normalized_volume(None, UNIT), "simplex must be a sequence of points"),
+        (lambda: simplex_normalized_volume([0, 1], [(1,)]), "simplex must be a sequence of points"),
+        (lambda: affine_dimension([1, 2]), "points must be sequences of coordinates"),
+        (lambda: lattice_basis([1, 2]), "points must be sequences of coordinates"),
     ],
     ids=[
         "affine-dimension",
@@ -238,6 +260,23 @@ UNIT = [(1, 0), (0, 1)]
         "zero-row-basis",
         "non-echelon-coordinates-basis",
         "zero-row-coordinates-basis",
+        "ragged-rank-longer",
+        "ragged-rank-shorter",
+        "ragged-hermite-longer",
+        "ragged-hermite-zero-row",
+        "nan-basis",
+        "string-basis",
+        "half-integer-basis",
+        "int-rows-basis",
+        "half-integer-coordinates-basis",
+        "string-expected-volume",
+        "half-integer-expected-volume",
+        "negative-expected-volume",
+        "none-simplex-checks",
+        "none-simplex",
+        "int-points-simplex",
+        "int-points-affine-dimension",
+        "int-points-lattice-basis",
     ],
 )
 def test_refusals(call, message):
@@ -263,15 +302,48 @@ def test_integral_floats_give_exact_results():
         assert simplex_normalized_volume([(0, 0), (half, 0), (0, 2)], UNIT) == 1
 
 
+def test_integral_basis_entries_are_read_as_ints():
+    volume = simplex_normalized_volume([(0,), (1,)], [(1.0,)])
+    assert volume == 1 and type(volume) is int
+    assert coordinates_in_basis([(2.0,)], [1]) == (Fraction(1, 2),)
+    assert coordinates_in_basis([(Fraction(2),)], [4]) == (2,)
+
+
+def test_expected_volume_is_read_as_an_int():
+    report = triangulation_checks(SQUARE, DIAGONAL_CUT, 2.0)
+    assert report.passed and report.to_json()["expected_volume"] == 2
+    assert type(report.expected_volume) is int
+
+
+def test_basis_memo_reads_the_basis_as_it_is_at_each_call():
+    """The per-basis memo is keyed on the rows' values, so a basis list
+    changed between calls is read anew, and a basis it refused is refused
+    again."""
+    simplex = [(0, 0, 0), (1, 0, 0), (0, 2, 0)]
+    basis = [[1, 0, 0], [0, 1, 0]]
+    assert simplex_normalized_volume(simplex, basis) == 2
+    basis[1][1] = 2
+    assert simplex_normalized_volume(simplex, basis) == 1
+    assert coordinates_in_basis(basis, [3, 4, 0]) == (3, 2)
+    basis[1] = [0, 1, 1]  # (0, 2, 0) leaves the span
+    with pytest.raises(InputError, match="^vector lies outside the lattice span$"):
+        simplex_normalized_volume(simplex, basis)
+    assert simplex_normalized_volume([(0, 0, 0), (1, 0, 0), (0, 1, 1)], basis) == 1
+    basis.reverse()
+    for _ in range(2):
+        with pytest.raises(InputError, match="^basis must be in row echelon form$"):
+            simplex_normalized_volume([(0, 0, 0), (1, 0, 0), (0, 1, 1)], basis)
+        with pytest.raises(InputError, match="^basis must be in row echelon form$"):
+            coordinates_in_basis(basis, [1, 0, 0])
+    basis.reverse()
+    assert simplex_normalized_volume([(0, 0, 0), (1, 0, 0), (0, 1, 1)], basis) == 1
+
+
 def test_coordinates_in_basis_detects_outside_vectors():
     basis = hermite_row_basis([[1, 0, 0], [0, 1, 0]])
     assert coordinates_in_basis(basis, [3, 4, 0]) == (3, 4)
     with pytest.raises(InputError):
         coordinates_in_basis(basis, [0, 0, 1])
-
-
-SQUARE = [(0, 0), (1, 0), (0, 1), (1, 1)]
-DIAGONAL_CUT = [((0, 0), (1, 0), (1, 1)), ((0, 0), (0, 1), (1, 1))]
 
 
 def test_triangulation_checks_unit_square():
@@ -793,9 +865,26 @@ def matrices(draw, shapes):
 
 
 @st.composite
-def unimodular_matrices(draw):
+def unit_pivot_matrices(draw, shapes):
+    """An r x c matrix of 0, 1 and -1, as flow and order polytopes give,
+    with some columns zero, and when drawn so a first column of 0, 2, -2
+    and 3 only, so that a non-unit pivot comes before unit ones."""
+    r, c = draw(shapes)
+    unit = st.sampled_from([0, 0, 1, -1])
+    m = [[draw(unit) for _ in range(c)] for _ in range(r)]
+    for j in draw(st.sets(st.integers(0, c - 1), max_size=c // 2)):
+        for row in m:
+            row[j] = 0
+    if draw(st.booleans()):
+        for row in m:
+            row[0] = draw(st.sampled_from([0, 2, -2, 3]))
+    return m
+
+
+@st.composite
+def unimodular_matrices(draw, max_n=16):
     """Products of elementary integer matrices: row additions, swaps, sign flips."""
-    n = draw(st.integers(1, 16))
+    n = draw(st.integers(1, max_n))
     m = [[int(i == j) for j in range(n)] for i in range(n)]
     for _ in range(draw(st.integers(0, 3 * n))):
         i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
@@ -812,7 +901,10 @@ def unimodular_matrices(draw):
 
 @seed(0xA5C)
 @KERNEL_SETTINGS
-@given(matrices(st.integers(0, 4).map(lambda n: (n, n))))
+@given(
+    matrices(st.integers(0, 4).map(lambda n: (n, n)))
+    | unit_pivot_matrices(st.integers(1, 6).map(lambda n: (n, n)))
+)
 def test_determinant_matches_leibniz(m):
     assert determinant(m) == leibniz_determinant(m)
 
@@ -833,6 +925,63 @@ def test_unimodular_inverse(m):
     n = len(m)
     product = [[sum(a * b for a, b in zip(row, col)) for col in zip(*inv)] for row in m]
     assert product == [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def fraction_reduced(m):
+    """The rank of m and, when m is square of full rank, its inverse, by
+    Gauss–Jordan elimination of [m | I] over the Fractions."""
+    n = len(m)
+    a = [[*map(Fraction, row), *(Fraction(i == j) for j in range(n))] for i, row in enumerate(m)]
+    rank = 0
+    for col in range(len(m[0])):
+        p = next((i for i in range(rank, n) if a[i][col]), None)
+        if p is None:
+            continue
+        a[rank], a[p] = a[p], a[rank]
+        a[rank] = [x / a[rank][col] for x in a[rank]]
+        for i in range(n):
+            if i != rank and a[i][col]:
+                a[i] = [x - a[i][col] * y for x, y in zip(a[i], a[rank])]
+        rank += 1
+    return rank, [row[-n:] for row in a] if rank == n == len(m[0]) else None
+
+
+@seed(0xA5C)
+@KERNEL_SETTINGS
+@given(unit_pivot_matrices(st.tuples(st.integers(1, 6), st.integers(1, 6))))
+def test_rank_of_unit_pivot_matrices_matches_fraction_elimination(m):
+    assert matrix_rank(m) == fraction_reduced(m)[0]
+
+
+@st.composite
+def inverse_cases(draw, kind):
+    """A square integer matrix with |det| 1 ("unit"), > 1 ("scaled": one row
+    of a unimodular matrix times 2, -2 or 3) or 0 ("singular": one row made
+    a combination of the others), or a square unit-pivot matrix ("any")."""
+    if kind == "any":
+        return draw(unit_pivot_matrices(st.integers(1, 6).map(lambda n: (n, n))))
+    m = draw(unimodular_matrices(max_n=6))
+    n = len(m)
+    i = draw(st.integers(0, n - 1))
+    if kind == "scaled":
+        k = draw(st.sampled_from([2, -2, 3]))
+        m[i] = [k * x for x in m[i]]
+    elif kind == "singular":
+        ks = [draw(st.integers(-1, 1)) if j != i else 0 for j in range(n)]
+        m[i] = [sum(map(mul, ks, col)) for col in zip(*m)]
+    return m
+
+
+@pytest.mark.parametrize("kind", ["unit", "scaled", "singular", "any"])
+@seed(0xA5C)
+@KERNEL_SETTINGS
+@given(data=st.data())
+def test_volume_and_inverse_match_fraction_inverse(kind, data):
+    m = data.draw(inverse_cases(kind))
+    vol, inv = _volume_and_inverse([list(row) for row in m])
+    assert vol == abs(leibniz_determinant(m))
+    assert {"unit": vol == 1, "scaled": vol > 1, "singular": vol == 0}.get(kind, True)
+    assert inv == (fraction_reduced(m)[1] if vol == 1 else None)
 
 
 @seed(0xA5C)
